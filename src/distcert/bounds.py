@@ -5,10 +5,11 @@ or channel by distance eps changes an entropic quantity by at most
 A*eps + r(eps) with r concave and increasing. Reading it backwards, a
 certified gap Delta in the entropic quantity between the object and the
 nearest member of a structured class forces the distance to be at least
-(Delta - r(Delta/A)) / A. The public bound functions specialize this kernel,
-clamp into [0, 2] (trivial bounds are allowed, negative ones are not
-informative), and tag the result with a stable formula identifier so report
-rows map one-to-one onto the closed-form expressions.
+(Delta - r(Delta/A)) / A. ``FORMULAS`` has one row per formula tag, giving
+the target set and the kernel that specializes this expression; the public
+bound functions validate, look up their row and clamp into [0, 2] (trivial
+bounds are allowed, negative ones are not informative), and the report
+builders feed each certificate to its rows through one source table.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,17 +37,6 @@ class Formula(str, Enum):
     DD_FROM_CI = "Eq13"
     PROD_FROM_MI = "ProdMI"
 
-
-TARGET_OF = {
-    Formula.DS_FROM_REE: "separable",
-    Formula.DS_FROM_CI: "separable",
-    Formula.DA_FROM_CI: "antidegradable",
-    Formula.DEB_FROM_CI: "entanglement_breaking",
-    Formula.DEB_FROM_RCI: "entanglement_breaking",
-    Formula.DEB_FROM_REE: "entanglement_breaking",
-    Formula.DD_FROM_CI: "degradable",
-    Formula.PROD_FROM_MI: "product",
-}
 
 _MONOTONE_GRID = np.linspace(0.0, 2.0, 17)
 
@@ -68,6 +58,15 @@ class ContinuityBoundSpec:
             raise ValueError("correction term is not nondecreasing on [0, 2]")
 
 
+def _inversion_kernel(delta, scale: float, correction, *args) -> float:
+    """The one inversion expression (delta - r(delta/A)) / A, sign-preserving.
+
+    ``r`` is ``correction(., *args)``. Every eps with delta <= A*eps + r(eps)
+    is at least this value.
+    """
+    return float((delta - correction(delta / scale, *args)) / scale)
+
+
 def invert_continuity_bound(spec: ContinuityBoundSpec, delta: float) -> float:
     """Distance forced by an entropic gap ``delta``, clamped at zero.
 
@@ -78,8 +77,7 @@ def invert_continuity_bound(spec: ContinuityBoundSpec, delta: float) -> float:
         raise ValueError("continuity bound scale must be positive")
     if delta < 0.0:
         raise ValueError("entropic gap must be nonnegative")
-    raw = float((delta - spec.correction(delta / spec.scale)) / spec.scale)
-    return max(0.0, raw)
+    return max(0.0, _inversion_kernel(delta, spec.scale, spec.correction))
 
 
 def _log_dim(d: int, base: float) -> float:
@@ -92,46 +90,62 @@ def _clamp(raw: float) -> float:
     return min(2.0, max(0.0, raw))
 
 
-def state_distance_kernel(gap: float, d: int, base: float = 2.0) -> float:
-    """Raw (unclamped, sign-preserving) kernel behind the state-side bounds.
+# Each kernel is the raw (unclamped, sign-preserving) distance 2*eps forced by
+# a gap; g vanishes at nonpositive arguments, so any real gap is accepted and
+# a negative result means the certificate is too small to force a distance.
 
-    Evaluates 2*gap/log(d) - 2*g(gap/log(d))/log(d) for any real gap, with
-    the correction term vanishing at nonpositive arguments. Negative output
-    means the certificate was too small to force a positive distance.
+
+def state_distance_kernel(gap: float, d: int, base: float = 2.0) -> float:
+    """Inverts gap <= eps*log(d) + g(eps), reported as 2*eps.
+
+    Equals 2*gap/log(d) - 2*g(gap/log(d))/log(d).
     """
     base = _check_base(base)
-    log_d = _log_dim(d, base)
-    return float(2.0 * (gap - g_correction(gap / log_d, base)) / log_d)
+    return 2.0 * _inversion_kernel(gap, _log_dim(d, base), g_correction, base)
 
 
 def channel_distance_kernel(gap: float, d: int, base: float = 2.0) -> float:
-    """Raw kernel behind the degradability-side bounds.
+    """Inverts gap <= 2*eps*log(d) + g(eps), reported as 2*eps.
 
-    Evaluates gap/log(d) - g(gap/(2*log(d)))/log(d) for any real gap.
+    Equals gap/log(d) - g(gap/(2*log(d)))/log(d).
     """
     base = _check_base(base)
-    log_d = _log_dim(d, base)
-    return float((gap - g_correction(gap / (2.0 * log_d), base)) / log_d)
+    return 2.0 * _inversion_kernel(gap, 2.0 * _log_dim(d, base), g_correction, base)
 
 
 def product_distance_kernel(gap: float, d: int, base: float = 2.0) -> float:
-    """Raw kernel behind the product-state bound.
+    """Inverts gap <= 2*eps*log(d) + 2*g(eps), reported as 2*eps.
 
-    Evaluates gap/log(d) - 2*g(gap/(2*log(d)))/log(d) for any real gap.
+    Halving both sides leaves the state kernel's inequality at gap/2, so this
+    equals gap/log(d) - 2*g(gap/(2*log(d)))/log(d).
     """
     base = _check_base(base)
-    log_d = _log_dim(d, base)
-    return float((gap - 2.0 * g_correction(gap / (2.0 * log_d), base)) / log_d)
+    return 2.0 * _inversion_kernel(0.5 * gap, _log_dim(d, base), g_correction, base)
 
 
-def _halfpair_kernel(gap: float, log_d: float, base: float) -> float:
-    # inversion of |Delta| <= 2 eps log d + 2 g(eps), reported as 2*eps
-    return float(2.0 * (gap - g_correction(gap / log_d, base)) / log_d)
+class FormulaRow(NamedTuple):
+    """What a formula tag stands for: the set it bounds the distance to and
+    the raw kernel that turns its certificate gap into that distance."""
+
+    target: str
+    kernel: Callable[[float, int, float], float]
 
 
-def _fullpair_kernel(gap: float, log_d: float, base: float) -> float:
-    # inversion of |Delta| <= 2 eps log d + g(eps) at distance scale 2*eps
-    return float((gap - g_correction(gap / (2.0 * log_d), base)) / log_d)
+FORMULAS = {
+    Formula.DS_FROM_REE: FormulaRow("separable", state_distance_kernel),
+    Formula.DS_FROM_CI: FormulaRow("separable", state_distance_kernel),
+    Formula.DA_FROM_CI: FormulaRow("antidegradable", channel_distance_kernel),
+    Formula.DEB_FROM_CI: FormulaRow("entanglement_breaking", state_distance_kernel),
+    Formula.DEB_FROM_RCI: FormulaRow("entanglement_breaking", state_distance_kernel),
+    Formula.DEB_FROM_REE: FormulaRow("entanglement_breaking", state_distance_kernel),
+    Formula.DD_FROM_CI: FormulaRow("degradable", channel_distance_kernel),
+    Formula.PROD_FROM_MI: FormulaRow("product", product_distance_kernel),
+}
+
+
+def _formula_distance_lower(formula: Formula, gap: float, d: int, base: float, clamped: bool) -> float:
+    raw = FORMULAS[formula].kernel(gap, d, base)
+    return _clamp(raw) if clamped else raw
 
 
 def separable_distance_lower(gap: float, d: int, base: float = 2.0, clamped: bool = True) -> float:
@@ -144,8 +158,7 @@ def separable_distance_lower(gap: float, d: int, base: float = 2.0, clamped: boo
     base = _check_base(base)
     if gap < 0.0:
         raise ValueError("certificate must be nonnegative")
-    raw = _halfpair_kernel(gap, _log_dim(d, base), base)
-    return _clamp(raw) if clamped else raw
+    return _formula_distance_lower(Formula.DS_FROM_REE, gap, d, base, clamped)
 
 
 def antidegradable_distance_lower(ic: float, d: int, base: float = 2.0, clamped: bool = True) -> float:
@@ -157,8 +170,7 @@ def antidegradable_distance_lower(ic: float, d: int, base: float = 2.0, clamped:
     base = _check_base(base)
     if ic <= 0.0:
         raise ValueError("no antidegradability certificate (coherent information <= 0)")
-    raw = _fullpair_kernel(ic, _log_dim(d, base), base)
-    return _clamp(raw) if clamped else raw
+    return _formula_distance_lower(Formula.DA_FROM_CI, ic, d, base, clamped)
 
 
 def degradable_distance_lower(neg_ic: float, d: int, base: float = 2.0, clamped: bool = True) -> float:
@@ -170,8 +182,7 @@ def degradable_distance_lower(neg_ic: float, d: int, base: float = 2.0, clamped:
     base = _check_base(base)
     if neg_ic <= 0.0:
         raise ValueError("no degradability certificate (coherent information >= 0)")
-    raw = _fullpair_kernel(neg_ic, _log_dim(d, base), base)
-    return _clamp(raw) if clamped else raw
+    return _formula_distance_lower(Formula.DD_FROM_CI, neg_ic, d, base, clamped)
 
 
 def entanglement_breaking_distance_lower(
@@ -180,18 +191,18 @@ def entanglement_breaking_distance_lower(
     """Diamond-norm distance from a channel to the entanglement-breaking set.
 
     The certificate may come from three sources: achievable coherent
-    information ("Ic"), achievable reverse coherent information ("L"), or a
-    certified lower bound on the relative entropy of entanglement of the
-    Choi-type output state ("ER"). The kernel is identical; the source picks
-    the formula tag.
+    information ("Ic", Eq10), achievable reverse coherent information ("L",
+    Eq11), or a certified lower bound on the relative entropy of
+    entanglement of the Choi-type output state ("ER", Eq12). The three rows
+    share one kernel.
     """
     base = _check_base(base)
     if source not in ("Ic", "L", "ER"):
         raise ValueError(f"source must be 'Ic', 'L' or 'ER', got {source!r}")
     if gap <= 0.0:
         raise ValueError("no entanglement-breaking certificate (gap <= 0)")
-    raw = _halfpair_kernel(gap, _log_dim(d, base), base)
-    return _clamp(raw) if clamped else raw
+    formula = {"Ic": Formula.DEB_FROM_CI, "L": Formula.DEB_FROM_RCI, "ER": Formula.DEB_FROM_REE}[source]
+    return _formula_distance_lower(formula, gap, d, base, clamped)
 
 
 def product_distance_lower(mi: float, d: int, base: float = 2.0, clamped: bool = True) -> float:
@@ -202,16 +213,7 @@ def product_distance_lower(mi: float, d: int, base: float = 2.0, clamped: bool =
     base = _check_base(base)
     if mi < 0.0:
         raise ValueError("mutual information must be nonnegative")
-    log_d = _log_dim(d, base)
-    raw = float((mi - 2.0 * g_correction(mi / (2.0 * log_d), base)) / log_d)
-    return _clamp(raw) if clamped else raw
-
-
-EB_SOURCE_FORMULA = {
-    "Ic": Formula.DEB_FROM_CI,
-    "L": Formula.DEB_FROM_RCI,
-    "ER": Formula.DEB_FROM_REE,
-}
+    return _formula_distance_lower(Formula.PROD_FROM_MI, mi, d, base, clamped)
 
 
 # ----- reports -----
@@ -231,7 +233,7 @@ class BoundEntry:
     def __post_init__(self):
         if not 0.0 <= self.value <= 2.0:
             raise ValueError(f"bound value {self.value} outside [0, 2]")
-        if self.target != TARGET_OF[self.formula]:
+        if self.target != FORMULAS[self.formula].target:
             raise ValueError(f"formula {self.formula.value} does not target {self.target}")
 
     def to_dict(self) -> dict:
@@ -290,19 +292,77 @@ def base_label(base: float) -> str:
     return "2" if float(base) == 2.0 else "e"
 
 
-def _entry(formula: Formula, gap: float, d: int, base: float, witness: str, inputs: dict) -> BoundEntry:
-    if formula in (Formula.DS_FROM_REE, Formula.DS_FROM_CI):
-        raw = separable_distance_lower(gap, d, base, clamped=False)
-    elif formula is Formula.DA_FROM_CI:
-        raw = antidegradable_distance_lower(gap, d, base, clamped=False)
-    elif formula is Formula.DD_FROM_CI:
-        raw = degradable_distance_lower(gap, d, base, clamped=False)
-    elif formula is Formula.PROD_FROM_MI:
-        raw = product_distance_lower(gap, d, base, clamped=False)
-    else:
-        source = {v: k for k, v in EB_SOURCE_FORMULA.items()}[formula]
-        raw = entanglement_breaking_distance_lower(gap, d, source, base, clamped=False)
-    return BoundEntry(TARGET_OF[formula], formula, _clamp(raw), raw, witness, inputs)
+class _Source(NamedTuple):
+    """One certificate an ``assemble_*`` function accepts, and what it feeds.
+
+    The certificate times ``sign`` is the entropic gap. A gap that fails
+    ``accept`` adds ``skip_note`` instead of entries; an accepted one is
+    floored at zero and fed to every formula in ``formulas``. The entries
+    record the certificate itself under ``input_key``.
+    """
+
+    arg: str
+    accept: Callable[[float], bool]
+    sign: float
+    input_key: str
+    witness_key: str
+    formulas: tuple[Formula, ...]
+    skip_note: str | None
+
+
+def _positive(gap: float) -> bool:
+    return gap > 0.0
+
+
+_CHANNEL_SOURCES = (
+    _Source("ic", _positive, 1.0, "coherent_information", "ic",
+            (Formula.DA_FROM_CI, Formula.DEB_FROM_CI),
+            "no antidegradability certificate (max coherent information <= 0)"),
+    _Source("min_ic", _positive, -1.0, "min_coherent_information", "min_ic",
+            (Formula.DD_FROM_CI,),
+            "no degradability certificate (min coherent information >= 0)"),
+    _Source("rci", _positive, 1.0, "reverse_coherent_information", "rci",
+            (Formula.DEB_FROM_RCI,),
+            "no entanglement-breaking certificate from reverse coherent information (<= 0)"),
+    _Source("er_lower", _positive, 1.0, "rel_entropy_entanglement_lower", "er",
+            (Formula.DEB_FROM_REE,),
+            "no entanglement-breaking certificate from relative entropy (<= 0)"),
+)
+
+_STATE_SOURCES = (
+    _Source("ic", _positive, 1.0, "max_coherent_information", "ic",
+            (Formula.DS_FROM_CI,),
+            "no separability certificate from coherent information (<= 0)"),
+    _Source("er_lower", lambda gap: gap >= 0.0, 1.0, "rel_entropy_entanglement_lower", "er",
+            (Formula.DS_FROM_REE,),
+            "relative entropy certificate was negative; skipped"),
+    # mutual information is a certificate whatever its sign: a negative
+    # evaluation is float dust below zero and is read as zero
+    _Source("mi", lambda gap: True, 1.0, "mutual_information", "mi",
+            (Formula.PROD_FROM_MI,), None),
+)
+
+
+def _entry(report: BoundReport, sources, certs: dict, d: int, base: float, witnesses) -> BoundReport:
+    """Add to ``report`` the entries, or the skip note, of every certificate
+    given in ``certs``, in the order of ``sources``."""
+    wit = witnesses or {}
+    for src in sources:
+        value = certs[src.arg]
+        if value is None:
+            continue
+        gap = src.sign * value
+        if not src.accept(gap):
+            report.notes.append(src.skip_note)
+            continue
+        inputs = {src.input_key: value, "dim": d}
+        for formula in src.formulas:
+            row = FORMULAS[formula]
+            raw = row.kernel(max(gap, 0.0), d, base)
+            report.entries.append(
+                BoundEntry(row.target, formula, _clamp(raw), raw, wit.get(src.witness_key, ""), inputs)
+            )
+    return report
 
 
 def assemble_report(
@@ -326,70 +386,9 @@ def assemble_report(
     wrong sign are skipped with a note rather than recorded as zero bounds.
     """
     base = _check_base(base)
-    wit = witnesses or {}
     report = BoundReport(subject, base_label(base), seed=seed)
-    if ic is not None:
-        if ic > 0.0:
-            inputs = {"coherent_information": ic, "dim": d}
-            report.entries.append(
-                _entry(Formula.DA_FROM_CI, ic, d, base, wit.get("ic", ""), inputs)
-            )
-            report.entries.append(
-                _entry(Formula.DEB_FROM_CI, ic, d, base, wit.get("ic", ""), inputs)
-            )
-        else:
-            report.notes.append(
-                "no antidegradability certificate (max coherent information <= 0)"
-            )
-    if min_ic is not None:
-        if min_ic < 0.0:
-            report.entries.append(
-                _entry(
-                    Formula.DD_FROM_CI,
-                    -min_ic,
-                    d,
-                    base,
-                    wit.get("min_ic", ""),
-                    {"min_coherent_information": min_ic, "dim": d},
-                )
-            )
-        else:
-            report.notes.append(
-                "no degradability certificate (min coherent information >= 0)"
-            )
-    if rci is not None:
-        if rci > 0.0:
-            report.entries.append(
-                _entry(
-                    Formula.DEB_FROM_RCI,
-                    rci,
-                    d,
-                    base,
-                    wit.get("rci", ""),
-                    {"reverse_coherent_information": rci, "dim": d},
-                )
-            )
-        else:
-            report.notes.append(
-                "no entanglement-breaking certificate from reverse coherent information (<= 0)"
-            )
-    if er_lower is not None:
-        if er_lower > 0.0:
-            report.entries.append(
-                _entry(
-                    Formula.DEB_FROM_REE,
-                    er_lower,
-                    d,
-                    base,
-                    wit.get("er", ""),
-                    {"rel_entropy_entanglement_lower": er_lower, "dim": d},
-                )
-            )
-        else:
-            report.notes.append(
-                "no entanglement-breaking certificate from relative entropy (<= 0)"
-            )
-    return report
+    certs = {"ic": ic, "min_ic": min_ic, "rci": rci, "er_lower": er_lower}
+    return _entry(report, _CHANNEL_SOURCES, certs, d, base, witnesses)
 
 
 def assemble_state_report(
@@ -406,49 +405,8 @@ def assemble_state_report(
 ) -> BoundReport:
     """State-side report: distance to separable and to product states."""
     base = _check_base(base)
-    wit = witnesses or {}
     report = BoundReport(subject, base_label(base), seed=seed)
-    if ic is not None:
-        if ic > 0.0:
-            report.entries.append(
-                _entry(
-                    Formula.DS_FROM_CI,
-                    ic,
-                    d,
-                    base,
-                    wit.get("ic", ""),
-                    {"max_coherent_information": ic, "dim": d},
-                )
-            )
-        else:
-            report.notes.append(
-                "no separability certificate from coherent information (<= 0)"
-            )
-    if er_lower is not None:
-        if er_lower >= 0.0:
-            report.entries.append(
-                _entry(
-                    Formula.DS_FROM_REE,
-                    er_lower,
-                    d,
-                    base,
-                    wit.get("er", ""),
-                    {"rel_entropy_entanglement_lower": er_lower, "dim": d},
-                )
-            )
-        else:
-            report.notes.append("relative entropy certificate was negative; skipped")
-    if mi is not None:
-        report.entries.append(
-            _entry(
-                Formula.PROD_FROM_MI,
-                max(mi, 0.0),
-                d,
-                base,
-                wit.get("mi", ""),
-                {"mutual_information": mi, "dim": d},
-            )
-        )
+    _entry(report, _STATE_SOURCES, {"ic": ic, "er_lower": er_lower, "mi": mi}, d, base, witnesses)
     if oracle is not None:
         report.notes.append(f"trace distance to the PPT set, search estimate: {oracle!r}")
     return report

@@ -1,4 +1,5 @@
-"""Quantum channels in Kraus form, their Stinespring dilations and complements.
+"""Quantum channels in Kraus form, their Stinespring dilations and complements,
+and the JSON encoding of channels and bipartite states.
 
 A channel maps states on the input space (dimension ``d_in``) to states on the
 output space (``d_out``). The Stinespring isometry is built as
@@ -301,3 +302,33 @@ def load_channel(path: str) -> KrausChannel:
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed channel file: {exc}") from exc
     return channel_from_dict(data)
+
+
+def state_to_dict(rho: DensityMatrix) -> dict:
+    if rho.dims is None:
+        raise ValueError("state needs explicit bipartite dims")
+    return {"dims": list(rho.dims), "matrix": _complex_to_pairs(rho.mat)}
+
+
+def state_from_dict(data: dict) -> DensityMatrix:
+    try:
+        da, db = (int(x) for x in data["dims"])
+        raw = data["matrix"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"invalid state description: {exc}") from exc
+    mat = _pairs_to_complex(raw, (da * db, da * db))
+    return DensityMatrix(mat, (da, db))
+
+
+def save_state(rho: DensityMatrix, path: str) -> None:
+    with open(path, "w") as fh:
+        json.dump(state_to_dict(rho), fh)
+
+
+def load_state(path: str) -> DensityMatrix:
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed state file: {exc}") from exc
+    return state_from_dict(data)

@@ -16,16 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (
-    assemble_report,
-    assemble_state_report,
-    base_label,
-    channel_distance_kernel,
-    state_distance_kernel,
-)
+from .bounds import FORMULAS, Formula, assemble_report, assemble_state_report, base_label
 from .channels import (
-    _complex_to_pairs,
-    _pairs_to_complex,
     channel_to_dict,
     choi,
     completely_depolarizing,
@@ -33,6 +25,7 @@ from .channels import (
     erasure,
     identity_embedding,
     load_channel,
+    load_state,
 )
 from .entropy import _log, binary_entropy, max_coherent_information, mutual_information
 from .linalg import DensityMatrix
@@ -55,39 +48,6 @@ _CERT_NOISE_FLOOR = 1e-12
 
 def _snap(value: float) -> float:
     return 0.0 if abs(value) < _CERT_NOISE_FLOOR else value
-
-
-# ----- state files -----
-
-
-def state_to_dict(rho: DensityMatrix) -> dict:
-    if rho.dims is None:
-        raise ValueError("state needs explicit bipartite dims")
-    return {"dims": list(rho.dims), "matrix": _complex_to_pairs(rho.mat)}
-
-
-def state_from_dict(data: dict) -> DensityMatrix:
-    try:
-        da, db = (int(x) for x in data["dims"])
-        raw = data["matrix"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"invalid state description: {exc}") from exc
-    mat = _pairs_to_complex(raw, (da * db, da * db))
-    return DensityMatrix(mat, (da, db))
-
-
-def save_state(rho: DensityMatrix, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(state_to_dict(rho), fh)
-
-
-def load_state(path: str) -> DensityMatrix:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed state file: {exc}") from exc
-    return state_from_dict(data)
 
 
 # ----- plumbing -----
@@ -263,20 +223,18 @@ def _parse_p_grid(text: str) -> list[float]:
 
 
 def _table_ex1(ds: list[int], base: float) -> tuple[list[str], list[list]]:
+    eq9, eq10 = FORMULAS[Formula.DA_FROM_CI].kernel, FORMULAS[Formula.DEB_FROM_CI].kernel
     rows = []
     for d in ds:
         gap = _log(float(d), base)
-        rows.append(
-            [
-                d,
-                channel_distance_kernel(gap, d, base),
-                state_distance_kernel(gap, d, base),
-            ]
-        )
+        rows.append([d, eq9(gap, d, base), eq10(gap, d, base)])
     return ["d", "Eq9", "Eq10"], rows
 
 
 def _table_ex2(ds: list[int], ps: list[float], base: float) -> tuple[list[str], list[list]]:
+    eq10, eq11, eq12 = (
+        FORMULAS[f].kernel for f in (Formula.DEB_FROM_CI, Formula.DEB_FROM_RCI, Formula.DEB_FROM_REE)
+    )
     rows = []
     for d in ds:
         log_d = _log(float(d), base)
@@ -285,14 +243,7 @@ def _table_ex2(ds: list[int], ps: list[float], base: float) -> tuple[list[str], 
             gap_l = (1.0 - p) * log_d - binary_entropy(p, base)
             gap_er = (1.0 - p) * log_d
             rows.append(
-                [
-                    d,
-                    p,
-                    state_distance_kernel(gap_ic, d, base),
-                    state_distance_kernel(gap_l, d, base),
-                    state_distance_kernel(gap_er, d, base),
-                    2.0 * (1.0 - p),
-                ]
+                [d, p, eq10(gap_ic, d, base), eq11(gap_l, d, base), eq12(gap_er, d, base), 2.0 * (1.0 - p)]
             )
     return ["d", "p", "Eq10", "Eq11", "Eq12", "upper"], rows
 
@@ -301,12 +252,13 @@ def _table_tightness(ds: list[int], x: float, base: float) -> tuple[list[str], l
     if not 0.0 < x < 0.5:
         raise ValueError(f"x must lie strictly between 0 and 0.5, got {x}")
     p = 0.5 - x
+    eq9_kernel, eq12_kernel = FORMULAS[Formula.DA_FROM_CI].kernel, FORMULAS[Formula.DEB_FROM_REE].kernel
     rows = []
     for d in ds:
         log_d = _log(float(d), base)
-        eq9 = channel_distance_kernel(2.0 * x * log_d, d, base)
+        eq9 = eq9_kernel(2.0 * x * log_d, d, base)
         eq9_upper = 2.0 * x
-        eq12 = state_distance_kernel((1.0 - p) * log_d, d, base)
+        eq12 = eq12_kernel((1.0 - p) * log_d, d, base)
         eq12_upper = 2.0 * (1.0 - p)
         rows.append(
             [d, eq9, eq9_upper, eq9 / eq9_upper, eq12, eq12_upper, eq12 / eq12_upper]

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .linalg import DensityMatrix, clip_eigenvalues, partial_trace, tensor
+from .linalg import DensityMatrix, clip_eigenvalues, partial_trace
 
 NAT = math.e
 
@@ -111,14 +111,6 @@ def mutual_information(rho: DensityMatrix, base: float = 2.0) -> float:
     ha = von_neumann_entropy(partial_trace(rho, "B"), base)
     hb = von_neumann_entropy(partial_trace(rho, "A"), base)
     return ha + hb - von_neumann_entropy(rho, base)
-
-
-def relative_entropy_to_marginals(rho: DensityMatrix, base: float = 2.0) -> float:
-    """H(rho || rho_A (x) rho_B); equals the mutual information."""
-    ra = partial_trace(rho, "B")
-    rb = partial_trace(rho, "A")
-    prod = DensityMatrix(tensor(ra.mat, rb.mat), rho.dims)
-    return relative_entropy(rho, prod, base)
 
 
 def coherent_information(rho: DensityMatrix, direction: str = "a->b", base: float = 2.0) -> float:

@@ -162,17 +162,6 @@ def partial_trace(rho: DensityMatrix, over: str) -> DensityMatrix:
     return DensityMatrix(hermitize(red))
 
 
-def partial_trace_mat(m: np.ndarray, dims: tuple[int, int], over: str) -> np.ndarray:
-    """Partial trace on a raw matrix (no state validation)."""
-    da, db = dims
-    t = np.asarray(m, dtype=complex).reshape(da, db, da, db)
-    if over == "B":
-        return np.trace(t, axis1=1, axis2=3)
-    if over == "A":
-        return np.trace(t, axis1=0, axis2=2)
-    raise ValueError(f"over must be 'A' or 'B', got {over!r}")
-
-
 def trace_norm(m) -> float:
     """Sum of singular values; for Hermitian input, sum of |eigenvalues|."""
     a = _as_matrix(m)
@@ -190,27 +179,14 @@ def purify(rho: DensityMatrix) -> PureState:
     w, v = np.linalg.eigh(rho.mat)
     w = clip_eigenvalues(w)
     order = np.argsort(w)[::-1]
-    d = rho.dim
-    vec = np.zeros(d * d, dtype=complex)
-    for slot, idx in enumerate(order):
-        vec += np.sqrt(w[idx]) * tensor_vec(v[:, idx], _basis_vec(d, slot))
-    vec /= np.linalg.norm(vec)
-    return PureState(vec, dims=(d, d))
-
-
-def tensor_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of vectors."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def _basis_vec(d: int, i: int) -> np.ndarray:
-    e = np.zeros(d, dtype=complex)
-    e[i] = 1.0
-    return e
+    # entry (i, slot) of the weighted eigenvector matrix is the amplitude of
+    # |i> (x) |slot>, so its row-major flattening is the purification
+    vec = (v[:, order] * np.sqrt(w[order])).reshape(-1)
+    return PureState(vec / np.linalg.norm(vec), dims=(rho.dim, rho.dim))
 
 
 def basis_state(d: int, i: int) -> PureState:
-    return PureState(_basis_vec(d, i))
+    return PureState(np.eye(d)[i])
 
 
 def chaotic_state(d: int, dims: tuple[int, int] | None = None) -> DensityMatrix:
@@ -224,12 +200,6 @@ def maximally_entangled(d: int) -> PureState:
     for i in range(d):
         vec[i * d + i] = 1.0
     return PureState(vec / np.sqrt(d), dims=(d, d))
-
-
-def hermitian_exp(m: np.ndarray) -> np.ndarray:
-    """exp of a Hermitian matrix via its spectral decomposition."""
-    w, v = np.linalg.eigh(hermitize(m))
-    return (v * np.exp(w)) @ v.conj().T
 
 
 def hermitian_log(m: np.ndarray, floor: float = 1e-300) -> np.ndarray:

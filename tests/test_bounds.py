@@ -28,7 +28,7 @@ from distcert import (
     separable_distance_lower,
     state_distance_kernel,
 )
-from distcert.bounds import BoundEntry, Formula
+from distcert.bounds import FORMULAS, BoundEntry, Formula, product_distance_kernel
 
 
 def test_antidegradable_bound_reference_value():
@@ -166,6 +166,56 @@ def test_invert_continuity_bound_sound(scale, eps):
     spec = ContinuityBoundSpec(scale, g_correction)
     delta = scale * eps + g_correction(eps)
     assert invert_continuity_bound(spec, delta) <= eps + 1e-12
+
+
+@given(
+    st.integers(min_value=2, max_value=1024),
+    st.floats(min_value=0.0, max_value=20.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_generic_inverter_matches_kernels(d, gap):
+    # The kernels report 2*eps; the generic inverter reports eps clamped at 0.
+    log_d = float(np.log2(d))
+    state = invert_continuity_bound(ContinuityBoundSpec(log_d, g_correction), gap)
+    assert state == max(0.0, state_distance_kernel(gap, d)) / 2
+    channel = invert_continuity_bound(ContinuityBoundSpec(2.0 * log_d, g_correction), gap)
+    assert channel == max(0.0, channel_distance_kernel(gap, d)) / 2
+
+
+@given(
+    st.integers(min_value=2, max_value=1024),
+    st.floats(min_value=1e-9, max_value=20.0),
+    st.sampled_from([2.0, math.e]),
+)
+@settings(max_examples=200, deadline=None)
+def test_distance_lower_functions_are_their_kernels(d, gap, base):
+    pairs = [
+        (separable_distance_lower(gap, d, base, clamped=False), state_distance_kernel),
+        (antidegradable_distance_lower(gap, d, base, clamped=False), channel_distance_kernel),
+        (degradable_distance_lower(gap, d, base, clamped=False), channel_distance_kernel),
+        (product_distance_lower(gap, d, base, clamped=False), product_distance_kernel),
+    ] + [
+        (entanglement_breaking_distance_lower(gap, d, s, base, clamped=False), state_distance_kernel)
+        for s in ("Ic", "L", "ER")
+    ]
+    for got, kernel in pairs:
+        assert got == kernel(gap, d, base)
+    assert separable_distance_lower(gap, d, base) == min(2.0, max(0.0, state_distance_kernel(gap, d, base)))
+
+
+def test_formula_table_covers_every_tag():
+    assert set(FORMULAS) == set(Formula)
+    targets = {f.value: row.target for f, row in FORMULAS.items()}
+    assert targets == {
+        "Eq5": "separable",
+        "Eq6": "separable",
+        "Eq9": "antidegradable",
+        "Eq10": "entanglement_breaking",
+        "Eq11": "entanglement_breaking",
+        "Eq12": "entanglement_breaking",
+        "Eq13": "degradable",
+        "ProdMI": "product",
+    }
 
 
 def test_continuity_bound_spec_validation():

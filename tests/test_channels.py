@@ -28,6 +28,7 @@ from distcert import (
     identity_embedding,
     load_channel,
     mutual_information,
+    partial_trace,
     purify,
     random_channel,
     random_density_matrix,
@@ -39,7 +40,6 @@ from distcert import (
     von_neumann_entropy,
 )
 from distcert.channels import KrausChannel, apply_mat
-from distcert.linalg import partial_trace_mat
 
 
 def _random_state(d, seed):
@@ -178,10 +178,11 @@ def test_stinespring_dilation_reproduces_channel():
     assert np.allclose(v.v.conj().T @ v.v, np.eye(3), atol=1e-10)
     rho = random_density_matrix(3, rng)
     lifted = v.v @ rho.mat @ v.v.conj().T
-    kept = partial_trace_mat(lifted, (phi.d_out, phi.d_env), over="B")
-    assert np.allclose(kept, apply_mat(phi, rho.mat), atol=1e-12)
-    env = partial_trace_mat(lifted, (phi.d_out, phi.d_env), over="A")
-    assert np.allclose(env, apply_mat(complement(phi), rho.mat), atol=1e-12)
+    lifted = DensityMatrix(lifted, (phi.d_out, phi.d_env))
+    kept = partial_trace(lifted, "B")
+    assert np.allclose(kept.mat, apply_mat(phi, rho.mat), atol=1e-12)
+    env = partial_trace(lifted, "A")
+    assert np.allclose(env.mat, apply_mat(complement(phi), rho.mat), atol=1e-12)
 
 
 def test_choi_matches_index_sum():

@@ -22,12 +22,16 @@ from distcert import (
     g_correction,
     identity_embedding,
     load_channel,
+    load_state,
     maximally_entangled,
     random_density_matrix,
+    save_state,
     state_distance_kernel,
+    state_from_dict,
+    state_to_dict,
     tensor,
 )
-from distcert.cli import load_state, main, save_state, state_from_dict, state_to_dict
+from distcert.cli import main
 
 
 def _run(capsys, argv):
