@@ -2,10 +2,11 @@
 and the JSON encoding of channels and bipartite states.
 
 A channel maps states on the input space (dimension ``d_in``) to states on the
-output space (``d_out``). The Stinespring isometry is built as
-V = sum_k K_k (x) |k>_E, so the environment dimension equals the number of
-Kraus operators, and the complementary channel is read off as the d_E x d_in
-slices of V at each fixed output index.
+output space (``d_out``). Its Kraus operators are stored as one tensor K of
+shape (d_env, d_out, d_in), so every channel operation is a single array
+expression over K. The Stinespring isometry is V = sum_k K_k (x) |k>_E, so the
+environment dimension equals the number of Kraus operators, and the
+complementary channel has the Kraus tensor K with its first two axes swapped.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import _check_base, _entropy_mat
-from .linalg import DensityMatrix, hermitize, tensor
+from .linalg import DensityMatrix, hermitize
 
 COMPLETENESS_TOL = 1e-9
 ISOMETRY_TOL = 1e-9
@@ -24,33 +25,36 @@ CHOI_TOL = 1e-9
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Completely positive trace-preserving map given by Kraus operators."""
+    """Completely positive trace-preserving map given by Kraus operators.
 
-    kraus: tuple[np.ndarray, ...]
+    The constructor accepts any sequence of d_out x d_in operators (a 3-D
+    array included); ``kraus`` then holds them as one read-only complex
+    array of shape (d_env, d_out, d_in).
+    """
+
+    kraus: np.ndarray
     d_in: int
     d_out: int
 
     def __post_init__(self):
-        if not self.kraus:
+        ops = [np.asarray(k, dtype=complex) for k in self.kraus]
+        if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
-        ops = []
-        for k in self.kraus:
-            a = np.asarray(k, dtype=complex)
+        for a in ops:
             if a.shape != (self.d_out, self.d_in):
                 raise ValueError(
-                    f"Kraus operator shape {a.shape} does not match "
-                    f"({self.d_out}, {self.d_in})"
+                    f"Kraus operator shape {a.shape} does not match ({self.d_out}, {self.d_in})"
                 )
-            a.setflags(write=False)
-            ops.append(a)
-        s = sum(k.conj().T @ k for k in ops)
+        kraus = np.array(ops)
+        s = (kraus.conj().transpose(0, 2, 1) @ kraus).sum(0)
         if np.max(np.abs(s - np.eye(self.d_in))) > COMPLETENESS_TOL:
             raise ValueError("Kraus operators do not satisfy completeness within 1e-9")
-        object.__setattr__(self, "kraus", tuple(ops))
+        kraus.setflags(write=False)
+        object.__setattr__(self, "kraus", kraus)
 
     @property
     def d_env(self) -> int:
-        return len(self.kraus)
+        return self.kraus.shape[0]
 
 
 @dataclass(frozen=True)
@@ -103,12 +107,12 @@ class ChoiMatrix:
 
 def apply_mat(phi: KrausChannel, m: np.ndarray) -> np.ndarray:
     """Channel action on a raw matrix (no state validation)."""
-    return sum(k @ m @ k.conj().T for k in phi.kraus)
+    return (phi.kraus @ m @ phi.kraus.conj().transpose(0, 2, 1)).sum(0)
 
 
 def adjoint_apply_mat(phi: KrausChannel, m: np.ndarray) -> np.ndarray:
     """Heisenberg-picture action sum_k K^dag M K."""
-    return sum(k.conj().T @ m @ k for k in phi.kraus)
+    return (phi.kraus.conj().transpose(0, 2, 1) @ m @ phi.kraus).sum(0)
 
 
 def apply_channel(phi: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -119,36 +123,24 @@ def apply_channel(phi: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
 
 
 def stinespring(phi: KrausChannel) -> StinespringIsometry:
-    """Dilation V = sum_k K_k (x) |k>_E."""
-    d_e = phi.d_env
-    v = np.zeros((phi.d_out * d_e, phi.d_in), dtype=complex)
-    for k, op in enumerate(phi.kraus):
-        e = np.zeros((d_e, 1), dtype=complex)
-        e[k, 0] = 1.0
-        v += np.kron(op, e)
-    return StinespringIsometry(v, phi.d_in, phi.d_out, d_e)
+    """Dilation V = sum_k K_k (x) |k>_E, rows indexed (output, environment)."""
+    v = phi.kraus.transpose(1, 0, 2).reshape(phi.d_out * phi.d_env, phi.d_in)
+    return StinespringIsometry(v, phi.d_in, phi.d_out, phi.d_env)
 
 
 def complement(phi: KrausChannel) -> KrausChannel:
     """Complementary channel, tracing out the output instead of the environment.
 
-    Its Kraus operator at output index b is the d_env x d_in slice of the
-    Stinespring isometry with the output coordinate fixed at b.
+    Its Kraus operator at output index b is K[:, b, :], the d_env x d_in
+    slice of the Stinespring isometry with the output coordinate fixed at b.
     """
-    v = stinespring(phi)
-    slices = [
-        v.v[b * v.d_env : (b + 1) * v.d_env, :] for b in range(phi.d_out)
-    ]
-    return KrausChannel(tuple(slices), phi.d_in, v.d_env)
+    return KrausChannel(phi.kraus.transpose(1, 0, 2), phi.d_in, phi.d_env)
 
 
 def choi(phi: KrausChannel) -> ChoiMatrix:
-    """Choi operator assembled from row-major vectorized Kraus operators."""
-    n = phi.d_out * phi.d_in
-    j = np.zeros((n, n), dtype=complex)
-    for k in phi.kraus:
-        vec = k.reshape(-1)
-        j += np.outer(vec, vec.conj())
+    """Choi operator sum_k |K_k>><<K_k| of the row-major vectorized Kraus operators."""
+    vecs = phi.kraus.reshape(phi.d_env, -1)
+    j = (vecs[:, :, None] * vecs.conj()[:, None, :]).sum(0)
     return ChoiMatrix(j, phi.d_in, phi.d_out)
 
 
@@ -176,8 +168,7 @@ def tensor_with_identity(phi: KrausChannel, d_ref: int) -> KrausChannel:
     """Phi (x) Id acting on input (x) reference, Kraus operators K_k (x) I."""
     if d_ref < 1:
         raise ValueError("reference dimension must be at least 1")
-    eye = np.eye(d_ref, dtype=complex)
-    ops = tuple(tensor(k, eye) for k in phi.kraus)
+    ops = np.kron(phi.kraus, np.eye(d_ref, dtype=complex))
     return KrausChannel(ops, phi.d_in * d_ref, phi.d_out * d_ref)
 
 
@@ -188,9 +179,7 @@ def identity_embedding(d_in: int, d_out: int) -> KrausChannel:
     """Identity channel, embedded into a possibly larger output space."""
     if d_in < 1 or d_out < d_in:
         raise ValueError("identity embedding needs 1 <= d_in <= d_out")
-    v = np.zeros((d_out, d_in), dtype=complex)
-    v[:d_in, :d_in] = np.eye(d_in)
-    return KrausChannel((v,), d_in, d_out)
+    return KrausChannel([np.eye(d_out, d_in, dtype=complex)], d_in, d_out)
 
 
 def erasure(d: int, p: float) -> KrausChannel:
@@ -204,14 +193,10 @@ def erasure(d: int, p: float) -> KrausChannel:
         raise ValueError("erasure needs d >= 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError("erasure probability must lie in [0, 1]")
-    keep = np.zeros((d + 1, d), dtype=complex)
-    keep[:d, :d] = np.eye(d)
-    ops = [np.sqrt(1.0 - p) * keep]
-    for i in range(d):
-        e = np.zeros((d + 1, d), dtype=complex)
-        e[d, i] = np.sqrt(p)
-        ops.append(e)
-    return KrausChannel(tuple(ops), d, d + 1)
+    ops = np.zeros((d + 1, d + 1, d), dtype=complex)
+    ops[0, :d, :] = np.sqrt(1.0 - p) * np.eye(d)
+    ops[1:, d, :] = np.sqrt(p) * np.eye(d)
+    return KrausChannel(ops, d, d + 1)
 
 
 def depolarizing(d: int, lam: float) -> KrausChannel:
@@ -220,16 +205,11 @@ def depolarizing(d: int, lam: float) -> KrausChannel:
         raise ValueError("depolarizing needs d >= 2")
     if not 0.0 <= lam <= 1.0:
         raise ValueError("depolarizing strength must lie in [0, 1]")
-    ops = []
+    # the unit operators E_ij, scaled, in row-major (i, j) order
+    ops = np.sqrt(lam / d) * np.eye(d * d, dtype=complex).reshape(d * d, d, d)
     if lam < 1.0:
-        ops.append(np.sqrt(1.0 - lam) * np.eye(d, dtype=complex))
-    w = np.sqrt(lam / d)
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = w
-            ops.append(e)
-    return KrausChannel(tuple(ops), d, d)
+        ops = np.concatenate([np.sqrt(1.0 - lam) * np.eye(d, dtype=complex)[None], ops])
+    return KrausChannel(ops, d, d)
 
 
 def completely_depolarizing(d: int) -> KrausChannel:
@@ -246,34 +226,36 @@ def random_channel(
     g = rng.normal(size=(d_out * d_env, d_in)) + 1j * rng.normal(size=(d_out * d_env, d_in))
     q, _ = np.linalg.qr(g)
     v = q[:, :d_in]
-    # rows are indexed (out, env); the Kraus operator at env index e is the
-    # stride-d_env row slice starting at e
-    ops = tuple(v[e::d_env, :].copy() for e in range(d_env))
-    return KrausChannel(ops, d_in, d_out)
+    # rows are indexed (out, env)
+    return KrausChannel(v.reshape(d_out, d_env, d_in).transpose(1, 0, 2), d_in, d_out)
 
 
 # ----- serialization -----
 
 
 def _complex_to_pairs(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    """Nested lists of [re, im] float pairs, one per entry of ``m``."""
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
-def _pairs_to_complex(rows, shape=None) -> np.ndarray:
+def _pairs_to_complex(data, shape: tuple) -> np.ndarray:
+    """Decode nested [re, im] number pairs into a complex array of ``shape``."""
     try:
-        m = np.array([[complex(a, b) for a, b in row] for row in rows], dtype=complex)
-    except (TypeError, ValueError) as exc:
+        pairs = np.array(data)
+    except ValueError as exc:
         raise ValueError(f"malformed complex matrix encoding: {exc}") from exc
-    if shape is not None and m.shape != shape:
-        raise ValueError(f"matrix shape {m.shape} does not match declared {shape}")
-    return m
+    if pairs.dtype.kind not in "biuf" or pairs.shape[-1:] != (2,):
+        raise ValueError("malformed complex matrix encoding: expected [re, im] number pairs")
+    if pairs.shape[:-1] != shape:
+        raise ValueError(f"matrix shape {pairs.shape[:-1]} does not match declared {shape}")
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
 def channel_to_dict(phi: KrausChannel) -> dict:
     return {
         "d_in": phi.d_in,
         "d_out": phi.d_out,
-        "kraus": [_complex_to_pairs(k) for k in phi.kraus],
+        "kraus": _complex_to_pairs(phi.kraus),
     }
 
 
@@ -286,8 +268,7 @@ def channel_from_dict(data: dict) -> KrausChannel:
         raise ValueError(f"invalid channel description: {exc}") from exc
     if not isinstance(raw, list) or not raw:
         raise ValueError("invalid channel description: empty Kraus list")
-    ops = tuple(_pairs_to_complex(k, (d_out, d_in)) for k in raw)
-    return KrausChannel(ops, d_in, d_out)
+    return KrausChannel(_pairs_to_complex(raw, (len(raw), d_out, d_in)), d_in, d_out)
 
 
 def save_channel(phi: KrausChannel, path: str) -> None:

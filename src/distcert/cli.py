@@ -126,9 +126,7 @@ def _cmd_analyze_channel(args) -> int:
         witnesses=witnesses,
         seed=args.seed,
     )
-    report.notes.append(
-        f"channel: d_in={phi.d_in}, d_out={phi.d_out}, kraus={len(phi.kraus)}"
-    )
+    report.notes.append(f"channel: d_in={phi.d_in}, d_out={phi.d_out}, kraus={phi.d_env}")
     if er_note:
         report.notes.append(er_note)
     code = _strict_exit(args, certs, report)

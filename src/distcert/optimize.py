@@ -1,14 +1,19 @@
 """Certified search routines feeding the distance bounds.
 
-Four engines live here, all hand-rolled on dense eigendecompositions:
+Three searches run on one driver, ``_drive``, which repeats a search's
+``step`` until no move improves, ``_STALL_LIMIT`` gains in a row fall below
+``_TOL``, or ``max_iters`` runs out:
 
 * mirror ascent over density matrices for maximizing or minimizing coherent
   information and its reverse variant,
 * a see-saw alternation giving certified lower bounds on diamond-norm
   distance between two channels,
 * projected gradient descent over PPT states for the relative entropy of
-  entanglement, with a dual minorant making every iterate a certificate,
-* a projected subgradient search for the trace-norm distance to the PPT set.
+  entanglement, with a dual minorant making every iterate a certificate.
+
+The fourth engine, a projected subgradient search for the trace-norm
+distance to the PPT set, keeps its own fixed diminishing-step schedule and
+always runs ``max_iters`` steps.
 
 Everything a Certificate reports as ``value`` is exactly evaluable from its
 witness; best-found candidates are never extrapolated.
@@ -31,7 +36,6 @@ from .entropy import _check_base, _entropy_mat
 from .linalg import (
     DensityMatrix,
     PureState,
-    chaotic_state,
     hermitian_eigen,
     hermitian_log,
     hermitize,
@@ -41,6 +45,8 @@ from .linalg import (
 )
 
 _STALL_LIMIT = 10
+_TOL = 1e-7  # gains below this count towards the stall limit
+_STEP = 0.1  # initial step size; subgradient scale of the trace-distance oracle
 _BASIS_SEED_CAP = 8
 _BASIS_SEED_MIX = 1e-6
 _RHO_FLOOR = 1e-9
@@ -55,15 +61,18 @@ class OptimizerConfig:
     """Shared knobs for all search routines.
 
     ``restarts`` counts additional random seeds on top of the deterministic
-    ones; ``step`` is the initial step size (and the subgradient scale for
-    the trace-distance oracle); ``tol`` drives stagnation detection.
+    ones. ``max_iters`` caps the steps of each run; 0 evaluates the start
+    points only.
     """
 
     restarts: int = 8
     max_iters: int = 500
-    tol: float = 1e-7
-    step: float = 0.1
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("restarts", "max_iters"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +94,51 @@ class Certificate:
     history: tuple = ()
 
 
+# ----- the search driver -----
+
+
+def _drive(step, max_iters: int) -> tuple[bool, int]:
+    """Repeat ``step`` until the search stops; return (converged, iterations).
+
+    ``step()`` makes one move and returns its gain, or None when no move
+    improves. None, or ``_STALL_LIMIT`` gains in a row below ``_TOL``,
+    converges; running out of ``max_iters`` leaves the search unconverged.
+    """
+    stall = 0
+    for it in range(1, max_iters + 1):
+        gain = step()
+        if gain is None:
+            return True, it
+        stall = stall + 1 if gain < _TOL else 0
+        if stall >= _STALL_LIMIT:
+            return True, it
+    return False, max_iters
+
+
+def _line_search(trial_at, improves, eta: float, tries: int):
+    """Halve ``eta`` until ``trial_at(eta)`` improves; (eta, trial) or (None, None)."""
+    for _ in range(tries):
+        trial = trial_at(eta)
+        if improves(trial):
+            return eta, trial
+        eta *= 0.5
+    return None, None
+
+
+def _best_certificate(kind, runs, witness, sign=1) -> Certificate:
+    """Certificate of the highest-valued (point, value, history, converged,
+    iterations) run, values scaled by ``sign``; ties keep the earliest run."""
+    point, val, history, converged, iters = max(runs, key=lambda run: run[1])
+    history = tuple(sign * h for h in history)
+    return Certificate(kind, sign * val, witness(point), converged, iters, history=history)
+
+
+def _sign_matrix(m: np.ndarray) -> np.ndarray:
+    """sign(M) for Hermitian M: +1 on eigenvalues >= 0, -1 below."""
+    w, u = hermitian_eigen(m)
+    return (u * np.where(w >= 0.0, 1.0, -1.0)) @ u.conj().T
+
+
 # ----- mirror ascent over density matrices -----
 
 
@@ -100,18 +154,14 @@ def coherent_information_gradient(
     The identity components of both entropy gradients cancel because channel
     adjoints are unital, leaving adjoint-propagated logarithms.
     """
-    lb = math.log(_check_base(base))
-    comp = complement(phi)
-    return _ic_gradient(phi, comp, rho_mat, lb)
+    return _ic_gradient(phi, complement(phi), rho_mat, math.log(_check_base(base)))
 
 
 def reverse_coherent_information_gradient(
     phi: KrausChannel, rho_mat: np.ndarray, base: float = 2.0
 ) -> np.ndarray:
     """Euclidean gradient of rho -> H(rho) - H(complement(rho))."""
-    lb = math.log(_check_base(base))
-    comp = complement(phi)
-    return _rci_gradient(comp, rho_mat, lb)
+    return _rci_gradient(complement(phi), rho_mat, math.log(_check_base(base)))
 
 
 def _ic_gradient(phi, comp, rho_mat, lb):
@@ -135,55 +185,42 @@ def _mirror_step(rho: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
 def _single_ascent(value_fn, grad_fn, rho, cfg):
     val = value_fn(rho)
     history = [val]
-    eta = cfg.step
-    stall = 0
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
+    eta = _STEP
+
+    def step():
+        nonlocal rho, val, eta
         grad = grad_fn(rho)
-        eta_try = eta
-        accepted = None
-        for _ in range(50):
-            trial = _mirror_step(rho, grad, eta_try)
-            tv = value_fn(trial)
-            if tv > val + 1e-15:
-                accepted = (trial, tv)
-                break
-            eta_try *= 0.5
-        if accepted is None:
-            converged = True
-            break
-        gain = accepted[1] - val
-        rho, val = accepted
+
+        def trial_at(e):
+            trial = _mirror_step(rho, grad, e)
+            return value_fn(trial), trial
+
+        eta_ok, found = _line_search(trial_at, lambda t: t[0] > val + 1e-15, eta, 50)
+        if found is None:
+            return None
+        gain = found[0] - val
+        val, rho = found
         history.append(val)
-        stall = stall + 1 if gain < cfg.tol else 0
-        if stall >= _STALL_LIMIT:
-            converged = True
-            break
-        eta = min(eta_try * 2.0, 4.0)
+        eta = min(eta_ok * 2.0, 4.0)
+        return gain
+
+    converged, it = _drive(step, cfg.max_iters)
     return rho, val, history, converged, it
 
 
 def _ascent_seeds(d: int, cfg: OptimizerConfig) -> list:
     rng = np.random.default_rng(cfg.seed)
     eye = np.eye(d, dtype=complex)
-    seeds = [eye / d]
-    for i in range(min(d, _BASIS_SEED_CAP)):
-        pointer = np.zeros((d, d), dtype=complex)
-        pointer[i, i] = 1.0
-        seeds.append((1.0 - _BASIS_SEED_MIX) * pointer + _BASIS_SEED_MIX * eye / d)
-    for _ in range(cfg.restarts):
-        seeds.append(random_density_matrix(d, rng).mat)
-    return seeds
+    pointers = (np.outer(e, e) for e in eye[: min(d, _BASIS_SEED_CAP)])
+    basis = [(1.0 - _BASIS_SEED_MIX) * p + _BASIS_SEED_MIX * eye / d for p in pointers]
+    randoms = [random_density_matrix(d, rng).mat for _ in range(cfg.restarts)]
+    return [eye / d, *basis, *randoms]
 
 
-def _multistart_ascent(value_fn, grad_fn, d, cfg):
-    best = None
-    for seed in _ascent_seeds(d, cfg):
-        result = _single_ascent(value_fn, grad_fn, seed, cfg)
-        if best is None or result[1] > best[1]:
-            best = result
-    return best
+def _ascent_certificate(kind, value_fn, grad_fn, d, cfg, sign=1) -> Certificate:
+    cfg = cfg or OptimizerConfig()
+    runs = (_single_ascent(value_fn, grad_fn, s, cfg) for s in _ascent_seeds(d, cfg))
+    return _best_certificate(kind, runs, DensityMatrix, sign)
 
 
 def maximize_coherent_information(
@@ -195,25 +232,17 @@ def maximize_coherent_information(
     is always a valid achievability certificate even when the search has not
     converged to the global optimum.
     """
-    cfg = cfg or OptimizerConfig()
     base = _check_base(base)
     lb = math.log(base)
     comp = complement(phi)
 
     def value_fn(rho):
-        return _entropy_mat(apply_mat(phi, rho), base) - _entropy_mat(
-            apply_mat(comp, rho), base
-        )
+        return _entropy_mat(apply_mat(phi, rho), base) - _entropy_mat(apply_mat(comp, rho), base)
 
     def grad_fn(rho):
         return _ic_gradient(phi, comp, rho, lb)
 
-    rho, val, history, converged, iters = _multistart_ascent(
-        value_fn, grad_fn, phi.d_in, cfg
-    )
-    return Certificate(
-        "Ic", val, DensityMatrix(rho), converged, iters, history=tuple(history)
-    )
+    return _ascent_certificate("Ic", value_fn, grad_fn, phi.d_in, cfg)
 
 
 def minimize_coherent_information(
@@ -221,37 +250,23 @@ def minimize_coherent_information(
 ) -> Certificate:
     """Lowest coherent information found; negative values certify distance
     from the degradable set."""
-    cfg = cfg or OptimizerConfig()
     base = _check_base(base)
     lb = math.log(base)
     comp = complement(phi)
 
     def value_fn(rho):
-        return _entropy_mat(apply_mat(comp, rho), base) - _entropy_mat(
-            apply_mat(phi, rho), base
-        )
+        return _entropy_mat(apply_mat(comp, rho), base) - _entropy_mat(apply_mat(phi, rho), base)
 
     def grad_fn(rho):
         return -_ic_gradient(phi, comp, rho, lb)
 
-    rho, val, history, converged, iters = _multistart_ascent(
-        value_fn, grad_fn, phi.d_in, cfg
-    )
-    return Certificate(
-        "negIc",
-        -val,
-        DensityMatrix(rho),
-        converged,
-        iters,
-        history=tuple(-h for h in history),
-    )
+    return _ascent_certificate("negIc", value_fn, grad_fn, phi.d_in, cfg, sign=-1)
 
 
 def maximize_reverse_coherent_information(
     phi: KrausChannel, cfg: OptimizerConfig | None = None, base: float = 2.0
 ) -> Certificate:
     """Best input entropy minus environment entropy found over input states."""
-    cfg = cfg or OptimizerConfig()
     base = _check_base(base)
     lb = math.log(base)
     comp = complement(phi)
@@ -262,12 +277,7 @@ def maximize_reverse_coherent_information(
     def grad_fn(rho):
         return _rci_gradient(comp, rho, lb)
 
-    rho, val, history, converged, iters = _multistart_ascent(
-        value_fn, grad_fn, phi.d_in, cfg
-    )
-    return Certificate(
-        "L", val, DensityMatrix(rho), converged, iters, history=tuple(history)
-    )
+    return _ascent_certificate("L", value_fn, grad_fn, phi.d_in, cfg)
 
 
 # ----- see-saw lower bound on diamond-norm distance -----
@@ -287,7 +297,8 @@ def seesaw_objective(phi: KrausChannel, psi: KrausChannel, vec: np.ndarray) -> f
     return trace_norm(apply_mat(ext_phi, rho) - apply_mat(ext_psi, rho))
 
 
-def _seesaw_seeds(n: int, cfg: OptimizerConfig, d_a: int) -> list:
+def _seesaw_seeds(d_a: int, cfg: OptimizerConfig) -> list:
+    n = d_a * d_a
     rng = np.random.default_rng(cfg.seed)
     seeds = [maximally_entangled(d_a).vec]
     for _ in range(cfg.restarts):
@@ -312,45 +323,33 @@ def seesaw_diamond_lower(
     d_a = phi.d_in
     ext_phi = tensor_with_identity(phi, d_a)
     ext_psi = tensor_with_identity(psi, d_a)
-    n = d_a * d_a
 
-    def objective(v):
+    def output_gap(v):
         rho = np.outer(v, v.conj())
-        return trace_norm(apply_mat(ext_phi, rho) - apply_mat(ext_psi, rho))
+        return apply_mat(ext_phi, rho) - apply_mat(ext_psi, rho)
 
-    best = None
-    for v in _seesaw_seeds(n, cfg, d_a):
-        val = objective(v)
+    def single(v):
+        val = trace_norm(output_gap(v))
         history = [val]
-        stall = 0
-        converged = False
-        it = 0
-        for it in range(1, cfg.max_iters + 1):
-            rho = np.outer(v, v.conj())
-            x = apply_mat(ext_phi, rho) - apply_mat(ext_psi, rho)
-            w, u = hermitian_eigen(x)
-            sign = (u * np.where(w >= 0.0, 1.0, -1.0)) @ u.conj().T
+
+        def step():
+            nonlocal v, val
+            sign = _sign_matrix(output_gap(v))
             m = adjoint_apply_mat(ext_phi, sign) - adjoint_apply_mat(ext_psi, sign)
-            mw, mu = hermitian_eigen(m)
-            v_new = mu[:, -1]
-            val_new = objective(v_new)
+            v_new = hermitian_eigen(m).eigenvectors[:, -1]
+            val_new = trace_norm(output_gap(v_new))
             if val_new < val:
-                converged = True
-                break
+                return None
             gain = val_new - val
             v, val = v_new, val_new
             history.append(val)
-            stall = stall + 1 if gain < cfg.tol else 0
-            if stall >= _STALL_LIMIT:
-                converged = True
-                break
-        if best is None or val > best[1]:
-            best = (v, val, history, converged, it)
-    v, val, history, converged, iters = best
-    witness = PureState(v, dims=(d_a, d_a))
-    return Certificate(
-        "Diamond_lower", val, witness, converged, iters, history=tuple(history)
-    )
+            return gain
+
+        converged, it = _drive(step, cfg.max_iters)
+        return v, val, history, converged, it
+
+    runs = (single(v) for v in _seesaw_seeds(d_a, cfg))
+    return _best_certificate("Diamond_lower", runs, lambda v: PureState(v, dims=(d_a, d_a)))
 
 
 # ----- PPT geometry -----
@@ -487,51 +486,37 @@ def ree_ppt_lower(
     cfg = cfg or OptimizerConfig()
     lb = math.log(_check_base(base))
     rho_t, tr_log, dims = _regularized(rho)
-    n = rho.dim
-
-    sigma = project_ppt(rho_t, dims)
-    f, grad, cert, sig = _ree_terms(rho_t, tr_log, sigma, dims, lb)
+    best_sigma = project_ppt(rho_t, dims)
+    f, grad, cert, sig = _ree_terms(rho_t, tr_log, best_sigma, dims, lb)
     best_cert = cert
-    best_sigma = sigma
     best_f = f
     history = [cert]
-    eta = cfg.step
-    stall = 0
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        eta_try = eta
-        accepted = None
-        for _ in range(40):
-            trial = project_ppt(sig - eta_try * grad, dims)
-            tf, tgrad, tcert, tsig = _ree_terms(rho_t, tr_log, trial, dims, lb)
-            if tf < f - 1e-15:
-                accepted = (tf, tgrad, tcert, tsig, trial)
-                break
-            eta_try *= 0.5
-        if accepted is None:
-            converged = True
-            break
-        gain = f - accepted[0]
-        f, grad, cert, sig, candidate = accepted
+    eta = _STEP
+
+    def step():
+        nonlocal f, grad, cert, sig, best_cert, best_sigma, best_f, eta
+
+        def trial_at(e):
+            trial = project_ppt(sig - e * grad, dims)
+            return (*_ree_terms(rho_t, tr_log, trial, dims, lb), trial)
+
+        eta_ok, found = _line_search(trial_at, lambda t: t[0] < f - 1e-15, eta, 40)
+        if found is None:
+            return None
+        gain = f - found[0]
+        f, grad, cert, sig, candidate = found
         history.append(cert)
         if cert > best_cert:
             best_cert = cert
             best_sigma = candidate
         best_f = min(best_f, f)
-        stall = stall + 1 if gain < cfg.tol else 0
-        if stall >= _STALL_LIMIT:
-            converged = True
-            break
-        eta = min(eta_try * 2.0, 10.0 * cfg.step)
+        eta = min(eta_ok * 2.0, 10.0 * _STEP)
+        return gain
+
+    converged, it = _drive(step, cfg.max_iters)
+    witness = DensityMatrix(best_sigma, dims)
     return Certificate(
-        "ER_lower",
-        best_cert,
-        DensityMatrix(best_sigma, dims),
-        converged,
-        it,
-        objective=best_f,
-        history=tuple(history),
+        "ER_lower", best_cert, witness, converged, it, objective=best_f, history=tuple(history)
     )
 
 
@@ -550,33 +535,23 @@ def trace_dist_to_ppt(rho: DensityMatrix, cfg: OptimizerConfig | None = None) ->
         raise ValueError("state needs explicit bipartite dims")
     dims = rho.dims
     sigma = project_ppt(rho.mat, dims)
-
-    def objective(s):
-        return trace_norm(rho.mat - s)
-
-    val = objective(sigma)
+    val = trace_norm(rho.mat - sigma)
     best_val = val
     best_sigma = sigma
     history = [val]
     last_improvement = 0
     for it in range(1, cfg.max_iters + 1):
-        diff = hermitize(rho.mat - sigma)
-        w, u = hermitian_eigen(diff)
-        sign = (u * np.where(w >= 0.0, 1.0, -1.0)) @ u.conj().T
-        sigma = project_ppt(sigma + (cfg.step / math.sqrt(it)) * sign, dims)
-        val = objective(sigma)
+        sign = _sign_matrix(hermitize(rho.mat - sigma))
+        sigma = project_ppt(sigma + (_STEP / math.sqrt(it)) * sign, dims)
+        val = trace_norm(rho.mat - sigma)
         history.append(val)
-        if val < best_val - cfg.tol:
+        if val < best_val - _TOL:
             last_improvement = it
         if val < best_val:
             best_val = val
             best_sigma = sigma
     converged = (cfg.max_iters - last_improvement) >= _STALL_LIMIT
+    witness = DensityMatrix(best_sigma, dims)
     return Certificate(
-        "Ds_oracle",
-        best_val,
-        DensityMatrix(best_sigma, dims),
-        converged,
-        cfg.max_iters,
-        history=tuple(history),
+        "Ds_oracle", best_val, witness, converged, cfg.max_iters, history=tuple(history)
     )

@@ -39,7 +39,7 @@ from distcert import (
     tensor_with_identity,
     von_neumann_entropy,
 )
-from distcert.channels import KrausChannel, apply_mat
+from distcert.channels import KrausChannel, adjoint_apply_mat, apply_mat
 
 
 def _random_state(d, seed):
@@ -275,3 +275,57 @@ def test_random_channel_complement_is_valid():
     # Constructing the complement revalidates Kraus completeness.
     rho = random_density_matrix(4, rng)
     assert np.isclose(np.trace(apply_mat(comp, rho.mat)).real, 1.0, atol=1e-10)
+
+
+# ----- the Kraus tensor -----
+
+
+def test_kraus_channel_stores_one_read_only_tensor():
+    ops = np.array(erasure(2, 0.3).kraus)
+    phi = KrausChannel(ops, 2, 3)
+    assert phi.kraus.shape == (3, 3, 2)
+    assert phi.kraus.dtype == complex
+    assert phi.d_env == 3
+    assert not phi.kraus.flags.writeable
+    with pytest.raises(ValueError):
+        phi.kraus[0, 0, 0] = 1.0
+    ragged = [np.eye(2) / math.sqrt(2), np.ones((3, 2)) / 2]
+    with pytest.raises(ValueError, match=r"Kraus operator shape \(3, 2\) does not match \(2, 2\)"):
+        KrausChannel(ragged, 2, 2)
+
+
+@pytest.mark.parametrize("d_in,d_out,d_env", [(2, 4, 3), (4, 2, 3), (3, 3, 1)])
+def test_kraus_tensor_operations_match_per_operator_sums(d_in, d_out, d_env):
+    rng = np.random.default_rng(d_in * 100 + d_out * 10 + d_env)
+    phi = random_channel(d_in, d_out, d_env, rng)
+    ops = [np.array(k) for k in phi.kraus]
+    m = rng.normal(size=(d_in, d_in)) + 1j * rng.normal(size=(d_in, d_in))
+    w = rng.normal(size=(d_out, d_out)) + 1j * rng.normal(size=(d_out, d_out))
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    close(apply_mat(phi, m), sum(k @ m @ k.conj().T for k in ops))
+    close(adjoint_apply_mat(phi, w), sum(k.conj().T @ w @ k for k in ops))
+    v = sum(np.kron(k, np.eye(d_env)[:, [e]]) for e, k in enumerate(ops))
+    close(stinespring(phi).v, v)
+    comp = complement(phi)
+    assert comp.kraus.shape == (d_out, d_env, d_in)
+    close(comp.kraus, np.array([v[b * d_env : (b + 1) * d_env] for b in range(d_out)]))
+    close(choi(phi).mat, sum(np.outer(k.reshape(-1), k.reshape(-1).conj()) for k in ops))
+
+
+def test_channel_decoding_rejects_malformed_pairs():
+    good = channel_to_dict(identity_embedding(2, 2))
+    assert np.array_equal(channel_from_dict(good).kraus, np.eye(2)[None])
+    one, zero = [1, 0], [0, 0]
+    malformed = (
+        [[[["1", "0"], zero], [zero, one]]],  # strings are not numbers
+        [[[[1, 0, 0], zero], [zero, one]]],  # a triple is not an [re, im] pair
+        [[[one, zero], [zero]]],  # ragged rows
+    )
+    for kraus in malformed:
+        with pytest.raises(ValueError, match="malformed complex matrix encoding"):
+            channel_from_dict({**good, "kraus": kraus})
+    with pytest.raises(ValueError, match="does not match declared"):
+        channel_from_dict({**good, "kraus": [[[one, zero]]]})

@@ -156,10 +156,22 @@ def test_analyze_channel_identity_bound_value(tmp_path, capsys):
     assert "Eq13" not in by_tag
 
 
-def test_analyze_channel_deterministic(tmp_path, capsys):
-    path = tmp_path / "era.json"
-    _run(capsys, ["zoo", "erasure", "3", "0.25", "--out", str(path)])
-    argv = ["analyze-channel", str(path), "--seed", "7", *_fast()[2:]]
+def _analyze_input(verb, tmp_path, capsys):
+    """An erasure channel file, or a rank-2 2x2 state file (REE and oracle run)."""
+    if verb == "analyze-channel":
+        path = tmp_path / "era.json"
+        _run(capsys, ["zoo", "erasure", "3", "0.25", "--out", str(path)])
+        return str(path)
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    m = g @ g.conj().T
+    return _write_state(tmp_path, DensityMatrix(m / np.trace(m).real, (2, 2)))
+
+
+@pytest.mark.parametrize("verb", ["analyze-channel", "analyze-state"])
+def test_analyze_channel_deterministic(tmp_path, capsys, verb):
+    path = _analyze_input(verb, tmp_path, capsys)
+    argv = [verb, path, "--seed", "7", *_fast()[2:]]
     _, first = _run(capsys, argv)
     _, second = _run(capsys, argv)
     assert first == second
@@ -226,6 +238,17 @@ def test_analyze_channel_strict_flags_unconverged(tmp_path, capsys):
     assert code == 3
     rep = json.loads(out)
     assert any("unconverged searches" in n for n in rep["notes"])
+
+
+@pytest.mark.parametrize("verb", ["analyze-channel", "analyze-state"])
+@pytest.mark.parametrize("flag", ["--max-iters", "--restarts"])
+def test_analyze_rejects_negative_search_limits(tmp_path, capsys, verb, flag):
+    path = _analyze_input(verb, tmp_path, capsys)
+    code = main([verb, path, flag, "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 # ----- analyze-state -----

@@ -42,6 +42,7 @@ from distcert import (
     trace_norm,
     binary_entropy,
 )
+from distcert.optimize import _STALL_LIMIT, _STEP, _TOL, _drive, _single_ascent
 
 LOG2_3 = math.log2(3)
 
@@ -313,9 +314,85 @@ def test_trace_dist_to_ppt_bell_reference():
 
 
 def test_certificate_fields_and_config_defaults():
-    assert OptimizerConfig() == OptimizerConfig(8, 500, 1e-7, 0.1, 0)
+    assert OptimizerConfig() == OptimizerConfig(8, 500, 0)
+    assert (_TOL, _STEP) == (1e-7, 0.1)
     cert = maximize_coherent_information(erasure(2, 0.2), OptimizerConfig(restarts=1, max_iters=30))
     assert isinstance(cert, Certificate)
     assert cert.iterations >= 0
     assert isinstance(cert.converged, bool)
     assert len(cert.history) >= 1
+
+
+# ----- the search driver -----
+
+
+def _scripted(gains):
+    it = iter(gains)
+    return lambda: next(it)
+
+
+def test_drive_stops_when_no_improving_move():
+    assert _drive(_scripted([1.0, 1.0, None]), 50) == (True, 3)
+
+
+def test_drive_stops_after_stall_limit():
+    small = [_TOL / 2] * _STALL_LIMIT
+    assert _drive(_scripted([1.0, *small]), 50) == (True, 1 + _STALL_LIMIT)
+    # a gain at or above the tolerance resets the count
+    assert _drive(_scripted([*small[1:], _TOL, *small]), 50) == (True, 2 * _STALL_LIMIT)
+
+
+def test_drive_reports_exhausted_iterations():
+    assert _drive(lambda: 1.0, 7) == (False, 7)
+    assert _drive(_scripted([]), 0) == (False, 0)
+
+
+@pytest.mark.parametrize("field", ["restarts", "max_iters"])
+def test_config_rejects_negative_limits(field):
+    with pytest.raises(ValueError, match=field):
+        OptimizerConfig(**{field: -1})
+
+
+def test_zero_iterations_evaluate_start_points_only():
+    cert = maximize_coherent_information(erasure(3, 0.2), OptimizerConfig(restarts=0, max_iters=0))
+    assert (cert.iterations, cert.converged, cert.history) == (0, False, (cert.value,))
+    assert np.isclose(cert.value, 0.6 * LOG2_3, atol=1e-12)
+
+
+def test_ascent_counts_the_failed_step_only_when_nothing_improves():
+    rho = np.eye(2, dtype=complex) / 2
+    flat = _single_ascent(lambda r: 0.0, np.zeros_like, rho, _FAST)
+    assert flat[2:] == ([0.0], True, 1)
+    values = iter(range(1000))
+    creeping = _single_ascent(lambda r: 1e-9 * next(values), np.zeros_like, rho, _FAST)
+    assert creeping[3:] == (True, _STALL_LIMIT)
+    assert len(creeping[2]) == _STALL_LIMIT + 1
+
+
+def _bell_like_state():
+    rng = np.random.default_rng(9)
+    g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    m = g @ g.conj().T
+    return DensityMatrix(m / np.trace(m).real, dims=(2, 2))
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda cfg: maximize_coherent_information(erasure(3, 0.2), cfg),
+        lambda cfg: minimize_coherent_information(erasure(3, 0.2), cfg),
+        lambda cfg: maximize_reverse_coherent_information(random_channel(3, 2, 2, np.random.default_rng(8)), cfg),
+        lambda cfg: seesaw_diamond_lower(erasure(2, 0.3), erasure(2, 0.6), cfg),
+        lambda cfg: ree_ppt_lower(_bell_like_state(), cfg),
+    ],
+    ids=["max_ic", "min_ic", "max_rci", "seesaw", "ree"],
+)
+@pytest.mark.parametrize("max_iters", [3, 120])
+def test_iterations_count_accepted_steps_plus_the_failed_one(search, max_iters):
+    cert = search(OptimizerConfig(restarts=1, max_iters=max_iters, seed=0))
+    extra = cert.iterations - (len(cert.history) - 1)
+    assert extra in (0, 1)
+    if extra == 1:
+        assert cert.converged
+    if not cert.converged:
+        assert (cert.iterations, extra) == (max_iters, 0)
