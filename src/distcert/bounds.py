@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .entropy import _check_base, _log, g_correction
+from .linalg import _as_int
 
 
 class Formula(str, Enum):
@@ -81,7 +82,7 @@ def invert_continuity_bound(spec: ContinuityBoundSpec, delta: float) -> float:
 
 
 def _log_dim(d: int, base: float) -> float:
-    if int(d) != d or d < 2:
+    if _as_int(d, "dimension") < 2:
         raise ValueError("dimension must be an integer >= 2")
     return float(_log(float(d), base))
 

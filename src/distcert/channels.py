@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import _check_base, _entropy_mat
-from .linalg import DensityMatrix, hermitize
+from .linalg import DensityMatrix, _as_int, _require_dims, hermitize
 
 COMPLETENESS_TOL = 1e-9
 ISOMETRY_TOL = 1e-9
@@ -115,10 +115,14 @@ def adjoint_apply_mat(phi: KrausChannel, m: np.ndarray) -> np.ndarray:
     return (phi.kraus.conj().transpose(0, 2, 1) @ m @ phi.kraus).sum(0)
 
 
-def apply_channel(phi: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Schroedinger-picture action on a validated state."""
+def _check_input(phi: KrausChannel, rho: DensityMatrix) -> None:
     if rho.dim != phi.d_in:
         raise ValueError(f"state dimension {rho.dim} does not match d_in {phi.d_in}")
+
+
+def apply_channel(phi: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
+    """Schroedinger-picture action on a validated state."""
+    _check_input(phi, rho)
     return DensityMatrix(hermitize(apply_mat(phi, rho.mat)))
 
 
@@ -144,24 +148,27 @@ def choi(phi: KrausChannel) -> ChoiMatrix:
     return ChoiMatrix(j, phi.d_in, phi.d_out)
 
 
+# Raw-matrix cores behind the evaluators and the searches; comp = complement(phi).
+def _coherent_information_mat(phi: KrausChannel, comp: KrausChannel, m: np.ndarray, base: float) -> float:
+    return _entropy_mat(apply_mat(phi, m), base) - _entropy_mat(apply_mat(comp, m), base)
+
+
+def _reverse_coherent_information_mat(comp: KrausChannel, m: np.ndarray, base: float) -> float:
+    return _entropy_mat(m, base) - _entropy_mat(apply_mat(comp, m), base)
+
+
 def channel_coherent_information(phi: KrausChannel, rho: DensityMatrix, base: float = 2.0) -> float:
     """I_c(Phi, rho) = H(Phi(rho)) - H(complement(Phi)(rho))."""
     base = _check_base(base)
-    if rho.dim != phi.d_in:
-        raise ValueError(f"state dimension {rho.dim} does not match d_in {phi.d_in}")
-    comp = complement(phi)
-    return _entropy_mat(apply_mat(phi, rho.mat), base) - _entropy_mat(
-        apply_mat(comp, rho.mat), base
-    )
+    _check_input(phi, rho)
+    return _coherent_information_mat(phi, complement(phi), rho.mat, base)
 
 
 def reverse_coherent_information(phi: KrausChannel, rho: DensityMatrix, base: float = 2.0) -> float:
     """H(rho) - H(complement(Phi)(rho)), the reverse coherent information."""
     base = _check_base(base)
-    if rho.dim != phi.d_in:
-        raise ValueError(f"state dimension {rho.dim} does not match d_in {phi.d_in}")
-    comp = complement(phi)
-    return _entropy_mat(rho.mat, base) - _entropy_mat(apply_mat(comp, rho.mat), base)
+    _check_input(phi, rho)
+    return _reverse_coherent_information_mat(complement(phi), rho.mat, base)
 
 
 def tensor_with_identity(phi: KrausChannel, d_ref: int) -> KrausChannel:
@@ -261,8 +268,8 @@ def channel_to_dict(phi: KrausChannel) -> dict:
 
 def channel_from_dict(data: dict) -> KrausChannel:
     try:
-        d_in = int(data["d_in"])
-        d_out = int(data["d_out"])
+        d_in = _as_int(data["d_in"], "d_in")
+        d_out = _as_int(data["d_out"], "d_out")
         raw = data["kraus"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid channel description: {exc}") from exc
@@ -286,14 +293,12 @@ def load_channel(path: str) -> KrausChannel:
 
 
 def state_to_dict(rho: DensityMatrix) -> dict:
-    if rho.dims is None:
-        raise ValueError("state needs explicit bipartite dims")
-    return {"dims": list(rho.dims), "matrix": _complex_to_pairs(rho.mat)}
+    return {"dims": list(_require_dims(rho)), "matrix": _complex_to_pairs(rho.mat)}
 
 
 def state_from_dict(data: dict) -> DensityMatrix:
     try:
-        da, db = (int(x) for x in data["dims"])
+        da, db = (_as_int(x, "dims entry") for x in data["dims"])
         raw = data["matrix"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid state description: {exc}") from exc

@@ -28,7 +28,7 @@ from .channels import (
     load_state,
 )
 from .entropy import _log, binary_entropy, max_coherent_information, mutual_information
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, _as_int
 from .optimize import (
     OptimizerConfig,
     maximize_coherent_information,
@@ -76,16 +76,13 @@ def _search_note(cert) -> str:
     return f"{cert.iterations} iterations, converged={cert.converged}"
 
 
-def _strict_exit(args, certs, report) -> int:
+def _emit_report(report, args, certs) -> int:
+    """Note unconverged searches, emit the report, and return the exit code."""
     stuck = [c.kind for c in certs if not c.converged]
     if stuck:
         report.notes.append("unconverged searches: " + ", ".join(stuck))
+    _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
     return 3 if args.strict and stuck else 0
-
-
-def _emit_report(report, args) -> None:
-    text = report.to_csv() if args.format == "csv" else report.to_json()
-    _emit(text, args.out)
 
 
 # ----- analyze commands -----
@@ -129,9 +126,7 @@ def _cmd_analyze_channel(args) -> int:
     report.notes.append(f"channel: d_in={phi.d_in}, d_out={phi.d_out}, kraus={phi.d_env}")
     if er_note:
         report.notes.append(er_note)
-    code = _strict_exit(args, certs, report)
-    _emit_report(report, args)
-    return code
+    return _emit_report(report, args, certs)
 
 
 def _cmd_analyze_state(args) -> int:
@@ -178,9 +173,7 @@ def _cmd_analyze_state(args) -> int:
     )
     report.notes.extend(notes)
     report.notes.append(f"state: dims=({da}, {db})")
-    code = _strict_exit(args, certs, report)
-    _emit_report(report, args)
-    return code
+    return _emit_report(report, args, certs)
 
 
 # ----- reproduce tables -----
@@ -286,18 +279,18 @@ def _table_text(name, columns, rows, base, fmt) -> str:
     )
 
 
-_TABLE_DEFAULT_D = {"ex1": "2..64", "ex2": "16", "tightness": "2..4096"}
+# table name -> (default --d-range, build(ds, args, base) -> (columns, rows))
+_TABLES = {
+    "ex1": ("2..64", lambda ds, args, base: _table_ex1(ds, base)),
+    "ex2": ("16", lambda ds, args, base: _table_ex2(ds, _parse_p_grid(args.p_grid), base)),
+    "tightness": ("2..4096", lambda ds, args, base: _table_tightness(ds, args.x, base)),
+}
 
 
 def _cmd_reproduce(args) -> int:
     base = _base_of(args)
-    ds = _parse_d_range(args.d_range or _TABLE_DEFAULT_D[args.table])
-    if args.table == "ex1":
-        columns, rows = _table_ex1(ds, base)
-    elif args.table == "ex2":
-        columns, rows = _table_ex2(ds, _parse_p_grid(args.p_grid), base)
-    else:
-        columns, rows = _table_tightness(ds, args.x, base)
+    default_d, build = _TABLES[args.table]
+    columns, rows = build(_parse_d_range(args.d_range or default_d), args, base)
     _emit(_table_text(args.table, columns, rows, base, args.format), args.out)
     return 0
 
@@ -305,34 +298,22 @@ def _cmd_reproduce(args) -> int:
 # ----- zoo -----
 
 
-def _int_param(value: float, name: str) -> int:
-    if value != int(value):
-        raise ValueError(f"{name} must be an integer, got {value}")
-    return int(value)
+# zoo name -> (constructor, its parameters as (name, int or float) pairs)
+_ZOO = {
+    "erasure": (erasure, (("d", int), ("p", float))),
+    "identity": (identity_embedding, (("d_in", int), ("d_out", int))),
+    "depolarizing": (depolarizing, (("d", int), ("lambda", float))),
+    "completely-depolarizing": (completely_depolarizing, (("d", int),)),
+}
 
 
 def _cmd_zoo(args) -> int:
-    name, params = args.name, args.params
-    if name == "erasure":
-        if len(params) != 2:
-            raise ValueError("zoo erasure takes: d p")
-        phi = erasure(_int_param(params[0], "d"), params[1])
-    elif name == "identity":
-        if len(params) != 2:
-            raise ValueError("zoo identity takes: d_in d_out")
-        phi = identity_embedding(
-            _int_param(params[0], "d_in"), _int_param(params[1], "d_out")
-        )
-    elif name == "depolarizing":
-        if len(params) != 2:
-            raise ValueError("zoo depolarizing takes: d lambda")
-        phi = depolarizing(_int_param(params[0], "d"), params[1])
-    elif name == "completely-depolarizing":
-        if len(params) != 1:
-            raise ValueError("zoo completely-depolarizing takes: d")
-        phi = completely_depolarizing(_int_param(params[0], "d"))
-    else:
-        raise ValueError(f"unknown zoo channel {name!r}")
+    if args.name not in _ZOO:
+        raise ValueError(f"unknown zoo channel {args.name!r}")
+    make, spec = _ZOO[args.name]
+    if len(args.params) != len(spec):
+        raise ValueError(f"zoo {args.name} takes: " + " ".join(name for name, _ in spec))
+    phi = make(*(_as_int(v, name) if kind is int else v for (name, kind), v in zip(spec, args.params)))
     _emit(json.dumps(channel_to_dict(phi)), args.out)
     return 0
 
@@ -347,9 +328,10 @@ def _add_output_flags(sp) -> None:
 
 
 def _add_optimizer_flags(sp) -> None:
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--restarts", type=int, default=8)
-    sp.add_argument("--max-iters", type=int, default=500, dest="max_iters")
+    defaults = OptimizerConfig()
+    sp.add_argument("--seed", type=int, default=defaults.seed)
+    sp.add_argument("--restarts", type=int, default=defaults.restarts)
+    sp.add_argument("--max-iters", type=int, default=defaults.max_iters, dest="max_iters")
     sp.add_argument(
         "--strict",
         action="store_true",
@@ -395,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     rp = sub.add_parser("reproduce", help="closed-form scan tables")
-    rp.add_argument("table", choices=["ex1", "ex2", "tightness"])
+    rp.add_argument("table", choices=list(_TABLES))
     _add_output_flags(rp)
     rp.add_argument(
         "--d-range",
@@ -407,10 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--x", type=float, default=0.25, help="erasure offset for tightness")
 
     zoo = sub.add_parser("zoo", help="write a named channel as JSON")
-    zoo.add_argument(
-        "name",
-        help="erasure | identity | depolarizing | completely-depolarizing",
-    )
+    zoo.add_argument("name", help=" | ".join(_ZOO))
     zoo.add_argument("params", nargs="*", type=float)
     zoo.add_argument("--out", default=None)
     return p

@@ -17,6 +17,17 @@ STATE_TRACE_TOL = 1e-10
 EIG_CLIP_TOL = 1e-10
 INPUT_HERMITIAN_TOL = 1e-8
 MAX_DIM = 1024
+_LOG_FLOOR = 1e-300
+
+
+def _as_int(value, name: str) -> int:
+    """``value`` as an int; anything but a finite integral number is a ValueError."""
+    try:
+        if (i := int(value)) == value:
+            return i
+    except (OverflowError, TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value}")
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -36,17 +47,17 @@ def herm_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T), initial=0.0))
 
 
-def clip_eigenvalues(w: np.ndarray, tol: float = EIG_CLIP_TOL) -> np.ndarray:
-    """Zero out eigenvalues in [-tol, 0); anything more negative is an error.
+def clip_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """Zero out eigenvalues in [-EIG_CLIP_TOL, 0); anything more negative is an error.
 
-    Negative dust of magnitude <= tol is numerical noise from eigh and is
+    Negative dust of magnitude <= 1e-10 is numerical noise from eigh and is
     silently clipped. Larger negative mass means the input was not positive
     semidefinite and must not be glossed over.
     """
     w = np.asarray(w, dtype=float)
     low = float(w.min(initial=0.0))
-    if low < -tol:
-        raise ValueError(f"eigenvalue {low:.3e} below -{tol:.0e}; matrix is not PSD")
+    if low < -EIG_CLIP_TOL:
+        raise ValueError(f"eigenvalue {low:.3e} below -{EIG_CLIP_TOL:.0e}; matrix is not PSD")
     return np.where(w < 0.0, 0.0, w)
 
 
@@ -71,6 +82,24 @@ def hermitian_eigen(m) -> HermitianEigen:
     return HermitianEigen(w, v)
 
 
+def _dense_split(n: int, dims) -> tuple[int, int] | None:
+    """Cap an n-dimensional index and check its optional split d_A * d_B == n."""
+    if n > MAX_DIM:
+        raise ValueError(f"dimension {n} exceeds the dense-storage cap {MAX_DIM}")
+    if dims is None:
+        return None
+    da, db = (_as_int(x, "dims entry") for x in dims)
+    if da < 1 or db < 1 or da * db != n:
+        raise ValueError(f"dims {dims} incompatible with dimension {n}")
+    return da, db
+
+
+def _require_dims(rho: DensityMatrix) -> tuple[int, int]:
+    if rho.dims is None:
+        raise ValueError("state needs explicit bipartite dims")
+    return rho.dims
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Validated quantum state.
@@ -85,9 +114,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         a = _as_matrix(self.mat)
-        n = a.shape[0]
-        if n > MAX_DIM:
-            raise ValueError(f"dimension {n} exceeds the dense-storage cap {MAX_DIM}")
+        object.__setattr__(self, "dims", _dense_split(a.shape[0], self.dims))
         if herm_defect(a) > STATE_HERMITIAN_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-10")
         tr = a.trace()
@@ -95,11 +122,6 @@ class DensityMatrix:
             raise ValueError(f"trace {tr:.12g} differs from 1 by more than 1e-10")
         a = hermitize(a)
         clip_eigenvalues(np.linalg.eigvalsh(a))
-        if self.dims is not None:
-            da, db = self.dims
-            if da < 1 or db < 1 or da * db != n:
-                raise ValueError(f"dims {self.dims} incompatible with dimension {n}")
-            object.__setattr__(self, "dims", (int(da), int(db)))
         a.setflags(write=False)
         object.__setattr__(self, "mat", a)
 
@@ -121,16 +143,10 @@ class PureState:
 
     def __post_init__(self):
         v = np.asarray(self.vec, dtype=complex).reshape(-1)
-        if v.size > MAX_DIM:
-            raise ValueError(f"dimension {v.size} exceeds the dense-storage cap {MAX_DIM}")
+        object.__setattr__(self, "dims", _dense_split(v.size, self.dims))
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > STATE_TRACE_TOL:
             raise ValueError(f"norm {nrm:.12g} differs from 1 by more than 1e-10")
-        if self.dims is not None:
-            da, db = self.dims
-            if da * db != v.size:
-                raise ValueError(f"dims {self.dims} incompatible with dimension {v.size}")
-            object.__setattr__(self, "dims", (int(da), int(db)))
         v.setflags(write=False)
         object.__setattr__(self, "vec", v)
 
@@ -149,9 +165,7 @@ def tensor(a, b) -> np.ndarray:
 
 def partial_trace(rho: DensityMatrix, over: str) -> DensityMatrix:
     """Marginal of a bipartite state, tracing out subsystem ``over`` ("A" or "B")."""
-    if rho.dims is None:
-        raise ValueError("partial_trace needs a state with explicit dims")
-    da, db = rho.dims
+    da, db = _require_dims(rho)
     t = rho.mat.reshape(da, db, da, db)
     if over == "B":
         red = np.trace(t, axis1=1, axis2=3)
@@ -202,10 +216,10 @@ def maximally_entangled(d: int) -> PureState:
     return PureState(vec / np.sqrt(d), dims=(d, d))
 
 
-def hermitian_log(m: np.ndarray, floor: float = 1e-300) -> np.ndarray:
-    """log of a positive matrix; eigenvalues floored at ``floor``."""
+def hermitian_log(m: np.ndarray) -> np.ndarray:
+    """log of a positive matrix; eigenvalues floored at 1e-300."""
     w, v = np.linalg.eigh(hermitize(m))
-    return (v * np.log(np.maximum(w, floor))) @ v.conj().T
+    return (v * np.log(np.maximum(w, _LOG_FLOOR))) @ v.conj().T
 
 
 def random_density_matrix(

@@ -16,31 +16,37 @@ distance to the PPT set, keeps its own fixed diminishing-step schedule and
 always runs ``max_iters`` steps.
 
 Everything a Certificate reports as ``value`` is exactly evaluable from its
-witness; best-found candidates are never extrapolated.
+witness: each search scores with the code that re-checks it (the evaluators in
+``channels.py``, ``seesaw_objective``, ``ree_dual_certificate``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .channels import (
     KrausChannel,
+    _coherent_information_mat,
+    _reverse_coherent_information_mat,
     adjoint_apply_mat,
     apply_mat,
     complement,
     tensor_with_identity,
 )
-from .entropy import _check_base, _entropy_mat
+from .entropy import _check_base
 from .linalg import (
     DensityMatrix,
     PureState,
+    _require_dims,
     hermitian_eigen,
     hermitian_log,
     hermitize,
     maximally_entangled,
     random_density_matrix,
+    random_pure_state,
     trace_norm,
 )
 
@@ -217,9 +223,17 @@ def _ascent_seeds(d: int, cfg: OptimizerConfig) -> list:
     return [eye / d, *basis, *randoms]
 
 
-def _ascent_certificate(kind, value_fn, grad_fn, d, cfg, sign=1) -> Certificate:
+def _ascent_certificate(kind, phi, cfg, base, value_fn, grad_fn, sign=1) -> Certificate:
+    """Best-of-seeds mirror ascent of value_fn(comp, m, base) over input matrices m of
+    phi, comp = complement(phi); grad_fn(comp, m, log(base)) is its gradient."""
+    base = _check_base(base)
+    lb = math.log(base)
+    comp = complement(phi)
     cfg = cfg or OptimizerConfig()
-    runs = (_single_ascent(value_fn, grad_fn, s, cfg) for s in _ascent_seeds(d, cfg))
+    runs = (
+        _single_ascent(lambda m: value_fn(comp, m, base), lambda m: grad_fn(comp, m, lb), s, cfg)
+        for s in _ascent_seeds(phi.d_in, cfg)
+    )
     return _best_certificate(kind, runs, DensityMatrix, sign)
 
 
@@ -232,17 +246,9 @@ def maximize_coherent_information(
     is always a valid achievability certificate even when the search has not
     converged to the global optimum.
     """
-    base = _check_base(base)
-    lb = math.log(base)
-    comp = complement(phi)
-
-    def value_fn(rho):
-        return _entropy_mat(apply_mat(phi, rho), base) - _entropy_mat(apply_mat(comp, rho), base)
-
-    def grad_fn(rho):
-        return _ic_gradient(phi, comp, rho, lb)
-
-    return _ascent_certificate("Ic", value_fn, grad_fn, phi.d_in, cfg)
+    return _ascent_certificate(
+        "Ic", phi, cfg, base, partial(_coherent_information_mat, phi), partial(_ic_gradient, phi)
+    )
 
 
 def minimize_coherent_information(
@@ -250,61 +256,47 @@ def minimize_coherent_information(
 ) -> Certificate:
     """Lowest coherent information found; negative values certify distance
     from the degradable set."""
-    base = _check_base(base)
-    lb = math.log(base)
-    comp = complement(phi)
 
-    def value_fn(rho):
-        return _entropy_mat(apply_mat(comp, rho), base) - _entropy_mat(apply_mat(phi, rho), base)
+    # 0.0 - x, not -x: equal entropies score +0.0, as H(comp) - H(out) does
+    def neg_ic(comp, m, b):
+        return 0.0 - _coherent_information_mat(phi, comp, m, b)
 
-    def grad_fn(rho):
-        return -_ic_gradient(phi, comp, rho, lb)
+    def neg_ic_gradient(comp, m, lb):
+        return -_ic_gradient(phi, comp, m, lb)
 
-    return _ascent_certificate("negIc", value_fn, grad_fn, phi.d_in, cfg, sign=-1)
+    return _ascent_certificate("negIc", phi, cfg, base, neg_ic, neg_ic_gradient, sign=-1)
 
 
 def maximize_reverse_coherent_information(
     phi: KrausChannel, cfg: OptimizerConfig | None = None, base: float = 2.0
 ) -> Certificate:
     """Best input entropy minus environment entropy found over input states."""
-    base = _check_base(base)
-    lb = math.log(base)
-    comp = complement(phi)
-
-    def value_fn(rho):
-        return _entropy_mat(rho, base) - _entropy_mat(apply_mat(comp, rho), base)
-
-    def grad_fn(rho):
-        return _rci_gradient(comp, rho, lb)
-
-    return _ascent_certificate("L", value_fn, grad_fn, phi.d_in, cfg)
+    return _ascent_certificate("L", phi, cfg, base, _reverse_coherent_information_mat, _rci_gradient)
 
 
 # ----- see-saw lower bound on diamond-norm distance -----
+
+
+def _output_gap(ext_phi: KrausChannel, ext_psi: KrausChannel, v: np.ndarray) -> np.ndarray:
+    """(ext_phi - ext_psi)(|v><v|) for channels already tensored with Id."""
+    rho = np.outer(v, v.conj())
+    return apply_mat(ext_phi, rho) - apply_mat(ext_psi, rho)
 
 
 def seesaw_objective(phi: KrausChannel, psi: KrausChannel, vec: np.ndarray) -> float:
     """Trace norm of ((Phi - Psi) (x) Id) applied to the given pure input.
 
     Any unit vector gives a valid diamond-norm lower bound; this re-evaluates
-    a see-saw witness independently of the search.
+    a see-saw witness with the same output difference the search scores.
     """
-    d_ref = phi.d_in
-    ext_phi = tensor_with_identity(phi, d_ref)
-    ext_psi = tensor_with_identity(psi, d_ref)
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    rho = np.outer(v, v.conj())
-    return trace_norm(apply_mat(ext_phi, rho) - apply_mat(ext_psi, rho))
+    ext_phi, ext_psi = (tensor_with_identity(c, phi.d_in) for c in (phi, psi))
+    return trace_norm(_output_gap(ext_phi, ext_psi, np.asarray(vec, dtype=complex).reshape(-1)))
 
 
 def _seesaw_seeds(d_a: int, cfg: OptimizerConfig) -> list:
-    n = d_a * d_a
     rng = np.random.default_rng(cfg.seed)
-    seeds = [maximally_entangled(d_a).vec]
-    for _ in range(cfg.restarts):
-        v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        seeds.append(v / np.linalg.norm(v))
-    return seeds
+    randoms = [random_pure_state(d_a * d_a, rng).vec for _ in range(cfg.restarts)]
+    return [maximally_entangled(d_a).vec, *randoms]
 
 
 def seesaw_diamond_lower(
@@ -321,23 +313,18 @@ def seesaw_diamond_lower(
         raise ValueError("channels must share input and output dimensions")
     cfg = cfg or OptimizerConfig()
     d_a = phi.d_in
-    ext_phi = tensor_with_identity(phi, d_a)
-    ext_psi = tensor_with_identity(psi, d_a)
-
-    def output_gap(v):
-        rho = np.outer(v, v.conj())
-        return apply_mat(ext_phi, rho) - apply_mat(ext_psi, rho)
+    ext_phi, ext_psi = (tensor_with_identity(c, d_a) for c in (phi, psi))
 
     def single(v):
-        val = trace_norm(output_gap(v))
+        val = trace_norm(_output_gap(ext_phi, ext_psi, v))
         history = [val]
 
         def step():
             nonlocal v, val
-            sign = _sign_matrix(output_gap(v))
+            sign = _sign_matrix(_output_gap(ext_phi, ext_psi, v))
             m = adjoint_apply_mat(ext_phi, sign) - adjoint_apply_mat(ext_psi, sign)
             v_new = hermitian_eigen(m).eigenvectors[:, -1]
-            val_new = trace_norm(output_gap(v_new))
+            val_new = trace_norm(_output_gap(ext_phi, ext_psi, v_new))
             if val_new < val:
                 return None
             gain = val_new - val
@@ -453,13 +440,12 @@ def _ree_terms(rho_t: np.ndarray, tr_rho_log_rho: float, sigma: np.ndarray, dims
 
 
 def _regularized(rho: DensityMatrix) -> tuple[np.ndarray, float, tuple[int, int]]:
-    if rho.dims is None:
-        raise ValueError("state needs explicit bipartite dims")
+    dims = _require_dims(rho)
     n = rho.dim
     rho_t = (1.0 - _RHO_FLOOR) * rho.mat + _RHO_FLOOR * np.eye(n) / n
     w = np.linalg.eigvalsh(rho_t)
     w = np.maximum(w, 1e-300)
-    return rho_t, float((w * np.log(w)).sum()), rho.dims
+    return rho_t, float((w * np.log(w)).sum()), dims
 
 
 def ree_dual_certificate(rho: DensityMatrix, sigma: DensityMatrix, base: float = 2.0) -> float:
@@ -489,12 +475,11 @@ def ree_ppt_lower(
     best_sigma = project_ppt(rho_t, dims)
     f, grad, cert, sig = _ree_terms(rho_t, tr_log, best_sigma, dims, lb)
     best_cert = cert
-    best_f = f
     history = [cert]
     eta = _STEP
 
     def step():
-        nonlocal f, grad, cert, sig, best_cert, best_sigma, best_f, eta
+        nonlocal f, grad, cert, sig, best_cert, best_sigma, eta
 
         def trial_at(e):
             trial = project_ppt(sig - e * grad, dims)
@@ -509,14 +494,13 @@ def ree_ppt_lower(
         if cert > best_cert:
             best_cert = cert
             best_sigma = candidate
-        best_f = min(best_f, f)
         eta = min(eta_ok * 2.0, 10.0 * _STEP)
         return gain
 
     converged, it = _drive(step, cfg.max_iters)
     witness = DensityMatrix(best_sigma, dims)
     return Certificate(
-        "ER_lower", best_cert, witness, converged, it, objective=best_f, history=tuple(history)
+        "ER_lower", best_cert, witness, converged, it, objective=f, history=tuple(history)
     )
 
 
@@ -531,9 +515,7 @@ def trace_dist_to_ppt(rho: DensityMatrix, cfg: OptimizerConfig | None = None) ->
     reference for the separability distance, not a certified lower bound.
     """
     cfg = cfg or OptimizerConfig()
-    if rho.dims is None:
-        raise ValueError("state needs explicit bipartite dims")
-    dims = rho.dims
+    dims = _require_dims(rho)
     sigma = project_ppt(rho.mat, dims)
     val = trace_norm(rho.mat - sigma)
     best_val = val

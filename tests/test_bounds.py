@@ -94,6 +94,12 @@ def test_dimension_validation():
         separable_distance_lower(1.0, 1)
 
 
+@pytest.mark.parametrize("d", [math.inf, -math.inf])
+def test_infinite_dimension_is_a_value_error(d):
+    with pytest.raises(ValueError, match="dimension"):
+        separable_distance_lower(1.0, d)
+
+
 def test_bounds_never_exceed_two():
     for gap in (0.1, 1.0, 5.0, 50.0):
         for d in (2, 3, 16):

@@ -18,6 +18,7 @@ from distcert import (
     apply_channel,
     binary_entropy,
     channel_distance_kernel,
+    channel_to_dict,
     erasure,
     g_correction,
     identity_embedding,
@@ -90,6 +91,9 @@ def test_zoo_parameter_validation(capsys):
         ["zoo", "erasure", "2.5", "0.3"],
         ["zoo", "erasure", "2", "1.5"],
         ["zoo", "identity", "3", "2"],
+        ["zoo", "erasure", "inf", "0.1"],
+        ["zoo", "identity", "2", "inf"],
+        ["zoo", "depolarizing", "nan", "0.2"],
     ):
         code, _ = _run(capsys, argv)
         assert code == 2, argv
@@ -319,6 +323,36 @@ def test_state_file_round_trip_and_errors(tmp_path):
     bad.write_text("][")
     with pytest.raises(ValueError, match="malformed state file"):
         load_state(str(bad))
+
+
+def _file_with_dims(verb: str, token: str) -> str:
+    """JSON text of a valid 2-dimensional channel or 2x2 state whose dimension
+    field reads ``token`` verbatim."""
+    if verb == "analyze-channel":
+        data = {**channel_to_dict(identity_embedding(2, 2)), "d_in": "DIM"}
+    else:
+        data = {**state_to_dict(maximally_entangled(2).to_density()), "dims": "DIM"}
+    return json.dumps(data).replace('"DIM"', token)
+
+
+@pytest.mark.parametrize(
+    "verb, bad, good",
+    [
+        ("analyze-channel", "1e400", "2"),
+        ("analyze-state", "[Infinity, 2]", "[2, 2]"),
+        ("analyze-channel", "2.5", "2"),
+        ("analyze-state", "[2.9, 2.1]", "[2, 2]"),
+    ],
+    ids=["d_in-1e400", "dims-Infinity", "d_in-2.5", "dims-2.9"],
+)
+def test_malformed_dimensions_exit_2(tmp_path, capsys, verb, bad, good):
+    path = tmp_path / "input.json"
+    path.write_text(_file_with_dims(verb, bad))
+    assert main([verb, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    path.write_text(_file_with_dims(verb, good))
+    assert main([verb, str(path), "--restarts", "0", "--max-iters", "1"]) == 0
 
 
 def test_analyze_state_error_codes(tmp_path, capsys):

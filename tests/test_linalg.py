@@ -158,6 +158,9 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(4) / 4, dims=(3, 2))  # dims do not multiply out
+    for dims in ((2.5, 1.6), (float("inf"), 2), (2, float("nan"))):
+        with pytest.raises(ValueError, match="dims"):
+            DensityMatrix(np.eye(4) / 4, dims=dims)  # not integers
 
 
 def test_density_matrix_with_dims():
@@ -169,6 +172,9 @@ def test_density_matrix_with_dims():
 def test_pure_state_validation_and_density():
     with pytest.raises(ValueError):
         PureState(np.array([1.0, 1.0]))  # not normalized
+    for dims in ((-2, -2), (4.0, 1.5), (float("inf"), 2)):
+        with pytest.raises(ValueError, match="dims"):
+            PureState(np.eye(4)[0], dims=dims)
     psi = basis_state(3, 1)
     rho = psi.to_density()
     assert np.isclose(rho.mat[1, 1], 1.0)

@@ -161,6 +161,32 @@ def test_optimizer_beats_random_sampling():
     assert cert.value >= best - 1e-9
 
 
+_EVALUATED_SEARCHES = {
+    "max_ic": (maximize_coherent_information, channel_coherent_information),
+    "min_ic": (minimize_coherent_information, channel_coherent_information),
+    "rci": (maximize_reverse_coherent_information, reverse_coherent_information),
+}
+
+
+@pytest.mark.parametrize("base", [2.0, math.e], ids=["bits", "nats"])
+@pytest.mark.parametrize("d_in, d_out", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("search", list(_EVALUATED_SEARCHES))
+def test_search_value_is_its_evaluator_at_its_witness(search, d_in, d_out, base):
+    cfg = OptimizerConfig(restarts=1, max_iters=40)
+    rng = np.random.default_rng(10 * d_in + d_out)
+    phi = random_channel(d_in, d_out, 2, rng)
+    find, evaluate = _EVALUATED_SEARCHES[search]
+    cert = find(phi, cfg, base)
+    assert abs(evaluate(phi, cert.witness, base) - cert.value) <= 1e-12
+    # the base-free engines re-check exactly
+    psi = random_channel(d_in, d_out, 2, rng)
+    seesaw = seesaw_diamond_lower(phi, psi, cfg)
+    assert seesaw_objective(phi, psi, seesaw.witness.vec) == seesaw.value
+    rho = random_density_matrix(d_in * d_out, rng, rank=2, dims=(d_in, d_out))
+    oracle = trace_dist_to_ppt(rho, cfg)
+    assert trace_norm(rho.mat - oracle.witness.mat) == oracle.value
+
+
 def test_seesaw_erasure_pair_reference():
     cert = seesaw_diamond_lower(erasure(2, 0.3), erasure(2, 0.8), _FAST)
     assert np.isclose(cert.value, 1.0, atol=1e-6)
