@@ -106,13 +106,13 @@ class ChoiMatrix:
 
 
 def apply_mat(phi: KrausChannel, m: np.ndarray) -> np.ndarray:
-    """Channel action on a raw matrix (no state validation)."""
-    return (phi.kraus @ m @ phi.kraus.conj().transpose(0, 2, 1)).sum(0)
+    """Channel action on a raw matrix or a stack of them (no state validation)."""
+    return (phi.kraus @ m[..., None, :, :] @ phi.kraus.conj().transpose(0, 2, 1)).sum(-3)
 
 
 def adjoint_apply_mat(phi: KrausChannel, m: np.ndarray) -> np.ndarray:
-    """Heisenberg-picture action sum_k K^dag M K."""
-    return (phi.kraus.conj().transpose(0, 2, 1) @ m @ phi.kraus).sum(0)
+    """Heisenberg-picture action sum_k K^dag M K, on a matrix or a stack."""
+    return (phi.kraus.conj().transpose(0, 2, 1) @ m[..., None, :, :] @ phi.kraus).sum(-3)
 
 
 def _check_input(phi: KrausChannel, rho: DensityMatrix) -> None:

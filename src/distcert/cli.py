@@ -67,9 +67,7 @@ def _base_of(args) -> float:
 
 
 def _cfg_of(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        restarts=args.restarts, max_iters=args.max_iters, seed=args.seed
-    )
+    return OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
 
 
 def _search_note(cert) -> str:
@@ -135,6 +133,8 @@ def _cmd_analyze_state(args) -> int:
     cfg = _cfg_of(args)
     da, db = rho.dims
     d = min(da, db)
+    if d < 2:
+        raise ValueError(f"state dims ({da}, {db}) have a trivial factor; both must be >= 2")
     n = rho.dim
     ic = max_coherent_information(rho, base)
     mi = mutual_information(rho, base)
@@ -251,13 +251,8 @@ def _table_tightness(ds: list[int], x: float, base: float) -> tuple[list[str], l
         eq9_upper = 2.0 * x
         eq12 = eq12_kernel((1.0 - p) * log_d, d, base)
         eq12_upper = 2.0 * (1.0 - p)
-        rows.append(
-            [d, eq9, eq9_upper, eq9 / eq9_upper, eq12, eq12_upper, eq12 / eq12_upper]
-        )
-    return (
-        ["d", "Eq9", "Eq9_upper", "Eq9_ratio", "Eq12", "Eq12_upper", "Eq12_ratio"],
-        rows,
-    )
+        rows.append([d, eq9, eq9_upper, eq9 / eq9_upper, eq12, eq12_upper, eq12 / eq12_upper])
+    return ["d", "Eq9", "Eq9_upper", "Eq9_ratio", "Eq12", "Eq12_upper", "Eq12_ratio"], rows
 
 
 def _table_text(name, columns, rows, base, fmt) -> str:
@@ -268,15 +263,8 @@ def _table_text(name, columns, rows, base, fmt) -> str:
         for row in rows:
             w.writerow([repr(float(c)) if isinstance(c, float) else c for c in row])
         return buf.getvalue()
-    return json.dumps(
-        {
-            "table": name,
-            "log_base": base_label(base),
-            "columns": columns,
-            "rows": rows,
-        },
-        indent=2,
-    )
+    table = {"table": name, "log_base": base_label(base), "columns": columns, "rows": rows}
+    return json.dumps(table, indent=2)
 
 
 # table name -> (default --d-range, build(ds, args, base) -> (columns, rows))

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .linalg import DensityMatrix, clip_eigenvalues, partial_trace
+from .linalg import DensityMatrix, _require_dims, clip_eigenvalues, partial_trace
 
 NAT = math.e
 
@@ -66,8 +66,10 @@ def spectrum_entropy(w: np.ndarray, base: float = 2.0) -> float:
     return float(_eta(np.asarray(w, dtype=float), base).sum())
 
 
-def _entropy_mat(m: np.ndarray, base: float) -> float:
-    return spectrum_entropy(clip_eigenvalues(np.linalg.eigvalsh(m)), base)
+def _entropy_mat(m: np.ndarray, base: float):
+    """Entropy of a PSD matrix; an array of them for a stack of matrices."""
+    h = _eta(clip_eigenvalues(np.linalg.eigvalsh(m)), base).sum(-1)
+    return h if h.ndim else float(h)
 
 
 def von_neumann_entropy(rho: DensityMatrix, base: float = 2.0) -> float:
@@ -106,8 +108,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix, base: float = 2.0
 def mutual_information(rho: DensityMatrix, base: float = 2.0) -> float:
     """I(A:B) = H(A) + H(B) - H(AB) for a bipartite state."""
     base = _check_base(base)
-    if rho.dims is None:
-        raise ValueError("mutual information needs a state with explicit dims")
+    _require_dims(rho)
     ha = von_neumann_entropy(partial_trace(rho, "B"), base)
     hb = von_neumann_entropy(partial_trace(rho, "A"), base)
     return ha + hb - von_neumann_entropy(rho, base)
@@ -116,8 +117,7 @@ def mutual_information(rho: DensityMatrix, base: float = 2.0) -> float:
 def coherent_information(rho: DensityMatrix, direction: str = "a->b", base: float = 2.0) -> float:
     """I(A>B) = H(rho_B) - H(rho_AB), or I(B>A) with direction "b->a"."""
     base = _check_base(base)
-    if rho.dims is None:
-        raise ValueError("coherent information needs a state with explicit dims")
+    _require_dims(rho)
     if direction == "a->b":
         kept = von_neumann_entropy(partial_trace(rho, "A"), base)
     elif direction == "b->a":

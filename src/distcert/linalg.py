@@ -38,13 +38,13 @@ def _as_matrix(m) -> np.ndarray:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Symmetrized part (M + M^dag)/2."""
-    return 0.5 * (m + m.conj().T)
+    """Symmetrized part (M + M^dag)/2, of each matrix of a stack too."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def herm_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation from Hermiticity."""
-    return float(np.max(np.abs(m - m.conj().T), initial=0.0))
+    """Largest entrywise deviation from Hermiticity, over a whole stack too."""
+    return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0))
 
 
 def clip_eigenvalues(w: np.ndarray) -> np.ndarray:
@@ -75,11 +75,13 @@ def hermitian_eigen(m) -> HermitianEigen:
     decomposed so the result is exactly real-spectral. Eigenvalues come back
     ascending with orthonormal eigenvector columns.
     """
-    a = _as_matrix(m)
+    return HermitianEigen(*_checked_eigh(_as_matrix(m)))
+
+
+def _checked_eigh(a: np.ndarray):  # a matrix or a stack of them
     if herm_defect(a) > INPUT_HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within 1e-8")
-    w, v = np.linalg.eigh(hermitize(a))
-    return HermitianEigen(w, v)
+    return np.linalg.eigh(hermitize(a))
 
 
 def _dense_split(n: int, dims) -> tuple[int, int] | None:
@@ -210,16 +212,13 @@ def chaotic_state(d: int, dims: tuple[int, int] | None = None) -> DensityMatrix:
 
 def maximally_entangled(d: int) -> PureState:
     """sum_i |ii> / sqrt(d) on d (x) d."""
-    vec = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        vec[i * d + i] = 1.0
-    return PureState(vec / np.sqrt(d), dims=(d, d))
+    return PureState(np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d), dims=(d, d))
 
 
 def hermitian_log(m: np.ndarray) -> np.ndarray:
-    """log of a positive matrix; eigenvalues floored at 1e-300."""
+    """log of a positive matrix (of each, for a stack); eigenvalues floored at 1e-300."""
     w, v = np.linalg.eigh(hermitize(m))
-    return (v * np.log(np.maximum(w, _LOG_FLOOR))) @ v.conj().T
+    return (v * np.log(np.maximum(w, _LOG_FLOOR))[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def random_density_matrix(

@@ -1,11 +1,13 @@
 """Certified search routines feeding the distance bounds.
 
-Three searches run on one driver, ``_drive``, which repeats a search's
-``step`` until no move improves, ``_STALL_LIMIT`` gains in a row fall below
-``_TOL``, or ``max_iters`` runs out:
+Three searches share one stop rule (``_stall``; ``_drive`` runs it for a
+single search): a search ends when no move improves, ``_STALL_LIMIT`` gains
+in a row fall below ``_TOL``, or ``max_iters`` runs out:
 
 * mirror ascent over density matrices for maximizing or minimizing coherent
-  information and its reverse variant,
+  information and its reverse variant; all seeds of one search advance in
+  lockstep as one (S, n, n) stack (``_ascent_stack``), each along exactly the
+  path it takes alone,
 * a see-saw alternation giving certified lower bounds on diamond-norm
   distance between two channels,
 * projected gradient descent over PPT states for the relative entropy of
@@ -40,6 +42,7 @@ from .entropy import _check_base
 from .linalg import (
     DensityMatrix,
     PureState,
+    _checked_eigh,
     _require_dims,
     hermitian_eigen,
     hermitian_log,
@@ -104,30 +107,37 @@ class Certificate:
 
 
 def _drive(step, max_iters: int) -> tuple[bool, int]:
-    """Repeat ``step`` until the search stops; return (converged, iterations).
-
-    ``step()`` makes one move and returns its gain, or None when no move
-    improves. None, or ``_STALL_LIMIT`` gains in a row below ``_TOL``,
-    converges; running out of ``max_iters`` leaves the search unconverged.
-    """
+    """Repeat ``step`` (one move; its gain, or None when no move improves) until
+    ``_stall`` converges, or ``max_iters`` runs out; (converged, iterations)."""
     stall = 0
     for it in range(1, max_iters + 1):
-        gain = step()
-        if gain is None:
-            return True, it
-        stall = stall + 1 if gain < _TOL else 0
-        if stall >= _STALL_LIMIT:
+        if (stall := _stall(stall, step())) is None:
             return True, it
     return False, max_iters
 
 
-def _line_search(trial_at, improves, eta: float, tries: int):
-    """Halve ``eta`` until ``trial_at(eta)`` improves; (eta, trial) or (None, None)."""
+def _stall(stall: int, gain) -> int | None:
+    """Stall count after a step gaining ``gain``; None on convergence: no move
+    improved (gain None) or ``_STALL_LIMIT`` gains in a row fell below ``_TOL``."""
+    if gain is None:
+        return None
+    stall = stall + 1 if gain < _TOL else 0
+    return None if stall >= _STALL_LIMIT else stall
+
+
+def _halvings(eta: float, tries: int):
+    """The step sizes a line search tries: eta, eta / 2, ..., ``tries`` of them."""
     for _ in range(tries):
-        trial = trial_at(eta)
-        if improves(trial):
-            return eta, trial
+        yield eta
         eta *= 0.5
+
+
+def _line_search(trial_at, improves, eta: float, tries: int):
+    """First (eta, trial_at(eta)) of ``_halvings`` that improves, or (None, None)."""
+    for e in _halvings(eta, tries):
+        trial = trial_at(e)
+        if improves(trial):
+            return e, trial
     return None, None
 
 
@@ -181,37 +191,77 @@ def _rci_gradient(comp, rho_mat, lb):
     return hermitize(adjoint_apply_mat(comp, env_log) - _log_base(rho_mat, lb))
 
 
-def _mirror_step(rho: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
-    w, u = hermitian_eigen(hermitian_log(rho) + eta * grad)
-    ew = np.exp(w - w.max())
-    ew /= ew.sum()
-    return (u * ew) @ u.conj().T
+def _mirror_step(log_rho: np.ndarray, grad: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Trace-normalized exp(log_rho + eta * grad) per matrix of the stacks (eta per matrix)."""
+    w, u = _checked_eigh(log_rho + eta[:, None, None] * grad)
+    ew = np.exp(w - w.max(-1, keepdims=True))
+    ew /= ew.sum(-1, keepdims=True)
+    return (u * ew[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
-def _single_ascent(value_fn, grad_fn, rho, cfg):
-    val = value_fn(rho)
-    history = [val]
-    eta = _STEP
+def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int):
+    """Mirror ascent from every matrix of the stack ``seeds`` in lockstep.
 
-    def step():
-        nonlocal rho, val, eta
-        grad = grad_fn(rho)
+    Returns (runs, advance). A round, advance(), sends the next trial of every
+    running seed through one stacked mirror step and one stacked ``value_fn``
+    call, and the seeds that accepted through one ``grad_fn`` call; runs[s]
+    turns from None into seed s's (rho, value, history, converged, iterations)
+    when it stops. Seeds never mix, so each follows the path it follows alone.
+    """
+    rho = np.array(seeds, dtype=complex)
+    vals = value_fn(rho).tolist()
+    history = [[v] for v in vals]
+    n = len(rho)
+    runs = [None if max_iters else (rho[s], vals[s], history[s], False, 0) for s in range(n)]
+    etas, eta, stall, its = [None] * n, [_STEP] * n, [0] * n, [0] * n
+    log_rho, grad = np.empty_like(rho), np.empty_like(rho)
 
-        def trial_at(e):
-            trial = _mirror_step(rho, grad, e)
-            return value_fn(trial), trial
+    def begin(idx):  # the next step of seeds idx: one log of rho, one gradient
+        for s in idx:
+            its[s] += 1
+            etas[s] = _halvings(eta[s], 50)
+        if idx:
+            grad[idx] = grad_fn(rho[idx])
+            log_rho[idx] = hermitian_log(rho[idx])
 
-        eta_ok, found = _line_search(trial_at, lambda t: t[0] > val + 1e-15, eta, 50)
-        if found is None:
-            return None
-        gain = found[0] - val
-        val, rho = found
-        history.append(val)
-        eta = min(eta_ok * 2.0, 4.0)
-        return gain
+    def settle(s, gain) -> bool:  # seed s's step ended; True if it goes on
+        stall[s] = _stall(stall[s], gain)
+        if stall[s] is None or its[s] == max_iters:
+            runs[s] = (rho[s], vals[s], history[s], stall[s] is None, its[s])
+        return runs[s] is None
 
-    converged, it = _drive(step, cfg.max_iters)
-    return rho, val, history, converged, it
+    def advance():
+        idx, steps = [], []
+        for s in [s for s in range(n) if runs[s] is None]:
+            if (e := next(etas[s], None)) is None:
+                settle(s, None)  # no step size improved
+            else:
+                idx.append(s)
+                steps.append(e)
+        if not idx:
+            return
+        trial = _mirror_step(log_rho[idx], grad[idx], np.array(steps))
+        goes_on = []
+        for s, e, t, v in zip(idx, steps, trial, value_fn(trial).tolist()):
+            if v > vals[s] + 1e-15:
+                gain = v - vals[s]
+                rho[s], vals[s] = t, v
+                history[s].append(v)
+                eta[s] = min(e * 2.0, 4.0)
+                if settle(s, gain):
+                    goes_on.append(s)
+        begin(goes_on)
+
+    begin([s for s in range(n) if runs[s] is None])
+    return runs, advance
+
+
+def _single_ascent(stack, s: int):
+    """Seed s's run of an ``_ascent_stack``, advancing it until that seed stops."""
+    runs, advance = stack
+    while runs[s] is None:
+        advance()
+    return runs[s]
 
 
 def _ascent_seeds(d: int, cfg: OptimizerConfig) -> list:
@@ -230,10 +280,11 @@ def _ascent_certificate(kind, phi, cfg, base, value_fn, grad_fn, sign=1) -> Cert
     lb = math.log(base)
     comp = complement(phi)
     cfg = cfg or OptimizerConfig()
-    runs = (
-        _single_ascent(lambda m: value_fn(comp, m, base), lambda m: grad_fn(comp, m, lb), s, cfg)
-        for s in _ascent_seeds(phi.d_in, cfg)
+    seeds = _ascent_seeds(phi.d_in, cfg)
+    stack = _ascent_stack(
+        lambda m: value_fn(comp, m, base), lambda m: grad_fn(comp, m, lb), seeds, cfg.max_iters
     )
+    runs = (_single_ascent(stack, s) for s in range(len(seeds)))
     return _best_certificate(kind, runs, DensityMatrix, sign)
 
 

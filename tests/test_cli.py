@@ -355,6 +355,18 @@ def test_malformed_dimensions_exit_2(tmp_path, capsys, verb, bad, good):
     assert main([verb, str(path), "--restarts", "0", "--max-iters", "1"]) == 0
 
 
+def test_analyze_state_rejects_a_trivial_factor_before_any_search(tmp_path, capsys, monkeypatch):
+    searched = []
+    for name in ("ree_ppt_lower", "trace_dist_to_ppt"):
+        monkeypatch.setattr(f"distcert.cli.{name}", lambda *args, **kwargs: searched.append(args))
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_to_dict(DensityMatrix(np.eye(4) / 4, (1, 4)))))
+    assert main(["analyze-state", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "(1, 4)" in err
+    assert searched == []
+
+
 def test_analyze_state_error_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")

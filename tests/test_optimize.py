@@ -42,7 +42,19 @@ from distcert import (
     trace_norm,
     binary_entropy,
 )
-from distcert.optimize import _STALL_LIMIT, _STEP, _TOL, _drive, _single_ascent
+from distcert import optimize
+from distcert.channels import adjoint_apply_mat, apply_mat
+from distcert.entropy import _entropy_mat
+from distcert.linalg import hermitian_log, hermitize
+from distcert.optimize import (
+    _STALL_LIMIT,
+    _STEP,
+    _TOL,
+    _ascent_stack,
+    _drive,
+    _mirror_step,
+    _single_ascent,
+)
 
 LOG2_3 = math.log2(3)
 
@@ -386,13 +398,96 @@ def test_zero_iterations_evaluate_start_points_only():
 
 
 def test_ascent_counts_the_failed_step_only_when_nothing_improves():
-    rho = np.eye(2, dtype=complex) / 2
-    flat = _single_ascent(lambda r: 0.0, np.zeros_like, rho, _FAST)
+    rho = np.eye(2, dtype=complex)[None] / 2
+    flat_stack = _ascent_stack(lambda r: np.zeros(len(r)), np.zeros_like, rho, _FAST.max_iters)
+    flat = _single_ascent(flat_stack, 0)
     assert flat[2:] == ([0.0], True, 1)
     values = iter(range(1000))
-    creeping = _single_ascent(lambda r: 1e-9 * next(values), np.zeros_like, rho, _FAST)
+
+    def creep(r):
+        return 1e-9 * np.array([next(values) for _ in r])
+
+    creeping = _single_ascent(_ascent_stack(creep, np.zeros_like, rho, _FAST.max_iters), 0)
     assert creeping[3:] == (True, _STALL_LIMIT)
     assert len(creeping[2]) == _STALL_LIMIT + 1
+
+
+# ----- lockstep multistart -----
+
+
+def _stop_reason(run):
+    _, _, history, converged, iterations = run
+    if not converged:
+        return "max_iters"
+    return "stall" if iterations == len(history) - 1 else "line search"
+
+
+_LOCKSTEP_CHANNELS = {
+    "2->3": lambda: random_channel(2, 3, 2, np.random.default_rng(2)),
+    "3->2": lambda: random_channel(3, 2, 2, np.random.default_rng(3)),
+    "1->3": lambda: random_channel(1, 3, 2, np.random.default_rng(4)),
+}
+
+
+@pytest.mark.parametrize("max_iters", [0, 3, 120])
+@pytest.mark.parametrize("base", [2.0, math.e], ids=["bits", "nats"])
+@pytest.mark.parametrize("channel", list(_LOCKSTEP_CHANNELS))
+@pytest.mark.parametrize(
+    "search",
+    [maximize_coherent_information, minimize_coherent_information, maximize_reverse_coherent_information],
+    ids=["max_ic", "min_ic", "max_rci"],
+)
+def test_lockstep_seeds_follow_their_single_seed_paths(monkeypatch, search, channel, base, max_iters):
+    stacks = []
+
+    def spy(*args):
+        stacks.append(args)
+        return _ascent_stack(*args)
+
+    monkeypatch.setattr(optimize, "_ascent_stack", spy)
+    search(_LOCKSTEP_CHANNELS[channel](), OptimizerConfig(restarts=2, max_iters=max_iters), base)
+    value_fn, grad_fn, seeds, limit = stacks[0]
+    lockstep = _ascent_stack(value_fn, grad_fn, seeds, limit)
+    runs = [_single_ascent(lockstep, s) for s in range(len(seeds))]
+    for s, (rho, val, history, converged, iterations) in enumerate(runs):
+        alone = _single_ascent(_ascent_stack(value_fn, grad_fn, seeds[s : s + 1], limit), 0)
+        assert np.array_equal(rho, alone[0])
+        bits = [float(h).hex() for h in (val, *history)]
+        assert bits == [float(h).hex() for h in (alone[1], *alone[2])]
+        assert (converged, iterations) == alone[3:]
+    if max_iters == 0:
+        assert all(run[2:] == ([run[1]], False, 0) for run in runs)
+    if (search, channel, base, max_iters) == (maximize_coherent_information, "3->2", 2.0, 120):
+        # one stack where seeds stop for each of the three reasons
+        assert {_stop_reason(run) for run in runs} == {"stall", "line search", "max_iters"}
+
+
+def test_stack_kernels_act_slice_by_slice():
+    rng = np.random.default_rng(5)
+    phi = random_channel(3, 4, 3, rng)
+    stack = np.array([random_density_matrix(3, rng).mat for _ in range(4)])
+    out_stack = np.array([random_density_matrix(4, rng).mat for _ in range(4)])
+    cases = [
+        (lambda m: apply_mat(phi, m), stack),
+        (lambda m: adjoint_apply_mat(phi, m), out_stack),
+        (hermitize, stack + 0.1j * rng.standard_normal(stack.shape)),
+        (hermitian_log, stack),
+        (lambda m: _entropy_mat(m, 2.0), stack),
+        (lambda m: _entropy_mat(m, math.e), stack),
+    ]
+    for kernel, ms in cases:
+        assert np.array_equal(kernel(ms), np.array([kernel(m) for m in ms]))
+    assert type(_entropy_mat(stack[0], 2.0)) is float
+
+
+def test_mirror_step_checks_every_slice_for_hermiticity():
+    rng = np.random.default_rng(6)
+    log_rho = np.array([hermitian_log(random_density_matrix(3, rng).mat) for _ in range(3)])
+    grad = np.zeros_like(log_rho)
+    grad[1, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="matrix is not Hermitian within 1e-8"):
+        _mirror_step(log_rho, grad, np.full(3, 0.5))
+    assert _mirror_step(log_rho[[0, 2]], grad[[0, 2]], np.full(2, 0.5)).shape == (2, 3, 3)
 
 
 def _bell_like_state():
