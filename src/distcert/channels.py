@@ -29,7 +29,7 @@ class KrausChannel:
 
     The constructor accepts any sequence of d_out x d_in operators (a 3-D
     array included); ``kraus`` then holds them as one read-only complex
-    array of shape (d_env, d_out, d_in).
+    array of shape (d_env, d_out, d_in). Entries must be finite.
     """
 
     kraus: np.ndarray
@@ -46,6 +46,8 @@ class KrausChannel:
                     f"Kraus operator shape {a.shape} does not match ({self.d_out}, {self.d_in})"
                 )
         kraus = np.array(ops)
+        if not np.isfinite(kraus).all():  # NaN would pass the completeness check
+            raise ValueError("Kraus operators have a non-finite entry")
         s = (kraus.conj().transpose(0, 2, 1) @ kraus).sum(0)
         if np.max(np.abs(s - np.eye(self.d_in))) > COMPLETENESS_TOL:
             raise ValueError("Kraus operators do not satisfy completeness within 1e-9")
@@ -259,11 +261,7 @@ def _pairs_to_complex(data, shape: tuple) -> np.ndarray:
 
 
 def channel_to_dict(phi: KrausChannel) -> dict:
-    return {
-        "d_in": phi.d_in,
-        "d_out": phi.d_out,
-        "kraus": _complex_to_pairs(phi.kraus),
-    }
+    return {"d_in": phi.d_in, "d_out": phi.d_out, "kraus": _complex_to_pairs(phi.kraus)}
 
 
 def channel_from_dict(data: dict) -> KrausChannel:

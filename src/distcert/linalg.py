@@ -78,16 +78,19 @@ def hermitian_eigen(m) -> HermitianEigen:
     return HermitianEigen(*_checked_eigh(_as_matrix(m)))
 
 
-def _checked_eigh(a: np.ndarray):  # a matrix or a stack of them
-    if herm_defect(a) > INPUT_HERMITIAN_TOL:
+def _checked_eigh(a: np.ndarray):  # eigh(hermitize(a)) behind the 1e-8 guard; stacks too
+    ah = a.conj().swapaxes(-1, -2)
+    if np.max(np.abs(a - ah), initial=0.0) > INPUT_HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within 1e-8")
-    return np.linalg.eigh(hermitize(a))
+    return np.linalg.eigh(0.5 * (a + ah))
 
 
-def _dense_split(n: int, dims) -> tuple[int, int] | None:
-    """Cap an n-dimensional index and check its optional split d_A * d_B == n."""
-    if n > MAX_DIM:
+def _check_state(a: np.ndarray, dims) -> tuple[int, int] | None:
+    """Check a state's side n <= MAX_DIM, its entries finite, its split d_A * d_B == n."""
+    if (n := len(a)) > MAX_DIM:
         raise ValueError(f"dimension {n} exceeds the dense-storage cap {MAX_DIM}")
+    if not np.isfinite(a).all():  # NaN would pass every tolerance check
+        raise ValueError("state has a non-finite entry")
     if dims is None:
         return None
     da, db = (_as_int(x, "dims entry") for x in dims)
@@ -107,8 +110,8 @@ class DensityMatrix:
     """Validated quantum state.
 
     ``dims`` optionally records a bipartite split (d_A, d_B) with
-    d_A * d_B equal to the total dimension. Construction checks Hermiticity
-    (1e-10), unit trace (1e-10), and spectrum >= -1e-10.
+    d_A * d_B equal to the total dimension. Construction checks finite
+    entries, Hermiticity (1e-10), unit trace (1e-10), and spectrum >= -1e-10.
     """
 
     mat: np.ndarray
@@ -116,7 +119,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         a = _as_matrix(self.mat)
-        object.__setattr__(self, "dims", _dense_split(a.shape[0], self.dims))
+        object.__setattr__(self, "dims", _check_state(a, self.dims))
         if herm_defect(a) > STATE_HERMITIAN_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-10")
         tr = a.trace()
@@ -138,14 +141,14 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit vector, optionally with a bipartite split of its index."""
+    """Finite unit vector, optionally with a bipartite split of its index."""
 
     vec: np.ndarray
     dims: tuple[int, int] | None = None
 
     def __post_init__(self):
         v = np.asarray(self.vec, dtype=complex).reshape(-1)
-        object.__setattr__(self, "dims", _dense_split(v.size, self.dims))
+        object.__setattr__(self, "dims", _check_state(v, self.dims))
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > STATE_TRACE_TOL:
             raise ValueError(f"norm {nrm:.12g} differs from 1 by more than 1e-10")

@@ -158,10 +158,6 @@ def _sign_matrix(m: np.ndarray) -> np.ndarray:
 # ----- mirror ascent over density matrices -----
 
 
-def _log_base(m: np.ndarray, lb: float) -> np.ndarray:
-    return hermitian_log(m) / lb
-
-
 def coherent_information_gradient(
     phi: KrausChannel, rho_mat: np.ndarray, base: float = 2.0
 ) -> np.ndarray:
@@ -170,25 +166,25 @@ def coherent_information_gradient(
     The identity components of both entropy gradients cancel because channel
     adjoints are unital, leaving adjoint-propagated logarithms.
     """
-    return _ic_gradient(phi, complement(phi), rho_mat, math.log(_check_base(base)))
+    return _ic_gradient(phi, complement(phi), rho_mat, None, math.log(_check_base(base)))
 
 
 def reverse_coherent_information_gradient(
     phi: KrausChannel, rho_mat: np.ndarray, base: float = 2.0
 ) -> np.ndarray:
     """Euclidean gradient of rho -> H(rho) - H(complement(rho))."""
-    return _rci_gradient(complement(phi), rho_mat, math.log(_check_base(base)))
+    return _rci_gradient(complement(phi), rho_mat, hermitian_log(rho_mat), math.log(_check_base(base)))
 
 
-def _ic_gradient(phi, comp, rho_mat, lb):
-    out_log = _log_base(apply_mat(phi, rho_mat), lb)
-    env_log = _log_base(apply_mat(comp, rho_mat), lb)
+def _ic_gradient(phi, comp, rho_mat, log_rho, lb):  # log_rho unused: _rci_gradient's signature
+    out_log = hermitian_log(apply_mat(phi, rho_mat)) / lb
+    env_log = hermitian_log(apply_mat(comp, rho_mat)) / lb
     return hermitize(adjoint_apply_mat(comp, env_log) - adjoint_apply_mat(phi, out_log))
 
 
-def _rci_gradient(comp, rho_mat, lb):
-    env_log = _log_base(apply_mat(comp, rho_mat), lb)
-    return hermitize(adjoint_apply_mat(comp, env_log) - _log_base(rho_mat, lb))
+def _rci_gradient(comp, rho_mat, log_rho, lb):
+    env_log = hermitian_log(apply_mat(comp, rho_mat)) / lb
+    return hermitize(adjoint_apply_mat(comp, env_log) - log_rho / lb)
 
 
 def _mirror_step(log_rho: np.ndarray, grad: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -204,9 +200,10 @@ def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int):
 
     Returns (runs, advance). A round, advance(), sends the next trial of every
     running seed through one stacked mirror step and one stacked ``value_fn``
-    call, and the seeds that accepted through one ``grad_fn`` call; runs[s]
-    turns from None into seed s's (rho, value, history, converged, iterations)
-    when it stops. Seeds never mix, so each follows the path it follows alone.
+    call, and the seeds that accepted through one ``grad_fn(rho, log_rho)``
+    call; runs[s] turns from None into seed s's (rho, value, history,
+    converged, iterations) when it stops. Seeds never mix, so each follows
+    the path it follows alone.
     """
     rho = np.array(seeds, dtype=complex)
     vals = value_fn(rho).tolist()
@@ -221,8 +218,8 @@ def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int):
             its[s] += 1
             etas[s] = _halvings(eta[s], 50)
         if idx:
-            grad[idx] = grad_fn(rho[idx])
             log_rho[idx] = hermitian_log(rho[idx])
+            grad[idx] = grad_fn(rho[idx], log_rho[idx])
 
     def settle(s, gain) -> bool:  # seed s's step ended; True if it goes on
         stall[s] = _stall(stall[s], gain)
@@ -275,14 +272,14 @@ def _ascent_seeds(d: int, cfg: OptimizerConfig) -> list:
 
 def _ascent_certificate(kind, phi, cfg, base, value_fn, grad_fn, sign=1) -> Certificate:
     """Best-of-seeds mirror ascent of value_fn(comp, m, base) over input matrices m of
-    phi, comp = complement(phi); grad_fn(comp, m, log(base)) is its gradient."""
+    phi, comp = complement(phi); grad_fn(comp, m, log m, log(base)) is its gradient."""
     base = _check_base(base)
     lb = math.log(base)
     comp = complement(phi)
     cfg = cfg or OptimizerConfig()
     seeds = _ascent_seeds(phi.d_in, cfg)
     stack = _ascent_stack(
-        lambda m: value_fn(comp, m, base), lambda m: grad_fn(comp, m, lb), seeds, cfg.max_iters
+        lambda m: value_fn(comp, m, base), partial(grad_fn, comp, lb=lb), seeds, cfg.max_iters
     )
     runs = (_single_ascent(stack, s) for s in range(len(seeds)))
     return _best_certificate(kind, runs, DensityMatrix, sign)
@@ -312,8 +309,8 @@ def minimize_coherent_information(
     def neg_ic(comp, m, b):
         return 0.0 - _coherent_information_mat(phi, comp, m, b)
 
-    def neg_ic_gradient(comp, m, lb):
-        return -_ic_gradient(phi, comp, m, lb)
+    def neg_ic_gradient(comp, m, log_m, lb):
+        return -_ic_gradient(phi, comp, m, log_m, lb)
 
     return _ascent_certificate("negIc", phi, cfg, base, neg_ic, neg_ic_gradient, sign=-1)
 
@@ -393,54 +390,58 @@ def seesaw_diamond_lower(
 # ----- PPT geometry -----
 
 
+def _four_index_shape(a: np.ndarray, dims) -> tuple[int, int, int, int]:
+    """(d_A, d_B, d_A, d_B), after checking that ``a`` is square of side d_A * d_B."""
+    da, db = dims
+    if a.shape != (da * db, da * db):
+        raise ValueError(f"shape {a.shape} incompatible with dims {dims}")
+    return da, db, da, db
+
+
 def partial_transpose(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """Transpose the second tensor factor of a bipartite operator."""
-    da, db = dims
-    n = da * db
     a = np.asarray(mat, dtype=complex)
-    if a.shape != (n, n):
-        raise ValueError(f"shape {a.shape} incompatible with dims {dims}")
-    return a.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(n, n)
+    return a.reshape(_four_index_shape(a, dims)).transpose(0, 3, 2, 1).reshape(a.shape)
 
 
-def _project_simplex(w: np.ndarray) -> np.ndarray:
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(u) + 1)
-    k = idx[u - css / idx > 0][-1]
-    tau = css[k - 1] / k
-    return np.maximum(w - tau, 0.0)
-
-
-def _project_density(mat: np.ndarray) -> np.ndarray:
-    w, u = hermitian_eigen(mat)
-    return (u * _project_simplex(w)) @ u.conj().T
-
-
-def _project_pt_psd(mat: np.ndarray, dims) -> np.ndarray:
-    g = partial_transpose(mat, dims)
-    w, u = hermitian_eigen(g)
-    clipped = (u * np.maximum(w, 0.0)) @ u.conj().T
-    return partial_transpose(clipped, dims)
+def _project_density(a: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Nearest density matrix to Hermitian ``a``: its spectrum projected onto
+    the probability simplex; ``ranks`` is 1.0, 2.0, ..., n."""
+    w, u = _checked_eigh(a)
+    css = np.cumsum(w[::-1]) - 1.0  # eigh sorts ascending: w[::-1] is descending
+    k = np.flatnonzero(w[::-1] - css / ranks > 0)[-1]
+    return (u * np.maximum(w - css[k] / (k + 1), 0.0)) @ u.conj().T
 
 
 def project_ppt(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """Nearest PPT density matrix in Frobenius norm, via Dykstra alternation.
 
-    Alternates exact projections onto the density-matrix set and onto the
-    cone of operators with positive partial transpose, with Dykstra
-    corrections so the limit is the true projection onto the intersection.
-    Returns the density-matrix-side iterate, which is always a valid state.
+    A sweep projects exactly onto the density matrices (``_project_density``,
+    once per sweep, so its calls count sweeps), then onto the cone with positive
+    partial transpose, each eigendecomposition behind the 1e-8 Hermiticity
+    check; Dykstra's corrections p, q make the limit the projection onto the
+    intersection. It stops once the two iterates lie within 1e-10 in Frobenius
+    norm, or after 200 sweeps without any flag, and returns the density-side
+    iterate, always a valid state.
     """
-    x = hermitize(np.asarray(mat, dtype=complex))
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
+    a = np.asarray(mat, dtype=complex)
+    four = _four_index_shape(a, dims)
+
+    def pt(m):  # partial_transpose, its shape checked once above
+        return m.reshape(four).transpose(0, 3, 2, 1).reshape(a.shape)
+
+    x = hermitize(a)
+    p = q = np.zeros_like(x)
     y = x
+    ranks = np.arange(1.0, len(x) + 1)
     for _ in range(_DYKSTRA_MAX_ITERS):
-        y = _project_density(x + p)
-        p = x + p - y
-        x = _project_pt_psd(y + q, dims)
-        q = y + q - x
+        s = x + p
+        y = _project_density(s, ranks)
+        p = s - y
+        s = y + q
+        w, u = _checked_eigh(pt(s))
+        x = pt((u * np.maximum(w, 0.0)) @ u.conj().T)
+        q = s - x
         if np.linalg.norm(y - x) < _DYKSTRA_TOL:
             break
     return hermitize(y)
@@ -474,8 +475,7 @@ def _ree_terms(rho_t: np.ndarray, tr_rho_log_rho: float, sigma: np.ndarray, dims
     ws = np.maximum(ws, 1e-300)
     rho_e = us.conj().T @ rho_t @ us
     f_nat = tr_rho_log_rho - float(np.real(np.log(ws) @ np.diag(rho_e).real))
-    wa = ws[:, None]
-    wb = ws[None, :]
+    wa, wb = ws[:, None], ws[None, :]
     diff = wa - wb
     with np.errstate(divide="ignore", invalid="ignore"):
         kernel = (np.log(wa) - np.log(wb)) / diff
@@ -494,8 +494,7 @@ def _regularized(rho: DensityMatrix) -> tuple[np.ndarray, float, tuple[int, int]
     dims = _require_dims(rho)
     n = rho.dim
     rho_t = (1.0 - _RHO_FLOOR) * rho.mat + _RHO_FLOOR * np.eye(n) / n
-    w = np.linalg.eigvalsh(rho_t)
-    w = np.maximum(w, 1e-300)
+    w = np.maximum(np.linalg.eigvalsh(rho_t), 1e-300)
     return rho_t, float((w * np.log(w)).sum()), dims
 
 
@@ -569,8 +568,7 @@ def trace_dist_to_ppt(rho: DensityMatrix, cfg: OptimizerConfig | None = None) ->
     dims = _require_dims(rho)
     sigma = project_ppt(rho.mat, dims)
     val = trace_norm(rho.mat - sigma)
-    best_val = val
-    best_sigma = sigma
+    best_val, best_sigma = val, sigma
     history = [val]
     last_improvement = 0
     for it in range(1, cfg.max_iters + 1):

@@ -254,6 +254,14 @@ def test_kraus_completeness_enforced():
         KrausChannel((half,), 2, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_kraus_channel_rejects_non_finite_entries(bad):
+    ops = np.array([np.eye(2), np.zeros((2, 2))], dtype=complex)
+    ops[1, 0, 1] = bad
+    with pytest.raises(ValueError, match="Kraus operators have a non-finite entry"):
+        KrausChannel(ops, 2, 2)
+
+
 def test_apply_channel_dimension_check():
     with pytest.raises(ValueError, match="does not match"):
         apply_channel(erasure(3, 0.2), chaotic_state(2))

@@ -355,6 +355,24 @@ def test_malformed_dimensions_exit_2(tmp_path, capsys, verb, bad, good):
     assert main([verb, str(path), "--restarts", "0", "--max-iters", "1"]) == 0
 
 
+@pytest.mark.parametrize("verb", ["analyze-channel", "analyze-state"])
+def test_non_finite_entry_exits_2(tmp_path, capsys, verb):
+    # one NaN entry in a 2->2 channel or a 2x2 state; NaN fails no tolerance check
+    if verb == "analyze-channel":
+        data = channel_to_dict(identity_embedding(2, 2))
+        data["kraus"][0][0][1] = [float("nan"), 0.0]
+    else:
+        data = state_to_dict(maximally_entangled(2).to_density())
+        data["matrix"][0][1] = [float("nan"), 0.0]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main([verb, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "non-finite entry" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_analyze_state_rejects_a_trivial_factor_before_any_search(tmp_path, capsys, monkeypatch):
     searched = []
     for name in ("ree_ppt_lower", "trace_dist_to_ppt"):

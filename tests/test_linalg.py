@@ -21,7 +21,7 @@ from distcert import (
     tensor,
     trace_norm,
 )
-from distcert.linalg import clip_eigenvalues, hermitian_eigen, hermitian_log
+from distcert.linalg import _checked_eigh, clip_eigenvalues, hermitian_eigen, hermitian_log, hermitize
 
 
 def _random_complex(rng, shape):
@@ -131,6 +131,22 @@ def test_hermitian_eigen_rejects_non_hermitian():
         hermitian_eigen(mat)
 
 
+def test_checked_eigh_is_eigh_of_the_hermitized_input():
+    rng = np.random.default_rng(33)
+    h = _random_complex(rng, (4, 5, 5))
+    # Hermitian up to 1e-9 noise, so the symmetrization changes bits
+    h = h + h.conj().swapaxes(-1, -2) + 1e-9 * _random_complex(rng, (4, 5, 5))
+    for a in (h, h[0]):
+        w, u = _checked_eigh(a)
+        w_ref, u_ref = np.linalg.eigh(hermitize(a))
+        assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref)
+    bad = h.copy()
+    bad[2, 0, 1] += 1e-7
+    for a in (bad, bad[2]):
+        with pytest.raises(ValueError, match="matrix is not Hermitian within 1e-8"):
+            _checked_eigh(a)
+
+
 def test_hermitian_exp_log_invert_each_other():
     rng = np.random.default_rng(41)
     rho = random_density_matrix(4, rng)
@@ -161,6 +177,19 @@ def test_density_matrix_validation():
     for dims in ((2.5, 1.6), (float("inf"), 2), (2, float("nan"))):
         with pytest.raises(ValueError, match="dims"):
             DensityMatrix(np.eye(4) / 4, dims=dims)  # not integers
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "nan-imag"])
+def test_states_reject_non_finite_entries(bad):
+    # every tolerance check reads False on NaN, so NaN must be caught on its own
+    mat = np.eye(4, dtype=complex) / 4
+    mat[1, 2] = mat[2, 1] = bad
+    with pytest.raises(ValueError, match="state has a non-finite entry"):
+        DensityMatrix(mat, dims=(2, 2))
+    vec = np.eye(4, dtype=complex)[0]
+    vec[3] = bad
+    with pytest.raises(ValueError, match="state has a non-finite entry"):
+        PureState(vec, dims=(2, 2))
 
 
 def test_density_matrix_with_dims():

@@ -8,6 +8,7 @@ keeping must beat.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ from distcert import (
 from distcert import optimize
 from distcert.channels import adjoint_apply_mat, apply_mat
 from distcert.entropy import _entropy_mat
-from distcert.linalg import hermitian_log, hermitize
+from distcert.linalg import herm_defect, hermitian_log, hermitize
 from distcert.optimize import (
     _STALL_LIMIT,
     _STEP,
@@ -275,6 +276,84 @@ def test_project_ppt_output_is_ppt_density():
     assert np.linalg.eigvalsh(partial_transpose(proj, (2, 2))).min() >= -1e-8
 
 
+def _reference_project_ppt(mat, dims):
+    """The plain Dykstra loop: (projection, sweeps). Sorted-spectrum simplex
+    projection and partial transposes around the cone projection, every eigh
+    behind the 1e-8 guard."""
+
+    def eigh(m):
+        assert herm_defect(m) <= 1e-8
+        return np.linalg.eigh(hermitize(m))
+
+    def simplex(w):
+        u = np.sort(w)[::-1]
+        css = np.cumsum(u) - 1.0
+        idx = np.arange(1, len(u) + 1)
+        k = idx[u - css / idx > 0][-1]
+        return np.maximum(w - css[k - 1] / k, 0.0)
+
+    def density(m):
+        w, u = eigh(m)
+        return (u * simplex(w)) @ u.conj().T
+
+    def pt_psd(m):
+        w, u = eigh(partial_transpose(m, dims))
+        return partial_transpose((u * np.maximum(w, 0.0)) @ u.conj().T, dims)
+
+    x = hermitize(np.asarray(mat, dtype=complex))
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
+    for sweeps in range(1, 201):
+        y = density(x + p)
+        p = x + p - y
+        x = pt_psd(y + q)
+        q = y + q - x
+        if np.linalg.norm(y - x) < 1e-10:
+            break
+    return hermitize(y), sweeps
+
+
+def _random_hermitian(rng, n, scale):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return scale * (g + g.conj().T)
+
+
+def _ppt_cases():
+    rng = np.random.default_rng(21)
+    for dims in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)]:
+        n = dims[0] * dims[1]
+        rho = random_density_matrix(n, rng, rank=2).mat
+        near = rho + _random_hermitian(rng, n, 0.01)
+        yield pytest.param(near, dims, id=f"{dims[0]}x{dims[1]}-near-a-state")
+        yield pytest.param(_random_hermitian(rng, n, 1.0), dims, id=f"{dims[0]}x{dims[1]}-hermitian")
+    product = tensor(random_density_matrix(2, rng).mat, random_density_matrix(3, rng).mat)
+    yield pytest.param(product, (2, 3), id="already-ppt")
+    yield pytest.param(100.0 * maximally_entangled(2).to_density().mat, (2, 2), id="sweep-cap")
+
+
+@pytest.mark.parametrize("mat, dims", list(_ppt_cases()))
+def test_project_ppt_matches_the_reference_loop_bit_for_bit(monkeypatch, request, mat, dims):
+    expected, sweeps = _reference_project_ppt(mat, dims)
+    sweep_calls, eigh_calls = [], []
+    density, eigh = optimize._project_density, optimize._checked_eigh
+    monkeypatch.setattr(optimize, "_project_density", lambda *a: sweep_calls.append(1) or density(*a))
+    monkeypatch.setattr(optimize, "_checked_eigh", lambda a: eigh_calls.append(1) or eigh(a))
+    assert np.array_equal(project_ppt(mat, dims), expected)
+    assert len(sweep_calls) == sweeps
+    # both eigendecompositions of every sweep pass the 1e-8 Hermiticity guard
+    assert len(eigh_calls) == 2 * sweeps
+    case = request.node.callspec.id
+    if case == "already-ppt":
+        assert sweeps == 1
+    if case == "sweep-cap":
+        assert sweeps == optimize._DYKSTRA_MAX_ITERS == 200
+
+
+def test_project_ppt_wrong_dims_message():
+    with pytest.raises(ValueError, match=re.escape("shape (4, 4) incompatible with dims (2, 3)")):
+        project_ppt(np.eye(4) / 4, (2, 3))
+
+
 def test_ree_lower_bell_state():
     bell = maximally_entangled(2).to_density()
     cert = ree_ppt_lower(bell, _FAST)
@@ -399,7 +478,11 @@ def test_zero_iterations_evaluate_start_points_only():
 
 def test_ascent_counts_the_failed_step_only_when_nothing_improves():
     rho = np.eye(2, dtype=complex)[None] / 2
-    flat_stack = _ascent_stack(lambda r: np.zeros(len(r)), np.zeros_like, rho, _FAST.max_iters)
+
+    def no_gradient(r, log_r):
+        return np.zeros_like(r)
+
+    flat_stack = _ascent_stack(lambda r: np.zeros(len(r)), no_gradient, rho, _FAST.max_iters)
     flat = _single_ascent(flat_stack, 0)
     assert flat[2:] == ([0.0], True, 1)
     values = iter(range(1000))
@@ -407,9 +490,19 @@ def test_ascent_counts_the_failed_step_only_when_nothing_improves():
     def creep(r):
         return 1e-9 * np.array([next(values) for _ in r])
 
-    creeping = _single_ascent(_ascent_stack(creep, np.zeros_like, rho, _FAST.max_iters), 0)
+    creeping = _single_ascent(_ascent_stack(creep, no_gradient, rho, _FAST.max_iters), 0)
     assert creeping[3:] == (True, _STALL_LIMIT)
     assert len(creeping[2]) == _STALL_LIMIT + 1
+
+
+def test_reverse_ascent_takes_each_log_of_rho_once(monkeypatch):
+    # the mirror step and the gradient share one hermitian_log(rho) per step
+    logged = []
+    log = optimize.hermitian_log
+    monkeypatch.setattr(optimize, "hermitian_log", lambda m: logged.append(m.tobytes()) or log(m))
+    phi = random_channel(3, 2, 2, np.random.default_rng(5))
+    maximize_reverse_coherent_information(phi, OptimizerConfig(restarts=2, max_iters=30))
+    assert logged and len(logged) == len(set(logged))
 
 
 # ----- lockstep multistart -----
