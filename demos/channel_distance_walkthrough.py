@@ -8,7 +8,6 @@ distances quantify by how much.
 """
 
 from distcert import (
-    DensityMatrix,
     OptimizerConfig,
     assemble_report,
     choi,
@@ -36,9 +35,7 @@ def main():
 
     # The relative entropy of entanglement of the normalized Choi state
     # lower-bounds the channel's distance from entanglement breaking.
-    j = choi(phi)
-    choi_state = DensityMatrix(j.mat / phi.d_in, (phi.d_out, phi.d_in))
-    er = ree_ppt_lower(choi_state, cfg)
+    er = ree_ppt_lower(choi(phi), cfg)
     print(f"certified E_R of the Choi state: {er.value:.6f} bits "
           f"(exact value: (1-p)*log2(d) = 1.8)")
     print()

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .entropy import _check_base, _log, g_correction
 from .linalg import _as_int
 
@@ -39,26 +37,6 @@ class Formula(str, Enum):
     PROD_FROM_MI = "ProdMI"
 
 
-_MONOTONE_GRID = np.linspace(0.0, 2.0, 17)
-
-
-@dataclass(frozen=True)
-class ContinuityBoundSpec:
-    """Affine-plus-correction continuity bound A*eps + r(eps).
-
-    ``correction`` must be nondecreasing on [0, 2]; this is spot-checked on a
-    fixed grid at construction.
-    """
-
-    scale: float
-    correction: Callable[[float], float]
-
-    def __post_init__(self):
-        vals = [self.correction(float(t)) for t in _MONOTONE_GRID]
-        if any(b < a - 1e-12 for a, b in zip(vals, vals[1:])):
-            raise ValueError("correction term is not nondecreasing on [0, 2]")
-
-
 def _inversion_kernel(delta, scale: float, correction, *args) -> float:
     """The one inversion expression (delta - r(delta/A)) / A, sign-preserving.
 
@@ -66,19 +44,6 @@ def _inversion_kernel(delta, scale: float, correction, *args) -> float:
     is at least this value.
     """
     return float((delta - correction(delta / scale, *args)) / scale)
-
-
-def invert_continuity_bound(spec: ContinuityBoundSpec, delta: float) -> float:
-    """Distance forced by an entropic gap ``delta``, clamped at zero.
-
-    Inverts delta <= A*eps + r(eps) pessimistically: any eps achieving the
-    gap satisfies eps >= (delta - r(delta/A)) / A.
-    """
-    if spec.scale <= 0.0:
-        raise ValueError("continuity bound scale must be positive")
-    if delta < 0.0:
-        raise ValueError("entropic gap must be nonnegative")
-    return max(0.0, _inversion_kernel(delta, spec.scale, spec.correction))
 
 
 def _log_dim(d: int, base: float) -> float:
@@ -166,7 +131,9 @@ def antidegradable_distance_lower(ic: float, d: int, base: float = 2.0, clamped:
     """Diamond-norm distance from a channel to the antidegradable set.
 
     ``ic`` must be a positive achievable coherent information; d is the
-    smaller of the channel's input and output dimensions.
+    channel's input dimension d_in. Ic = -H(R|B) with a purifying reference
+    R of dimension rank(rho) <= d_in, and the conditional-entropy continuity
+    bound is taken in d_R; min(d_in, d_out) is not justified when d_out < d_in.
     """
     base = _check_base(base)
     if ic <= 0.0:
@@ -178,7 +145,8 @@ def degradable_distance_lower(neg_ic: float, d: int, base: float = 2.0, clamped:
     """Diamond-norm distance from a channel to the degradable set.
 
     ``neg_ic`` is the negated minimal coherent information, positive whenever
-    some input state has negative coherent information.
+    some input state has negative coherent information; d = d_in, as for
+    ``antidegradable_distance_lower``.
     """
     base = _check_base(base)
     if neg_ic <= 0.0:

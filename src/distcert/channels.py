@@ -19,8 +19,6 @@ from .entropy import _check_base, _entropy_mat
 from .linalg import DensityMatrix, _as_int, _require_dims, hermitize
 
 COMPLETENESS_TOL = 1e-9
-ISOMETRY_TOL = 1e-9
-CHOI_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,54 +57,6 @@ class KrausChannel:
         return self.kraus.shape[0]
 
 
-@dataclass(frozen=True)
-class StinespringIsometry:
-    """Isometry V: H_in -> H_out (x) H_env with V^dag V = I."""
-
-    v: np.ndarray
-    d_in: int
-    d_out: int
-    d_env: int
-
-    def __post_init__(self):
-        a = np.asarray(self.v, dtype=complex)
-        if a.shape != (self.d_out * self.d_env, self.d_in):
-            raise ValueError(f"isometry shape {a.shape} inconsistent with dims")
-        if np.max(np.abs(a.conj().T @ a - np.eye(self.d_in))) > ISOMETRY_TOL:
-            raise ValueError("V^dag V differs from the identity by more than 1e-9")
-        a.setflags(write=False)
-        object.__setattr__(self, "v", a)
-
-
-@dataclass(frozen=True)
-class ChoiMatrix:
-    """Choi operator sum_ij Phi(E_ij) (x) E_ij on H_out (x) H_in.
-
-    Normalized so the partial trace over the output factor is the input-space
-    identity (trace d_in overall).
-    """
-
-    mat: np.ndarray
-    d_in: int
-    d_out: int
-
-    def __post_init__(self):
-        a = np.asarray(self.mat, dtype=complex)
-        n = self.d_out * self.d_in
-        if a.shape != (n, n):
-            raise ValueError(f"Choi matrix shape {a.shape} inconsistent with dims")
-        if np.max(np.abs(a - a.conj().T)) > CHOI_TOL:
-            raise ValueError("Choi matrix is not Hermitian")
-        if float(np.linalg.eigvalsh(hermitize(a)).min()) < -CHOI_TOL:
-            raise ValueError("Choi matrix is not PSD")
-        red = a.reshape(self.d_out, self.d_in, self.d_out, self.d_in)
-        tr_out = np.trace(red, axis1=0, axis2=2)
-        if np.max(np.abs(tr_out - np.eye(self.d_in))) > CHOI_TOL:
-            raise ValueError("partial trace over the output is not the identity")
-        a.setflags(write=False)
-        object.__setattr__(self, "mat", a)
-
-
 def apply_mat(phi: KrausChannel, m: np.ndarray) -> np.ndarray:
     """Channel action on a raw matrix or a stack of them (no state validation)."""
     return (phi.kraus @ m[..., None, :, :] @ phi.kraus.conj().transpose(0, 2, 1)).sum(-3)
@@ -128,10 +78,11 @@ def apply_channel(phi: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(hermitize(apply_mat(phi, rho.mat)))
 
 
-def stinespring(phi: KrausChannel) -> StinespringIsometry:
-    """Dilation V = sum_k K_k (x) |k>_E, rows indexed (output, environment)."""
-    v = phi.kraus.transpose(1, 0, 2).reshape(phi.d_out * phi.d_env, phi.d_in)
-    return StinespringIsometry(v, phi.d_in, phi.d_out, phi.d_env)
+def stinespring(phi: KrausChannel) -> np.ndarray:
+    """Dilation V = sum_k K_k (x) |k>_E as a (d_out * d_env, d_in) array, rows
+    indexed (output, environment); V^dag V = sum_k K_k^dag K_k = I is the
+    completeness ``KrausChannel`` checks."""
+    return phi.kraus.transpose(1, 0, 2).reshape(phi.d_out * phi.d_env, phi.d_in)
 
 
 def complement(phi: KrausChannel) -> KrausChannel:
@@ -143,11 +94,16 @@ def complement(phi: KrausChannel) -> KrausChannel:
     return KrausChannel(phi.kraus.transpose(1, 0, 2), phi.d_in, phi.d_env)
 
 
-def choi(phi: KrausChannel) -> ChoiMatrix:
-    """Choi operator sum_k |K_k>><<K_k| of the row-major vectorized Kraus operators."""
+def choi(phi: KrausChannel) -> DensityMatrix:
+    """Normalized Choi state J / d_in on H_out (x) H_in, dims (d_out, d_in).
+
+    J = sum_ij Phi(E_ij) (x) E_ij = sum_k |K_k>><<K_k| over the row-major
+    vectorized Kraus operators; its partial trace over the output is the
+    input-space identity.
+    """
     vecs = phi.kraus.reshape(phi.d_env, -1)
     j = (vecs[:, :, None] * vecs.conj()[:, None, :]).sum(0)
-    return ChoiMatrix(j, phi.d_in, phi.d_out)
+    return DensityMatrix(j / phi.d_in, (phi.d_out, phi.d_in))
 
 
 # Raw-matrix cores behind the evaluators and the searches; comp = complement(phi).

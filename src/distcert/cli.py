@@ -28,7 +28,7 @@ from .channels import (
     load_state,
 )
 from .entropy import _log, binary_entropy, max_coherent_information, mutual_information
-from .linalg import DensityMatrix, _as_int
+from .linalg import _as_int
 from .optimize import (
     OptimizerConfig,
     maximize_coherent_information,
@@ -102,9 +102,7 @@ def _cmd_analyze_channel(args) -> int:
         "rci": f"mirror-ascent input state ({_search_note(rci_cert)})",
     }
     if args.ree:
-        j = choi(phi)
-        choi_state = DensityMatrix(j.mat / phi.d_in, (phi.d_out, phi.d_in))
-        er_cert = ree_ppt_lower(choi_state, cfg, base)
+        er_cert = ree_ppt_lower(choi(phi), cfg, base)
         certs.append(er_cert)
         er_val = er_cert.value
         witnesses["er"] = f"PPT descent candidate ({_search_note(er_cert)})"

@@ -108,7 +108,6 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix, base: float = 2.0
 def mutual_information(rho: DensityMatrix, base: float = 2.0) -> float:
     """I(A:B) = H(A) + H(B) - H(AB) for a bipartite state."""
     base = _check_base(base)
-    _require_dims(rho)
     ha = von_neumann_entropy(partial_trace(rho, "B"), base)
     hb = von_neumann_entropy(partial_trace(rho, "A"), base)
     return ha + hb - von_neumann_entropy(rho, base)

@@ -7,7 +7,6 @@ indices follow the Kronecker convention (i_A, i_B) -> i_A * d_B + i_B, so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,26 +60,19 @@ def clip_eigenvalues(w: np.ndarray) -> np.ndarray:
     return np.where(w < 0.0, 0.0, w)
 
 
-class HermitianEigen(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns are eigenvectors
-
-
-def hermitian_eigen(m) -> HermitianEigen:
-    """Eigendecomposition after symmetrization.
+def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, u) after symmetrization.
 
     The input must be Hermitian within 1e-8 entrywise; (M + M^dag)/2 is
-    decomposed so the result is exactly real-spectral. Eigenvalues come back
-    ascending with orthonormal eigenvector columns.
+    decomposed so the result is exactly real-spectral. Eigenvalues w come
+    back ascending, with the orthonormal eigenvectors as the columns of u.
     """
-    return HermitianEigen(*_checked_eigh(_as_matrix(m)))
+    return _checked_eigh(_as_matrix(m))
 
 
 def _checked_eigh(a: np.ndarray):  # eigh(hermitize(a)) behind the 1e-8 guard; stacks too
     ah = a.conj().swapaxes(-1, -2)
-    if np.max(np.abs(a - ah), initial=0.0) > INPUT_HERMITIAN_TOL:
+    if not np.max(np.abs(a - ah), initial=0.0) <= INPUT_HERMITIAN_TOL:  # NaN fails too
         raise ValueError("matrix is not Hermitian within 1e-8")
     return np.linalg.eigh(0.5 * (a + ah))
 
@@ -184,9 +176,12 @@ def partial_trace(rho: DensityMatrix, over: str) -> DensityMatrix:
 def trace_norm(m) -> float:
     """Sum of singular values; for Hermitian input, sum of |eigenvalues|."""
     a = _as_matrix(m)
-    if herm_defect(a) <= INPUT_HERMITIAN_TOL:
+    defect = herm_defect(a)
+    if defect <= INPUT_HERMITIAN_TOL:
         return float(np.sum(np.abs(np.linalg.eigvalsh(hermitize(a)))))
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+    if defect > INPUT_HERMITIAN_TOL:  # a NaN entry makes the defect NaN, which fails both tests
+        return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+    raise ValueError("matrix has a non-finite entry")
 
 
 def purify(rho: DensityMatrix) -> PureState:

@@ -305,9 +305,8 @@ def minimize_coherent_information(
     """Lowest coherent information found; negative values certify distance
     from the degradable set."""
 
-    # 0.0 - x, not -x: equal entropies score +0.0, as H(comp) - H(out) does
     def neg_ic(comp, m, b):
-        return 0.0 - _coherent_information_mat(phi, comp, m, b)
+        return -_coherent_information_mat(phi, comp, m, b)
 
     def neg_ic_gradient(comp, m, log_m, lb):
         return -_ic_gradient(phi, comp, m, log_m, lb)
@@ -371,7 +370,8 @@ def seesaw_diamond_lower(
             nonlocal v, val
             sign = _sign_matrix(_output_gap(ext_phi, ext_psi, v))
             m = adjoint_apply_mat(ext_phi, sign) - adjoint_apply_mat(ext_psi, sign)
-            v_new = hermitian_eigen(m).eigenvectors[:, -1]
+            _, u = hermitian_eigen(m)
+            v_new = u[:, -1]
             val_new = trace_norm(_output_gap(ext_phi, ext_psi, v_new))
             if val_new < val:
                 return None

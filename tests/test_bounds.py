@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distcert import (
-    ContinuityBoundSpec,
     antidegradable_distance_lower,
     assemble_report,
     assemble_state_report,
@@ -23,12 +22,17 @@ from distcert import (
     degradable_distance_lower,
     entanglement_breaking_distance_lower,
     g_correction,
-    invert_continuity_bound,
     product_distance_lower,
     separable_distance_lower,
     state_distance_kernel,
 )
-from distcert.bounds import FORMULAS, BoundEntry, Formula, product_distance_kernel
+from distcert.bounds import FORMULAS, BoundEntry, Formula, _inversion_kernel, product_distance_kernel
+
+
+def _invert(scale, delta):
+    """eps forced by delta <= scale*eps + g(eps), clamped at zero: the one
+    inversion engine behind every kernel."""
+    return max(0.0, _inversion_kernel(delta, scale, g_correction))
 
 
 def test_antidegradable_bound_reference_value():
@@ -155,12 +159,11 @@ def test_erasure_certificate_dominance():
 
 
 def test_invert_continuity_bound_round_trip():
-    spec = ContinuityBoundSpec(1.0, g_correction)
-    assert invert_continuity_bound(spec, 0.0) == 0.0
+    assert _invert(1.0, 0.0) == 0.0
     # Feeding the forward bound through the inverse can only shrink.
     for eps in (0.01, 0.2, 0.7):
         delta = eps + g_correction(eps)
-        assert invert_continuity_bound(spec, delta) <= eps + 1e-12
+        assert _invert(1.0, delta) <= eps + 1e-12
 
 
 @given(
@@ -169,9 +172,8 @@ def test_invert_continuity_bound_round_trip():
 )
 @settings(max_examples=300, deadline=None)
 def test_invert_continuity_bound_sound(scale, eps):
-    spec = ContinuityBoundSpec(scale, g_correction)
     delta = scale * eps + g_correction(eps)
-    assert invert_continuity_bound(spec, delta) <= eps + 1e-12
+    assert _invert(scale, delta) <= eps + 1e-12
 
 
 @given(
@@ -180,12 +182,10 @@ def test_invert_continuity_bound_sound(scale, eps):
 )
 @settings(max_examples=300, deadline=None)
 def test_generic_inverter_matches_kernels(d, gap):
-    # The kernels report 2*eps; the generic inverter reports eps clamped at 0.
+    # The kernels report 2*eps; the bare inversion gives eps, here clamped at 0.
     log_d = float(np.log2(d))
-    state = invert_continuity_bound(ContinuityBoundSpec(log_d, g_correction), gap)
-    assert state == max(0.0, state_distance_kernel(gap, d)) / 2
-    channel = invert_continuity_bound(ContinuityBoundSpec(2.0 * log_d, g_correction), gap)
-    assert channel == max(0.0, channel_distance_kernel(gap, d)) / 2
+    assert _invert(log_d, gap) == max(0.0, state_distance_kernel(gap, d)) / 2
+    assert _invert(2.0 * log_d, gap) == max(0.0, channel_distance_kernel(gap, d)) / 2
 
 
 @given(
@@ -225,13 +225,12 @@ def test_formula_table_covers_every_tag():
 
 
 def test_continuity_bound_spec_validation():
-    with pytest.raises(ValueError, match="nondecreasing"):
-        ContinuityBoundSpec(1.0, lambda t: -t)
-    spec = ContinuityBoundSpec(1.0, g_correction)
+    # a negative certificate, and d < 2, whose scale log(d) would not be positive
     with pytest.raises(ValueError, match="nonnegative"):
-        invert_continuity_bound(spec, -0.5)
-    with pytest.raises(ValueError, match="positive"):
-        invert_continuity_bound(ContinuityBoundSpec(0.0, g_correction), 1.0)
+        separable_distance_lower(-0.5, 4)
+    for kernel in (state_distance_kernel, channel_distance_kernel, product_distance_kernel):
+        with pytest.raises(ValueError, match=r"dimension must be an integer >= 2"):
+            kernel(1.0, 1)
 
 
 def test_bound_entry_validation():

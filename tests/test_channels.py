@@ -175,9 +175,10 @@ def test_stinespring_dilation_reproduces_channel():
     rng = np.random.default_rng(13)
     phi = random_channel(3, 2, 2, rng)
     v = stinespring(phi)
-    assert np.allclose(v.v.conj().T @ v.v, np.eye(3), atol=1e-10)
+    assert v.shape == (phi.d_out * phi.d_env, phi.d_in)
+    assert np.allclose(v.conj().T @ v, np.eye(3), atol=1e-10)
     rho = random_density_matrix(3, rng)
-    lifted = v.v @ rho.mat @ v.v.conj().T
+    lifted = v @ rho.mat @ v.conj().T
     lifted = DensityMatrix(lifted, (phi.d_out, phi.d_env))
     kept = partial_trace(lifted, "B")
     assert np.allclose(kept.mat, apply_mat(phi, rho.mat), atol=1e-12)
@@ -195,8 +196,10 @@ def test_choi_matches_index_sum():
             unit[i, k] = 1.0
             j += tensor(apply_mat(phi, unit), unit)
     got = choi(phi)
-    assert np.allclose(got.mat, j, atol=1e-12)
-    assert np.isclose(np.trace(got.mat).real, 2.0, atol=1e-10)
+    # the normalized Choi state J / d_in, output factor first
+    assert np.allclose(2 * got.mat, j, atol=1e-12)
+    assert np.isclose(np.trace(got.mat).real, 1.0, atol=1e-10)
+    assert got.dims == (phi.d_out, phi.d_in) == (3, 2)
 
 
 def test_choi_of_identity_is_scaled_entangled_projector():
@@ -204,7 +207,9 @@ def test_choi_of_identity_is_scaled_entangled_projector():
 
     got = choi(identity_embedding(2, 2))
     want = 2.0 * maximally_entangled(2).to_density().mat
-    assert np.allclose(got.mat, want, atol=1e-12)
+    assert np.allclose(2 * got.mat, want, atol=1e-12)
+    assert np.isclose(np.trace(got.mat).real, 1.0, atol=1e-10)
+    assert got.dims == (2, 2)
 
 
 def test_tensor_with_identity_acts_locally():
@@ -316,11 +321,11 @@ def test_kraus_tensor_operations_match_per_operator_sums(d_in, d_out, d_env):
     close(apply_mat(phi, m), sum(k @ m @ k.conj().T for k in ops))
     close(adjoint_apply_mat(phi, w), sum(k.conj().T @ w @ k for k in ops))
     v = sum(np.kron(k, np.eye(d_env)[:, [e]]) for e, k in enumerate(ops))
-    close(stinespring(phi).v, v)
+    close(stinespring(phi), v)
     comp = complement(phi)
     assert comp.kraus.shape == (d_out, d_env, d_in)
     close(comp.kraus, np.array([v[b * d_env : (b + 1) * d_env] for b in range(d_out)]))
-    close(choi(phi).mat, sum(np.outer(k.reshape(-1), k.reshape(-1).conj()) for k in ops))
+    close(d_in * choi(phi).mat, sum(np.outer(k.reshape(-1), k.reshape(-1).conj()) for k in ops))
 
 
 def test_channel_decoding_rejects_malformed_pairs():

@@ -25,7 +25,9 @@ from distcert import (
     load_channel,
     load_state,
     maximally_entangled,
+    random_channel,
     random_density_matrix,
+    save_channel,
     save_state,
     state_distance_kernel,
     state_from_dict,
@@ -158,6 +160,19 @@ def test_analyze_channel_identity_bound_value(tmp_path, capsys):
     want = 1 - g_correction(0.5) / 2
     assert np.isclose(by_tag["Eq9"]["value"], want, atol=1e-6)
     assert "Eq13" not in by_tag
+
+
+@pytest.mark.parametrize("d_in, d_out", [(4, 2), (2, 4)])
+def test_analyze_channel_bounds_use_the_input_dimension(tmp_path, capsys, d_in, d_out):
+    # the purifying reference has dimension rank(rho) <= d_in, whichever side is larger
+    phi = random_channel(d_in, d_out, 3, np.random.default_rng(10 * d_in + d_out))
+    path = tmp_path / "rand.json"
+    save_channel(phi, str(path))
+    code, out = _run(capsys, ["analyze-channel", str(path), "--ree", *_fast()])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["entries"]
+    assert {e["inputs"]["dim"] for e in rep["entries"]} == {d_in}
 
 
 def _analyze_input(verb, tmp_path, capsys):

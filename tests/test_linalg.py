@@ -131,6 +131,22 @@ def test_hermitian_eigen_rejects_non_hermitian():
         hermitian_eigen(mat)
 
 
+def test_non_finite_input_to_the_eigen_layer_is_a_value_error():
+    # a NaN entry fails every "defect > tol" test, so it must fail the guard
+    # itself rather than reach LAPACK (LinAlgError) or come back as NaN
+    from distcert import project_ppt
+
+    calls = [
+        lambda: hermitian_eigen(np.full((2, 2), np.nan)),
+        lambda: project_ppt(np.full((4, 4), np.nan), (2, 2)),
+        lambda: trace_norm(np.full((2, 2), np.nan)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="not Hermitian|non-finite") as err:
+            call()
+        assert not isinstance(err.value, np.linalg.LinAlgError)
+
+
 def test_checked_eigh_is_eigh_of_the_hermitized_input():
     rng = np.random.default_rng(33)
     h = _random_complex(rng, (4, 5, 5))

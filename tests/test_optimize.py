@@ -200,6 +200,14 @@ def test_search_value_is_its_evaluator_at_its_witness(search, d_in, d_out, base)
     assert trace_norm(rho.mat - oracle.witness.mat) == oracle.value
 
 
+def test_min_ic_value_is_its_evaluator_bit_for_bit():
+    # equal entropies: the evaluator gives +0.0, and so must the certificate
+    phi = random_channel(2, 4, 3, np.random.default_rng(11))
+    cert = minimize_coherent_information(phi, OptimizerConfig(restarts=1, max_iters=60), math.e)
+    want = channel_coherent_information(phi, cert.witness, math.e)
+    assert np.float64(cert.value).tobytes() == np.float64(want).tobytes()
+
+
 def test_seesaw_erasure_pair_reference():
     cert = seesaw_diamond_lower(erasure(2, 0.3), erasure(2, 0.8), _FAST)
     assert np.isclose(cert.value, 1.0, atol=1e-6)
