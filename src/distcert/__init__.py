@@ -7,6 +7,8 @@ trace-norm distance from a bipartite state to the separable and product
 sets, by inverting the matching continuity bounds.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     BoundEntry,
     BoundReport,
@@ -86,71 +88,5 @@ from .optimize import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundEntry",
-    "BoundReport",
-    "Certificate",
-    "DensityMatrix",
-    "Formula",
-    "KrausChannel",
-    "OptimizerConfig",
-    "PureState",
-    "antidegradable_distance_lower",
-    "apply_channel",
-    "assemble_report",
-    "assemble_state_report",
-    "basis_state",
-    "binary_entropy",
-    "channel_coherent_information",
-    "channel_distance_kernel",
-    "channel_from_dict",
-    "channel_to_dict",
-    "chaotic_state",
-    "choi",
-    "coherent_information",
-    "coherent_information_gradient",
-    "complement",
-    "completely_depolarizing",
-    "degradable_distance_lower",
-    "depolarizing",
-    "entanglement_breaking_distance_lower",
-    "erasure",
-    "g_correction",
-    "identity_embedding",
-    "load_channel",
-    "load_state",
-    "max_coherent_information",
-    "maximally_entangled",
-    "maximize_coherent_information",
-    "maximize_reverse_coherent_information",
-    "minimize_coherent_information",
-    "mutual_information",
-    "partial_trace",
-    "partial_transpose",
-    "product_distance_lower",
-    "project_ppt",
-    "purify",
-    "random_channel",
-    "random_density_matrix",
-    "random_pure_state",
-    "ree_dual_certificate",
-    "ree_ppt_lower",
-    "relative_entropy",
-    "reverse_coherent_information",
-    "reverse_coherent_information_gradient",
-    "save_channel",
-    "save_state",
-    "seesaw_diamond_lower",
-    "seesaw_objective",
-    "separable_distance_lower",
-    "spectrum_entropy",
-    "state_distance_kernel",
-    "state_from_dict",
-    "state_to_dict",
-    "stinespring",
-    "tensor",
-    "tensor_with_identity",
-    "trace_dist_to_ppt",
-    "trace_norm",
-    "von_neumann_entropy",
-]
+# the public names imported above; the imports also bind the submodules, which are not API
+__all__ = sorted(n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _ModuleType)))

@@ -243,18 +243,25 @@ class BoundReport:
         return json.dumps(self.to_dict(), indent=2)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["target", "formula", "value", "raw", "witness", "log_base"])
-        for e in self.entries:
-            w.writerow([e.target, e.formula.value, repr(e.value), repr(e.raw), e.witness, self.base_label])
-        return buf.getvalue()
+        return _csv_text(
+            ["target", "formula", "value", "raw", "witness", "log_base"],
+            [[e.target, e.formula.value, e.value, e.raw, e.witness, self.base_label] for e in self.entries],
+        )
 
     def entry(self, formula: Formula) -> BoundEntry | None:
         for e in self.entries:
             if e.formula is formula:
                 return e
         return None
+
+
+def _csv_text(columns: list[str], rows) -> str:
+    """CSV of a header and rows; a float is written as ``repr(float(x))``, which reads back exactly."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(columns)
+    w.writerows([repr(float(c)) if isinstance(c, float) else c for c in row] for row in rows)
+    return buf.getvalue()
 
 
 def base_label(base: float) -> str:

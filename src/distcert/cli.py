@@ -7,16 +7,15 @@ parameters), 3 when --strict is set and some search did not converge.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import FORMULAS, Formula, assemble_report, assemble_state_report, base_label
+from .bounds import FORMULAS, Formula, _csv_text, assemble_report, assemble_state_report, base_label
 from .channels import (
     channel_to_dict,
     choi,
@@ -70,8 +69,12 @@ def _cfg_of(args) -> OptimizerConfig:
     return OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
 
 
-def _search_note(cert) -> str:
-    return f"{cert.iterations} iterations, converged={cert.converged}"
+def _search(args, certs: list, witnesses: dict, key: str, what: str, search, subject) -> float:
+    """One search with the command's config and log base; keeps its Certificate and witness note."""
+    cert = search(subject, _cfg_of(args), _base_of(args))
+    certs.append(cert)
+    witnesses[key] = f"{what} ({cert.iterations} iterations, converged={cert.converged})"
+    return _snap(cert.value)
 
 
 def _emit_report(report, args, certs) -> int:
@@ -88,40 +91,29 @@ def _emit_report(report, args, certs) -> int:
 
 def _cmd_analyze_channel(args) -> int:
     phi = load_channel(args.path)
-    base = _base_of(args)
-    cfg = _cfg_of(args)
-    ic_cert = maximize_coherent_information(phi, cfg, base)
-    min_cert = minimize_coherent_information(phi, cfg, base)
-    rci_cert = maximize_reverse_coherent_information(phi, cfg, base)
-    certs = [ic_cert, min_cert, rci_cert]
-    er_val = None
-    er_note = None
-    witnesses = {
-        "ic": f"mirror-ascent input state ({_search_note(ic_cert)})",
-        "min_ic": f"mirror-descent input state ({_search_note(min_cert)})",
-        "rci": f"mirror-ascent input state ({_search_note(rci_cert)})",
-    }
+    certs = []
+    witnesses = {}
+    run = partial(_search, args, certs, witnesses)
+    ic = run("ic", "mirror-ascent input state", maximize_coherent_information, phi)
+    min_ic = run("min_ic", "mirror-descent input state", minimize_coherent_information, phi)
+    rci = run("rci", "mirror-ascent input state", maximize_reverse_coherent_information, phi)
+    er_lower = None
     if args.ree:
-        er_cert = ree_ppt_lower(choi(phi), cfg, base)
-        certs.append(er_cert)
-        er_val = er_cert.value
-        witnesses["er"] = f"PPT descent candidate ({_search_note(er_cert)})"
-    else:
-        er_note = "relative entropy certificate not computed; pass --ree to enable it"
+        er_lower = run("er", "PPT descent candidate", ree_ppt_lower, choi(phi))
     report = assemble_report(
         args.path,
         d=phi.d_in,
-        base=base,
-        ic=_snap(ic_cert.value),
-        min_ic=_snap(min_cert.value),
-        rci=_snap(rci_cert.value),
-        er_lower=None if er_val is None else _snap(er_val),
+        base=_base_of(args),
+        ic=ic,
+        min_ic=min_ic,
+        rci=rci,
+        er_lower=er_lower,
         witnesses=witnesses,
         seed=args.seed,
     )
     report.notes.append(f"channel: d_in={phi.d_in}, d_out={phi.d_out}, kraus={phi.d_env}")
-    if er_note:
-        report.notes.append(er_note)
+    if not args.ree:
+        report.notes.append("relative entropy certificate not computed; pass --ree to enable it")
     return _emit_report(report, args, certs)
 
 
@@ -137,17 +129,12 @@ def _cmd_analyze_state(args) -> int:
     ic = max_coherent_information(rho, base)
     mi = mutual_information(rho, base)
     certs = []
-    witnesses = {
-        "ic": "the state itself (exact evaluation)",
-        "mi": "the state itself (exact evaluation)",
-    }
+    exact = "the state itself (exact evaluation)"
+    witnesses = {"ic": exact, "mi": exact}
     notes = []
-    er_val = None
+    er_lower = None
     if args.ree or n <= _REE_AUTO_DIM:
-        er_cert = ree_ppt_lower(rho, cfg, base)
-        certs.append(er_cert)
-        er_val = er_cert.value
-        witnesses["er"] = f"PPT descent candidate ({_search_note(er_cert)})"
+        er_lower = _search(args, certs, witnesses, "er", "PPT descent candidate", ree_ppt_lower, rho)
     else:
         notes.append(
             f"relative entropy certificate skipped (dimension {n} exceeds "
@@ -163,7 +150,7 @@ def _cmd_analyze_state(args) -> int:
         d=d,
         base=base,
         ic=_snap(ic),
-        er_lower=None if er_val is None else _snap(er_val),
+        er_lower=er_lower,
         mi=mi,
         oracle=oracle_val,
         witnesses=witnesses,
@@ -255,12 +242,7 @@ def _table_tightness(ds: list[int], x: float, base: float) -> tuple[list[str], l
 
 def _table_text(name, columns, rows, base, fmt) -> str:
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(columns)
-        for row in rows:
-            w.writerow([repr(float(c)) if isinstance(c, float) else c for c in row])
-        return buf.getvalue()
+        return _csv_text(columns, rows)
     table = {"table": name, "log_base": base_label(base), "columns": columns, "rows": rows}
     return json.dumps(table, indent=2)
 

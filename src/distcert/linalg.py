@@ -176,12 +176,12 @@ def partial_trace(rho: DensityMatrix, over: str) -> DensityMatrix:
 def trace_norm(m) -> float:
     """Sum of singular values; for Hermitian input, sum of |eigenvalues|."""
     a = _as_matrix(m)
-    defect = herm_defect(a)
-    if defect <= INPUT_HERMITIAN_TOL:
+    # checked first: an inf entry makes the defect inf - inf, and SVD returns NaN for it
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry")
+    if herm_defect(a) <= INPUT_HERMITIAN_TOL:
         return float(np.sum(np.abs(np.linalg.eigvalsh(hermitize(a)))))
-    if defect > INPUT_HERMITIAN_TOL:  # a NaN entry makes the defect NaN, which fails both tests
-        return float(np.sum(np.linalg.svd(a, compute_uv=False)))
-    raise ValueError("matrix has a non-finite entry")
+    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
 def purify(rho: DensityMatrix) -> PureState:

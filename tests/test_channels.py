@@ -37,6 +37,7 @@ from distcert import (
     stinespring,
     tensor,
     tensor_with_identity,
+    trace_norm,
     von_neumann_entropy,
 )
 from distcert.channels import KrausChannel, adjoint_apply_mat, apply_mat
@@ -265,6 +266,38 @@ def test_kraus_channel_rejects_non_finite_entries(bad):
     ops[1, 0, 1] = bad
     with pytest.raises(ValueError, match="Kraus operators have a non-finite entry"):
         KrausChannel(ops, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: KrausChannel([], 2, 2), "a channel needs at least one Kraus operator"),
+        (lambda: tensor_with_identity(erasure(2, 0.5), 0), "reference dimension must be at least 1"),
+        (lambda: depolarizing(1, 0.5), "depolarizing needs d >= 2"),
+        (lambda: depolarizing(2, 1.5), r"depolarizing strength must lie in \[0, 1\]"),
+        (
+            lambda: random_channel(4, 1, 2, np.random.default_rng(0)),
+            r"d_out \* d_env must be at least d_in for an isometry",
+        ),
+        (
+            lambda: channel_from_dict({"d_in": 2, "d_out": 2, "kraus": []}),
+            "invalid channel description: empty Kraus list",
+        ),
+        (lambda: trace_norm(np.ones((2, 3))), r"expected a square matrix, got shape \(2, 3\)"),
+    ],
+    ids=[
+        "no-kraus",
+        "reference-dim-0",
+        "depolarizing-d1",
+        "depolarizing-1.5",
+        "random-no-isometry",
+        "empty-kraus-dict",
+        "trace-norm-2x3",
+    ],
+)
+def test_malformed_arguments_are_value_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_apply_channel_dimension_check():

@@ -490,6 +490,7 @@ def test_reproduce_parameter_errors(capsys):
     for argv in (
         ["reproduce", "ex1", "--d-range", "banana"],
         ["reproduce", "ex1", "--d-range", "1..4"],
+        ["reproduce", "ex1", "--d-range", "1,4"],
         ["reproduce", "ex2", "--p-grid", "0.9:0.1:5"],
         ["reproduce", "ex2", "--p-grid", "0.1-0.9-5"],
         ["reproduce", "tightness", "--x", "0.7"],

@@ -133,13 +133,17 @@ def test_hermitian_eigen_rejects_non_hermitian():
 
 def test_non_finite_input_to_the_eigen_layer_is_a_value_error():
     # a NaN entry fails every "defect > tol" test, so it must fail the guard
-    # itself rather than reach LAPACK (LinAlgError) or come back as NaN
+    # itself rather than reach LAPACK (LinAlgError) or come back as NaN; an
+    # infinite entry makes the defect inf - inf (a RuntimeWarning) or sends
+    # trace_norm to an SVD that returns NaN
     from distcert import project_ppt
 
     calls = [
         lambda: hermitian_eigen(np.full((2, 2), np.nan)),
         lambda: project_ppt(np.full((4, 4), np.nan), (2, 2)),
         lambda: trace_norm(np.full((2, 2), np.nan)),
+        lambda: trace_norm(np.array([[0, np.inf], [0, 0]])),
+        lambda: trace_norm(np.array([[np.inf, 0], [0, 0]])),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="not Hermitian|non-finite") as err:
