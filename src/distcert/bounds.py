@@ -16,9 +16,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .entropy import _check_base, _log, g_correction
 from .linalg import _as_int
@@ -37,13 +40,15 @@ class Formula(str, Enum):
     PROD_FROM_MI = "ProdMI"
 
 
-def _inversion_kernel(delta, scale: float, correction, *args) -> float:
-    """The one inversion expression (delta - r(delta/A)) / A, sign-preserving.
+def _inversion_kernel(delta, scale: float, correction, *args):
+    """The one inversion expression (delta - r(delta/A)) / A, sign-preserving,
+    elementwise over an array of gaps; a float gap gives a float.
 
     ``r`` is ``correction(., *args)``. Every eps with delta <= A*eps + r(eps)
     is at least this value.
     """
-    return float((delta - correction(delta / scale, *args)) / scale)
+    out = (delta - correction(delta / scale, *args)) / scale
+    return out if np.ndim(out) else float(out)
 
 
 def _log_dim(d: int, base: float) -> float:
@@ -57,11 +62,12 @@ def _clamp(raw: float) -> float:
 
 
 # Each kernel is the raw (unclamped, sign-preserving) distance 2*eps forced by
-# a gap; g vanishes at nonpositive arguments, so any real gap is accepted and
-# a negative result means the certificate is too small to force a distance.
+# a gap, or by each gap of an array; g vanishes at nonpositive arguments, so
+# any gap below +inf is accepted and a negative result means the certificate
+# is too small to force a distance.
 
 
-def state_distance_kernel(gap: float, d: int, base: float = 2.0) -> float:
+def state_distance_kernel(gap, d: int, base: float = 2.0):
     """Inverts gap <= eps*log(d) + g(eps), reported as 2*eps.
 
     Equals 2*gap/log(d) - 2*g(gap/log(d))/log(d).
@@ -70,7 +76,7 @@ def state_distance_kernel(gap: float, d: int, base: float = 2.0) -> float:
     return 2.0 * _inversion_kernel(gap, _log_dim(d, base), g_correction, base)
 
 
-def channel_distance_kernel(gap: float, d: int, base: float = 2.0) -> float:
+def channel_distance_kernel(gap, d: int, base: float = 2.0):
     """Inverts gap <= 2*eps*log(d) + g(eps), reported as 2*eps.
 
     Equals gap/log(d) - g(gap/(2*log(d)))/log(d).
@@ -79,7 +85,7 @@ def channel_distance_kernel(gap: float, d: int, base: float = 2.0) -> float:
     return 2.0 * _inversion_kernel(gap, 2.0 * _log_dim(d, base), g_correction, base)
 
 
-def product_distance_kernel(gap: float, d: int, base: float = 2.0) -> float:
+def product_distance_kernel(gap, d: int, base: float = 2.0):
     """Inverts gap <= 2*eps*log(d) + 2*g(eps), reported as 2*eps.
 
     Halving both sides leaves the state kernel's inequality at gap/2, so this
@@ -110,6 +116,8 @@ FORMULAS = {
 
 
 def _formula_distance_lower(formula: Formula, gap: float, d: int, base: float, clamped: bool) -> float:
+    if not math.isfinite(gap):
+        raise ValueError(f"certificate must be finite, got {gap}")
     raw = FORMULAS[formula].kernel(gap, d, base)
     return _clamp(raw) if clamped else raw
 

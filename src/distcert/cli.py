@@ -211,16 +211,18 @@ def _table_ex2(ds: list[int], ps: list[float], base: float) -> tuple[list[str], 
     eq10, eq11, eq12 = (
         FORMULAS[f].kernel for f in (Formula.DEB_FROM_CI, Formula.DEB_FROM_RCI, Formula.DEB_FROM_REE)
     )
+    # each column is one kernel call over the whole p-grid
+    p = np.array(ps)
+    h = binary_entropy(p, base)
+    upper = (2.0 * (1.0 - p)).tolist()
     rows = []
     for d in ds:
         log_d = _log(float(d), base)
-        for p in ps:
-            gap_ic = (1.0 - 2.0 * p) * log_d
-            gap_l = (1.0 - p) * log_d - binary_entropy(p, base)
-            gap_er = (1.0 - p) * log_d
-            rows.append(
-                [d, p, eq10(gap_ic, d, base), eq11(gap_l, d, base), eq12(gap_er, d, base), 2.0 * (1.0 - p)]
-            )
+        gap_ic = (1.0 - 2.0 * p) * log_d
+        gap_l = (1.0 - p) * log_d - h
+        gap_er = (1.0 - p) * log_d
+        cols = (eq10(gap_ic, d, base), eq11(gap_l, d, base), eq12(gap_er, d, base))
+        rows.extend([d, *cells] for cells in zip(ps, *(c.tolist() for c in cols), upper))
     return ["d", "p", "Eq10", "Eq11", "Eq12", "upper"], rows
 
 

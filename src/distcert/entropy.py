@@ -39,25 +39,38 @@ def _eta(p: np.ndarray, base: float) -> np.ndarray:
     return out
 
 
-def binary_entropy(x: float, base: float = 2.0) -> float:
-    """h(x) = -x log x - (1-x) log(1-x) on [0, 1]."""
-    base = _check_base(base)
-    if x < -_DOMAIN_SLACK or x > 1.0 + _DOMAIN_SLACK:
-        raise ValueError(f"binary entropy argument {x} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    return float(_eta(np.array([x, 1.0 - x]), base).sum())
+def binary_entropy(x, base: float = 2.0):
+    """h(x) = -x log x - (1-x) log(1-x) on [0, 1], elementwise over an array.
 
-
-def g_correction(x: float, base: float = 2.0) -> float:
-    """Correction term g(x) = (1+x) h(x / (1+x)) of the continuity bounds.
-
-    Defined as 0 for x < 0, which is how it enters formulas whose certificate
-    may go negative.
+    A float argument gives a float; NaN is outside the domain.
     """
     base = _check_base(base)
-    if x <= 0.0:
-        return 0.0
-    return float((1.0 + x) * binary_entropy(x / (1.0 + x), base))
+    x = np.asarray(x, dtype=float)
+    bad = ~((x >= -_DOMAIN_SLACK) & (x <= 1.0 + _DOMAIN_SLACK))
+    if bad.any():
+        raise ValueError(f"binary entropy argument {x[bad][0]} outside [0, 1]")
+    x = np.clip(x, 0.0, 1.0)
+    h = _eta(x, base) + _eta(1.0 - x, base)
+    return h if h.ndim else float(h)
+
+
+def g_correction(x, base: float = 2.0):
+    """Correction term g(x) = (1+x) h(x / (1+x)) of the continuity bounds,
+    elementwise over an array; a float argument gives a float.
+
+    Defined as 0 for x < 0, which is how it enters formulas whose certificate
+    may go negative. NaN and +inf are refused: g has no finite value there.
+    """
+    base = _check_base(base)
+    x = np.asarray(x, dtype=float)
+    bad = ~(x < math.inf)
+    if bad.any():
+        raise ValueError(f"correction argument {x[bad][0]} is not below +inf")
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    xp = x[pos]
+    out[pos] = (1.0 + xp) * binary_entropy(xp / (1.0 + xp), base)
+    return out if out.ndim else float(out)
 
 
 def spectrum_entropy(w: np.ndarray, base: float = 2.0) -> float:

@@ -93,6 +93,22 @@ def test_refusals_on_wrong_sign_certificates():
         product_distance_lower(-0.1, 4)
 
 
+@pytest.mark.parametrize("gap", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "bound",
+    [
+        separable_distance_lower,
+        antidegradable_distance_lower,
+        degradable_distance_lower,
+        product_distance_lower,
+        entanglement_breaking_distance_lower,
+    ],
+)
+def test_non_finite_certificate_is_a_value_error(bound, gap):
+    with pytest.raises(ValueError):
+        bound(gap, 4)
+
+
 def test_dimension_validation():
     with pytest.raises(ValueError, match="dimension"):
         separable_distance_lower(1.0, 1)
@@ -207,6 +223,21 @@ def test_distance_lower_functions_are_their_kernels(d, gap, base):
     for got, kernel in pairs:
         assert got == kernel(gap, d, base)
     assert separable_distance_lower(gap, d, base) == min(2.0, max(0.0, state_distance_kernel(gap, d, base)))
+
+
+_KERNEL_GAPS = [-1e300, -5.0, -1e-13, -0.0, 0.0, 5e-324, 1e-12, 0.3, 1.0, 2.0, 7.5, 1e6, 1e300]
+
+
+@pytest.mark.parametrize("base", [2.0, math.e])
+@pytest.mark.parametrize("kernel", [state_distance_kernel, channel_distance_kernel, product_distance_kernel])
+def test_kernel_on_an_array_gives_the_scalar_results_bit_for_bit(kernel, base):
+    for d in (2, 3, 16, 4096):
+        scalars = [kernel(gap, d, base) for gap in _KERNEL_GAPS]
+        assert all(type(v) is float for v in scalars)
+        got = kernel(np.array(_KERNEL_GAPS), d, base)
+        assert got.tolist() == scalars
+        assert np.signbit(got).tolist() == np.signbit(scalars).tolist()
+        assert kernel(np.array([0.3]), d, base).tolist() == [kernel(0.3, d, base)]
 
 
 def test_formula_table_covers_every_tag():

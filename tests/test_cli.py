@@ -34,6 +34,7 @@ from distcert import (
     state_to_dict,
     tensor,
 )
+from distcert import bounds
 from distcert.cli import main
 
 
@@ -445,6 +446,60 @@ def test_reproduce_ex2_reference_row(capsys):
     for row in data["rows"]:
         # Every certified value sits below the exact diamond distance.
         assert max(row[2], row[3], row[4]) <= row[5] + 1e-9
+
+
+def _ex2_reference_rows(ds, ps, base):
+    """The per-row scalar loop the ex2 table is checked against."""
+    rows = []
+    for d in ds:
+        log_d = np.log2(float(d)) if base == 2.0 else np.log(float(d))
+        for p in ps:
+            gap_ic = (1.0 - 2.0 * p) * log_d
+            gap_l = (1.0 - p) * log_d - binary_entropy(p, base)
+            gap_er = (1.0 - p) * log_d
+            rows.append([
+                d, p,
+                state_distance_kernel(gap_ic, d, base),
+                state_distance_kernel(gap_l, d, base),
+                state_distance_kernel(gap_er, d, base),
+                2.0 * (1.0 - p),
+            ])
+    return rows
+
+
+@pytest.mark.parametrize(
+    "d_range, grid, ds, ps",
+    [
+        ("2..64", "0:1:101", [2, 4, 8, 16, 32, 64], [float(p) for p in np.linspace(0.0, 1.0, 101)]),
+        ("3", "0.5:0.5:1", [3], [0.5]),
+    ],
+)
+@pytest.mark.parametrize("log_base, base", [("2", 2.0), ("e", math.e)])
+def test_reproduce_ex2_cells_equal_the_scalar_loop(capsys, d_range, grid, ds, ps, log_base, base):
+    code, out = _run(
+        capsys, ["reproduce", "ex2", "--d-range", d_range, "--p-grid", grid, "--log-base", log_base]
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    want = _ex2_reference_rows(ds, ps, base)
+    assert rows == want
+    assert np.signbit(np.array(rows)).tolist() == np.signbit(np.array(want)).tolist()
+
+
+def test_reproduce_ex2_evaluates_each_column_once_per_dimension(capsys, monkeypatch):
+    # The table calls each kernel once per d on the whole p-grid; a per-cell
+    # loop would call g once per cell (909 calls here).
+    calls = []
+    original = bounds.g_correction
+
+    def counting(x, *args):
+        calls.append(x)
+        return original(x, *args)
+
+    monkeypatch.setattr(bounds, "g_correction", counting)
+    code, _ = _run(capsys, ["reproduce", "ex2", "--d-range", "2..8", "--p-grid", "0:1:101"])
+    assert code == 0
+    assert 0 < len(calls) <= 3 * 3
 
 
 def test_reproduce_tightness_ratios_increase(capsys):

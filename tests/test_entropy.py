@@ -48,6 +48,55 @@ def test_binary_entropy_rejects_outside_unit_interval():
         binary_entropy(1.01)
 
 
+def test_nan_and_infinite_arguments_are_refused():
+    with pytest.raises(ValueError, match="nan outside"):
+        binary_entropy(math.nan)
+    # an array names one offending entry, not the whole array
+    with pytest.raises(ValueError, match=r"argument 1\.5 outside"):
+        binary_entropy(np.array([0.2, 1.5, 2.5, math.nan]))
+    for x in (math.nan, math.inf, np.array([0.5, math.inf])):
+        with pytest.raises(ValueError, match="correction argument"):
+            g_correction(x)
+    assert g_correction(-math.inf) == 0.0
+
+
+def _h_reference(x, base):
+    """h(x) as a scalar: clamp, then sum -p log p over the pair (x, 1-x)."""
+    x = min(max(x, 0.0), 1.0)
+    p = np.array([x, 1.0 - x])
+    eta = np.zeros(2)
+    pos = p > 0.0
+    eta[pos] = -p[pos] * (np.log2(p[pos]) if base == 2.0 else np.log(p[pos]))
+    return float(eta.sum())
+
+
+def _g_reference(x, base):
+    return 0.0 if x <= 0.0 else float((1.0 + x) * _h_reference(x / (1.0 + x), base))
+
+
+_UNIT_GRID = [0.0, 1.0, 5e-324, 1e-13, 1e-12, 0.3, 0.5, 1.0 - 1e-12, 1.0 - 1e-13,
+              float(np.nextafter(1.0, 0.0)), -1e-13, -0.0, 1.0 + 1e-13]
+_GAP_GRID = [-1e300, -3.0, -1e-13, -0.0, 0.0, 5e-324, 1e-12, 0.2, 1.0, 4.0, 1e6, 1e300]
+
+
+@pytest.mark.parametrize("base", [2.0, math.e])
+@pytest.mark.parametrize(
+    "fn, reference, grid",
+    [(binary_entropy, _h_reference, _UNIT_GRID), (g_correction, _g_reference, _GAP_GRID)],
+    ids=["binary_entropy", "g_correction"],
+)
+def test_array_argument_gives_the_scalar_results_bit_for_bit(fn, reference, grid, base):
+    scalars = [fn(x, base) for x in grid]
+    assert all(type(v) is float for v in scalars)
+    assert scalars == [reference(x, base) for x in grid]
+    got = fn(np.array(grid), base)
+    assert got.shape == (len(grid),)
+    assert got.tolist() == scalars
+    assert np.signbit(got).tolist() == np.signbit(scalars).tolist()
+    one = fn(np.array(grid[-1:]), base)
+    assert one.shape == (1,) and one[0] == scalars[-1]
+
+
 def test_binary_entropy_base_e():
     want = -(0.3 * math.log(0.3) + 0.7 * math.log(0.7))
     assert np.isclose(binary_entropy(0.3, base=math.e), want, atol=1e-15)
