@@ -100,7 +100,7 @@ class FormulaRow(NamedTuple):
     the raw kernel that turns its certificate gap into that distance."""
 
     target: str
-    kernel: Callable[[float, int, float], float]
+    kernel: Callable[[float | np.ndarray, int, float], float | np.ndarray]
 
 
 FORMULAS = {
@@ -329,22 +329,25 @@ _STATE_SOURCES = (
 
 def _entry(report: BoundReport, sources, certs: dict, d: int, base: float, witnesses) -> BoundReport:
     """Add to ``report`` the entries, or the skip note, of every certificate
-    given in ``certs``, in the order of ``sources``."""
+    given in ``certs``, in the order of ``sources``. A non-finite certificate
+    is a ValueError; an accepted gap takes the public bound functions' path
+    (``_formula_distance_lower``) to its raw distance."""
     wit = witnesses or {}
     for src in sources:
         value = certs[src.arg]
         if value is None:
             continue
+        if not math.isfinite(value):
+            raise ValueError(f"certificate must be finite, got {value}")
         gap = src.sign * value
         if not src.accept(gap):
             report.notes.append(src.skip_note)
             continue
-        inputs = {src.input_key: value, "dim": d}
+        inputs, witness = {src.input_key: value, "dim": d}, wit.get(src.witness_key, "")
         for formula in src.formulas:
-            row = FORMULAS[formula]
-            raw = row.kernel(max(gap, 0.0), d, base)
+            raw = _formula_distance_lower(formula, max(gap, 0.0), d, base, clamped=False)
             report.entries.append(
-                BoundEntry(row.target, formula, _clamp(raw), raw, wit.get(src.witness_key, ""), inputs)
+                BoundEntry(FORMULAS[formula].target, formula, _clamp(raw), raw, witness, inputs)
             )
     return report
 

@@ -237,13 +237,17 @@ def save_channel(phi: KrausChannel, path: str) -> None:
         json.dump(channel_to_dict(phi), fh)
 
 
-def load_channel(path: str) -> KrausChannel:
+def _read_json(path: str, what: str):
+    """Parsed JSON content of ``path``; invalid JSON is "malformed <what> file"."""
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed channel file: {exc}") from exc
-    return channel_from_dict(data)
+            raise ValueError(f"malformed {what} file: {exc}") from exc
+
+
+def load_channel(path: str) -> KrausChannel:
+    return channel_from_dict(_read_json(path, "channel"))
 
 
 def state_to_dict(rho: DensityMatrix) -> dict:
@@ -266,9 +270,4 @@ def save_state(rho: DensityMatrix, path: str) -> None:
 
 
 def load_state(path: str) -> DensityMatrix:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed state file: {exc}") from exc
-    return state_from_dict(data)
+    return state_from_dict(_read_json(path, "state"))

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .linalg import DensityMatrix, _require_dims, clip_eigenvalues, partial_trace
+from .linalg import DensityMatrix, clip_eigenvalues, partial_trace
 
 NAT = math.e
 
@@ -129,7 +129,6 @@ def mutual_information(rho: DensityMatrix, base: float = 2.0) -> float:
 def coherent_information(rho: DensityMatrix, direction: str = "a->b", base: float = 2.0) -> float:
     """I(A>B) = H(rho_B) - H(rho_AB), or I(B>A) with direction "b->a"."""
     base = _check_base(base)
-    _require_dims(rho)
     if direction == "a->b":
         kept = von_neumann_entropy(partial_trace(rho, "A"), base)
     elif direction == "b->a":

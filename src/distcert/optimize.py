@@ -1,17 +1,18 @@
 """Certified search routines feeding the distance bounds.
 
-Three searches share one stop rule (``_stall``; ``_drive`` runs it for a
-single search): a search ends when no move improves, ``_STALL_LIMIT`` gains
-in a row fall below ``_TOL``, or ``max_iters`` runs out:
+Three searches share one stop rule (``_stall``): a search ends when no move
+improves, ``_STALL_LIMIT`` gains in a row fall below ``_TOL``, or
+``max_iters`` runs out. Each search is one loop:
 
 * mirror ascent over density matrices for maximizing or minimizing coherent
-  information and its reverse variant; all seeds of one search advance in
-  lockstep as one (S, n, n) stack (``_ascent_stack``), each along exactly the
-  path it takes alone,
+  information and its reverse variant: ``_ascent_stack`` advances all seeds
+  of one search in lockstep as one (S, n, n) stack, each along exactly the
+  path it takes alone, and returns their runs,
 * a see-saw alternation giving certified lower bounds on diamond-norm
-  distance between two channels,
+  distance between two channels, its step repeated by ``_drive``,
 * projected gradient descent over PPT states for the relative entropy of
-  entanglement, with a dual minorant making every iterate a certificate.
+  entanglement, with a dual minorant making every iterate a certificate; its
+  step, repeated by ``_drive``, holds its own halving line search.
 
 The fourth engine, a projected subgradient search for the trace-norm
 distance to the PPT set, keeps its own fixed diminishing-step schedule and
@@ -38,8 +39,9 @@ from .channels import (
     complement,
     tensor_with_identity,
 )
-from .entropy import _check_base
+from .entropy import _check_base, _entropy_mat
 from .linalg import (
+    _LOG_FLOOR,
     DensityMatrix,
     PureState,
     _checked_eigh,
@@ -132,15 +134,6 @@ def _halvings(eta: float, tries: int):
         eta *= 0.5
 
 
-def _line_search(trial_at, improves, eta: float, tries: int):
-    """First (eta, trial_at(eta)) of ``_halvings`` that improves, or (None, None)."""
-    for e in _halvings(eta, tries):
-        trial = trial_at(e)
-        if improves(trial):
-            return e, trial
-    return None, None
-
-
 def _best_certificate(kind, runs, witness, sign=1) -> Certificate:
     """Certificate of the highest-valued (point, value, history, converged,
     iterations) run, values scaled by ``sign``; ties keep the earliest run."""
@@ -195,15 +188,14 @@ def _mirror_step(log_rho: np.ndarray, grad: np.ndarray, eta: np.ndarray) -> np.n
     return (u * ew[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
-def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int):
+def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int) -> list:
     """Mirror ascent from every matrix of the stack ``seeds`` in lockstep.
 
-    Returns (runs, advance). A round, advance(), sends the next trial of every
-    running seed through one stacked mirror step and one stacked ``value_fn``
-    call, and the seeds that accepted through one ``grad_fn(rho, log_rho)``
-    call; runs[s] turns from None into seed s's (rho, value, history,
-    converged, iterations) when it stops. Seeds never mix, so each follows
-    the path it follows alone.
+    Returns one (rho, value, history, converged, iterations) run per seed.
+    A round sends the next trial of every running seed through one stacked
+    mirror step and one stacked ``value_fn`` call, and the seeds that
+    accepted and go on through one ``grad_fn(rho, log_rho)`` call. Seeds
+    never mix, so each follows the path it follows alone.
     """
     rho = np.array(seeds, dtype=complex)
     vals = value_fn(rho).tolist()
@@ -213,32 +205,31 @@ def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int):
     etas, eta, stall, its = [None] * n, [_STEP] * n, [0] * n, [0] * n
     log_rho, grad = np.empty_like(rho), np.empty_like(rho)
 
-    def begin(idx):  # the next step of seeds idx: one log of rho, one gradient
-        for s in idx:
-            its[s] += 1
-            etas[s] = _halvings(eta[s], 50)
-        if idx:
-            log_rho[idx] = hermitian_log(rho[idx])
-            grad[idx] = grad_fn(rho[idx], log_rho[idx])
-
     def settle(s, gain) -> bool:  # seed s's step ended; True if it goes on
         stall[s] = _stall(stall[s], gain)
         if stall[s] is None or its[s] == max_iters:
             runs[s] = (rho[s], vals[s], history[s], stall[s] is None, its[s])
         return runs[s] is None
 
-    def advance():
+    running = fresh = [s for s in range(n) if runs[s] is None]
+    while running:
+        for s in fresh:  # seeds starting a step: one log of rho, one gradient each
+            its[s] += 1
+            etas[s] = _halvings(eta[s], 50)
+        if fresh:
+            log_rho[fresh] = hermitian_log(rho[fresh])
+            grad[fresh] = grad_fn(rho[fresh], log_rho[fresh])
         idx, steps = [], []
-        for s in [s for s in range(n) if runs[s] is None]:
+        for s in running:
             if (e := next(etas[s], None)) is None:
                 settle(s, None)  # no step size improved
             else:
                 idx.append(s)
                 steps.append(e)
         if not idx:
-            return
+            break
         trial = _mirror_step(log_rho[idx], grad[idx], np.array(steps))
-        goes_on = []
+        fresh = []
         for s, e, t, v in zip(idx, steps, trial, value_fn(trial).tolist()):
             if v > vals[s] + 1e-15:
                 gain = v - vals[s]
@@ -246,18 +237,18 @@ def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int):
                 history[s].append(v)
                 eta[s] = min(e * 2.0, 4.0)
                 if settle(s, gain):
-                    goes_on.append(s)
-        begin(goes_on)
-
-    begin([s for s in range(n) if runs[s] is None])
-    return runs, advance
+                    fresh.append(s)
+        running = [s for s in running if runs[s] is None]
+    return runs
 
 
-def _single_ascent(stack, s: int):
-    """Seed s's run of an ``_ascent_stack``, advancing it until that seed stops."""
-    runs, advance = stack
-    while runs[s] is None:
-        advance()
+def _single_ascent(runs: list, s: int):
+    """Seed s's run of an ``_ascent_stack``.
+
+    A plain accessor, kept so that the benchmark's trace (``bench/spans.py``)
+    can count restarts by its calls and read each run's accepted steps from
+    its result.
+    """
     return runs[s]
 
 
@@ -278,11 +269,10 @@ def _ascent_certificate(kind, phi, cfg, base, value_fn, grad_fn, sign=1) -> Cert
     comp = complement(phi)
     cfg = cfg or OptimizerConfig()
     seeds = _ascent_seeds(phi.d_in, cfg)
-    stack = _ascent_stack(
+    runs = _ascent_stack(
         lambda m: value_fn(comp, m, base), partial(grad_fn, comp, lb=lb), seeds, cfg.max_iters
     )
-    runs = (_single_ascent(stack, s) for s in range(len(seeds)))
-    return _best_certificate(kind, runs, DensityMatrix, sign)
+    return _best_certificate(kind, (_single_ascent(runs, s) for s in range(len(runs))), DensityMatrix, sign)
 
 
 def maximize_coherent_information(
@@ -472,7 +462,7 @@ def _ree_terms(rho_t: np.ndarray, tr_rho_log_rho: float, sigma: np.ndarray, dims
     n = sigma.shape[0]
     sig = (1.0 - _SIGMA_FLOOR) * hermitize(sigma) + _SIGMA_FLOOR * np.eye(n) / n
     ws, us = hermitian_eigen(sig)
-    ws = np.maximum(ws, 1e-300)
+    ws = np.maximum(ws, _LOG_FLOOR)
     rho_e = us.conj().T @ rho_t @ us
     f_nat = tr_rho_log_rho - float(np.real(np.log(ws) @ np.diag(rho_e).real))
     wa, wb = ws[:, None], ws[None, :]
@@ -484,7 +474,7 @@ def _ree_terms(rho_t: np.ndarray, tr_rho_log_rho: float, sigma: np.ndarray, dims
     grad = hermitize(us @ (-kernel * rho_e) @ us.conj().T) / lb
     f = f_nat / lb
     lam = float(np.linalg.eigvalsh(grad)[0])
-    lam_pt = float(np.linalg.eigvalsh(hermitize(partial_transpose(grad, dims)))[0])
+    lam_pt = float(np.linalg.eigvalsh(partial_transpose(grad, dims))[0])
     slope = float(np.real(np.trace(grad @ sig)))
     cert = max(0.0, f + max(lam, lam_pt) - slope)
     return f, grad, cert, sig
@@ -494,8 +484,7 @@ def _regularized(rho: DensityMatrix) -> tuple[np.ndarray, float, tuple[int, int]
     dims = _require_dims(rho)
     n = rho.dim
     rho_t = (1.0 - _RHO_FLOOR) * rho.mat + _RHO_FLOOR * np.eye(n) / n
-    w = np.maximum(np.linalg.eigvalsh(rho_t), 1e-300)
-    return rho_t, float((w * np.log(w)).sum()), dims
+    return rho_t, -_entropy_mat(rho_t, math.e), dims
 
 
 def ree_dual_certificate(rho: DensityMatrix, sigma: DensityMatrix, base: float = 2.0) -> float:
@@ -529,22 +518,20 @@ def ree_ppt_lower(
     eta = _STEP
 
     def step():
-        nonlocal f, grad, cert, sig, best_cert, best_sigma, eta
-
-        def trial_at(e):
+        nonlocal f, grad, sig, best_cert, best_sigma, eta
+        for e in _halvings(eta, 40):
             trial = project_ppt(sig - e * grad, dims)
-            return (*_ree_terms(rho_t, tr_log, trial, dims, lb), trial)
-
-        eta_ok, found = _line_search(trial_at, lambda t: t[0] < f - 1e-15, eta, 40)
-        if found is None:
-            return None
-        gain = f - found[0]
-        f, grad, cert, sig, candidate = found
+            terms = _ree_terms(rho_t, tr_log, trial, dims, lb)
+            if terms[0] < f - 1e-15:
+                break
+        else:
+            return None  # the line search is exhausted: no step size improved
+        gain = f - terms[0]
+        f, grad, cert, sig = terms
         history.append(cert)
         if cert > best_cert:
-            best_cert = cert
-            best_sigma = candidate
-        eta = min(eta_ok * 2.0, 10.0 * _STEP)
+            best_cert, best_sigma = cert, trial
+        eta = min(e * 2.0, 10.0 * _STEP)
         return gain
 
     converged, it = _drive(step, cfg.max_iters)
@@ -572,7 +559,7 @@ def trace_dist_to_ppt(rho: DensityMatrix, cfg: OptimizerConfig | None = None) ->
     history = [val]
     last_improvement = 0
     for it in range(1, cfg.max_iters + 1):
-        sign = _sign_matrix(hermitize(rho.mat - sigma))
+        sign = _sign_matrix(rho.mat - sigma)
         sigma = project_ppt(sigma + (_STEP / math.sqrt(it)) * sign, dims)
         val = trace_norm(rho.mat - sigma)
         history.append(val)

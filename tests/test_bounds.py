@@ -109,6 +109,18 @@ def test_non_finite_certificate_is_a_value_error(bound, gap):
         bound(gap, 4)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "assemble,arg",
+    [(assemble_report, arg) for arg in ("ic", "min_ic", "rci", "er_lower")]
+    + [(assemble_state_report, arg) for arg in ("ic", "er_lower", "mi")],
+)
+def test_report_refuses_a_non_finite_certificate(assemble, arg, value):
+    # refused before the accept rule (no skip note) and before g sees it
+    with pytest.raises(ValueError, match="certificate must be finite"):
+        assemble("subject", d=4, **{arg: value})
+
+
 def test_dimension_validation():
     with pytest.raises(ValueError, match="dimension"):
         separable_distance_lower(1.0, 1)

@@ -339,6 +339,8 @@ def test_state_file_round_trip_and_errors(tmp_path):
     bad.write_text("][")
     with pytest.raises(ValueError, match="malformed state file"):
         load_state(str(bad))
+    with pytest.raises(ValueError, match="malformed channel file"):
+        load_channel(str(bad))
 
 
 def _file_with_dims(verb: str, token: str) -> str:
