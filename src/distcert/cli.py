@@ -343,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument(
         "--oracle",
         action="store_true",
-        help=f"force the PPT trace-distance search above dimension {_ORACLE_AUTO_DIM}",
+        help=f"force the PPT trace-distance search above dimension {_ORACLE_AUTO_DIM}, where "
+        "it estimates the distance to PPT states only, not to separable states",
     )
 
     rp = sub.add_parser("reproduce", help="closed-form scan tables")

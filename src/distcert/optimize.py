@@ -1,22 +1,20 @@
 """Certified search routines feeding the distance bounds.
 
-Three searches share one stop rule (``_stall``): a search ends when no move
-improves, ``_STALL_LIMIT`` gains in a row fall below ``_TOL``, or
-``max_iters`` runs out. Each search is one loop:
+One driver, ``_drive``, runs the seeds of three searches in lockstep rounds
+and alone applies the stop rule: a seed ends when no move improves,
+``_STALL_LIMIT`` gains in a row fall below ``_TOL``, or ``max_iters`` runs
+out. Each search supplies the step of one round:
 
 * mirror ascent over density matrices for maximizing or minimizing coherent
-  information and its reverse variant: ``_ascent_stack`` advances all seeds
-  of one search in lockstep as one (S, n, n) stack, each along exactly the
-  path it takes alone, and returns their runs,
+  information and its reverse variant, one line-search trial of every seed
+  per round through one stacked (S, n, n) mirror step,
 * a see-saw alternation giving certified lower bounds on diamond-norm
-  distance between two channels, its step repeated by ``_drive``,
+  distance between two channels, one alternation per seed and round,
 * projected gradient descent over PPT states for the relative entropy of
-  entanglement, with a dual minorant making every iterate a certificate; its
-  step, repeated by ``_drive``, holds its own halving line search.
+  entanglement, with a dual minorant making every iterate a certificate.
 
-The fourth engine, a projected subgradient search for the trace-norm
-distance to the PPT set, keeps its own fixed diminishing-step schedule and
-always runs ``max_iters`` steps.
+The trace-norm search for the distance to the PPT set is the one search
+outside the driver: it always runs ``max_iters`` diminishing steps.
 
 Everything a Certificate reports as ``value`` is exactly evaluable from its
 witness: each search scores with the code that re-checks it (the evaluators in
@@ -43,6 +41,7 @@ from .entropy import _check_base, _entropy_mat
 from .linalg import (
     _LOG_FLOOR,
     DensityMatrix,
+    _as_int,
     PureState,
     _checked_eigh,
     _require_dims,
@@ -81,9 +80,11 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("restarts", "max_iters"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("restarts", "max_iters", "seed"):
+            value = _as_int(getattr(self, name), name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -91,9 +92,13 @@ class Certificate:
     """Outcome of a search, pinned to a re-evaluable witness.
 
     ``value`` is the certified quantity (its meaning depends on ``kind``),
-    ``witness`` the state or vector achieving it, ``objective`` an optional
-    secondary achieved value, and ``history`` the accepted objective values
-    of the winning run.
+    ``witness`` the state or vector achieving it, and ``objective`` an
+    optional secondary achieved value. ``history`` depends on the search:
+    the mirror ascents and the see-saw record the objective at the start
+    and after each accepted step of the winning run; ``ree_ppt_lower`` the
+    dual certificate at the start and at each accepted step (not the
+    running best); ``trace_dist_to_ppt`` the trace distance at every
+    iterate, the start included.
     """
 
     kind: str
@@ -108,23 +113,25 @@ class Certificate:
 # ----- the search driver -----
 
 
-def _drive(step, max_iters: int) -> tuple[bool, int]:
-    """Repeat ``step`` (one move; its gain, or None when no move improves) until
-    ``_stall`` converges, or ``max_iters`` runs out; (converged, iterations)."""
-    stall = 0
-    for it in range(1, max_iters + 1):
-        if (stall := _stall(stall, step())) is None:
-            return True, it
-    return False, max_iters
+def _drive(step, n: int, max_iters: int) -> list:
+    """(converged, iterations) of each of ``n`` seeds run under the stop rule.
 
-
-def _stall(stall: int, gain) -> int | None:
-    """Stall count after a step gaining ``gain``; None on convergence: no move
-    improved (gain None) or ``_STALL_LIMIT`` gains in a row fell below ``_TOL``."""
-    if gain is None:
-        return None
-    stall = stall + 1 if gain < _TOL else 0
-    return None if stall >= _STALL_LIMIT else stall
+    ``step(running)`` advances the running seeds by one round and returns
+    {seed: gain} for those that finished a step in it, the gain None when no
+    move improved; a seed left out is mid-step.
+    """
+    stops = [None if max_iters else (False, 0)] * n
+    stall, its = [0] * n, [0] * n
+    running = [s for s in range(n) if stops[s] is None]
+    while running:
+        for s, gain in step(running).items():
+            its[s] += 1
+            stall[s] = stall[s] + 1 if gain is not None and gain < _TOL else 0
+            converged = gain is None or stall[s] >= _STALL_LIMIT
+            if converged or its[s] == max_iters:
+                stops[s] = (converged, its[s])
+        running = [s for s in running if stops[s] is None]
+    return stops
 
 
 def _halvings(eta: float, tries: int):
@@ -193,53 +200,41 @@ def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int) -> list:
 
     Returns one (rho, value, history, converged, iterations) run per seed.
     A round sends the next trial of every running seed through one stacked
-    mirror step and one stacked ``value_fn`` call, and the seeds that
-    accepted and go on through one ``grad_fn(rho, log_rho)`` call. Seeds
-    never mix, so each follows the path it follows alone.
+    mirror step and one stacked ``value_fn`` call, and the seeds starting a
+    step through one ``hermitian_log`` and one ``grad_fn(rho, log_rho)``
+    call. Seeds never mix, so each follows the path it follows alone.
     """
     rho = np.array(seeds, dtype=complex)
     vals = value_fn(rho).tolist()
     history = [[v] for v in vals]
     n = len(rho)
-    runs = [None if max_iters else (rho[s], vals[s], history[s], False, 0) for s in range(n)]
-    etas, eta, stall, its = [None] * n, [_STEP] * n, [0] * n, [0] * n
+    etas, eta = [None] * n, [_STEP] * n  # etas[s]: seed s's line search, None between steps
     log_rho, grad = np.empty_like(rho), np.empty_like(rho)
 
-    def settle(s, gain) -> bool:  # seed s's step ended; True if it goes on
-        stall[s] = _stall(stall[s], gain)
-        if stall[s] is None or its[s] == max_iters:
-            runs[s] = (rho[s], vals[s], history[s], stall[s] is None, its[s])
-        return runs[s] is None
-
-    running = fresh = [s for s in range(n) if runs[s] is None]
-    while running:
-        for s in fresh:  # seeds starting a step: one log of rho, one gradient each
-            its[s] += 1
-            etas[s] = _halvings(eta[s], 50)
-        if fresh:
+    def step(running):
+        if fresh := [s for s in running if etas[s] is None]:
+            for s in fresh:
+                etas[s] = _halvings(eta[s], 50)
             log_rho[fresh] = hermitian_log(rho[fresh])
             grad[fresh] = grad_fn(rho[fresh], log_rho[fresh])
-        idx, steps = [], []
+        gains, idx, steps = {}, [], []
         for s in running:
             if (e := next(etas[s], None)) is None:
-                settle(s, None)  # no step size improved
+                gains[s] = None  # no step size improved
             else:
                 idx.append(s)
                 steps.append(e)
-        if not idx:
-            break
-        trial = _mirror_step(log_rho[idx], grad[idx], np.array(steps))
-        fresh = []
-        for s, e, t, v in zip(idx, steps, trial, value_fn(trial).tolist()):
-            if v > vals[s] + 1e-15:
-                gain = v - vals[s]
-                rho[s], vals[s] = t, v
-                history[s].append(v)
-                eta[s] = min(e * 2.0, 4.0)
-                if settle(s, gain):
-                    fresh.append(s)
-        running = [s for s in running if runs[s] is None]
-    return runs
+        if idx:
+            trial = _mirror_step(log_rho[idx], grad[idx], np.array(steps))
+            for s, e, t, v in zip(idx, steps, trial, value_fn(trial).tolist()):
+                if v > vals[s] + 1e-15:
+                    gains[s], rho[s], vals[s] = v - vals[s], t, v
+                    history[s].append(v)
+                    eta[s], etas[s] = min(e * 2.0, 4.0), None
+        return gains
+
+    stops = _drive(step, n, max_iters)
+    return [(rho[s], vals[s], history[s], *stops[s]) for s in range(n)]
 
 
 def _single_ascent(runs: list, s: int):
@@ -352,28 +347,26 @@ def seesaw_diamond_lower(
     d_a = phi.d_in
     ext_phi, ext_psi = (tensor_with_identity(c, d_a) for c in (phi, psi))
 
-    def single(v):
-        val = trace_norm(_output_gap(ext_phi, ext_psi, v))
-        history = [val]
+    vs = _seesaw_seeds(d_a, cfg)
+    vals = [trace_norm(_output_gap(ext_phi, ext_psi, v)) for v in vs]
+    history = [[val] for val in vals]
 
-        def step():
-            nonlocal v, val
-            sign = _sign_matrix(_output_gap(ext_phi, ext_psi, v))
+    def step(running):
+        gains = {}
+        for s in running:
+            sign = _sign_matrix(_output_gap(ext_phi, ext_psi, vs[s]))
             m = adjoint_apply_mat(ext_phi, sign) - adjoint_apply_mat(ext_psi, sign)
-            _, u = hermitian_eigen(m)
-            v_new = u[:, -1]
-            val_new = trace_norm(_output_gap(ext_phi, ext_psi, v_new))
-            if val_new < val:
-                return None
-            gain = val_new - val
-            v, val = v_new, val_new
-            history.append(val)
-            return gain
+            v = hermitian_eigen(m)[1][:, -1]
+            val = trace_norm(_output_gap(ext_phi, ext_psi, v))
+            if val < vals[s]:
+                gains[s] = None
+            else:
+                gains[s], vs[s], vals[s] = val - vals[s], v, val
+                history[s].append(val)
+        return gains
 
-        converged, it = _drive(step, cfg.max_iters)
-        return v, val, history, converged, it
-
-    runs = (single(v) for v in _seesaw_seeds(d_a, cfg))
+    stops = _drive(step, len(vs), cfg.max_iters)
+    runs = [(vs[s], vals[s], history[s], *stops[s]) for s in range(len(vs))]
     return _best_certificate("Diamond_lower", runs, lambda v: PureState(v, dims=(d_a, d_a)))
 
 
@@ -517,7 +510,7 @@ def ree_ppt_lower(
     history = [cert]
     eta = _STEP
 
-    def step():
+    def step(_):
         nonlocal f, grad, sig, best_cert, best_sigma, eta
         for e in _halvings(eta, 40):
             trial = project_ppt(sig - e * grad, dims)
@@ -525,16 +518,16 @@ def ree_ppt_lower(
             if terms[0] < f - 1e-15:
                 break
         else:
-            return None  # the line search is exhausted: no step size improved
+            return {0: None}  # the line search is exhausted: no step size improved
         gain = f - terms[0]
         f, grad, cert, sig = terms
         history.append(cert)
         if cert > best_cert:
             best_cert, best_sigma = cert, trial
         eta = min(e * 2.0, 10.0 * _STEP)
-        return gain
+        return {0: gain}
 
-    converged, it = _drive(step, cfg.max_iters)
+    [(converged, it)] = _drive(step, 1, cfg.max_iters)
     witness = DensityMatrix(best_sigma, dims)
     return Certificate(
         "ER_lower", best_cert, witness, converged, it, objective=f, history=tuple(history)
@@ -547,9 +540,13 @@ def ree_ppt_lower(
 def trace_dist_to_ppt(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> Certificate:
     """Search estimate of min over PPT states of ||rho - sigma||_1.
 
-    Projected subgradient descent with diminishing steps. The value is an
-    achieved trace norm against a feasible PPT state, hence an upper
-    reference for the separability distance, not a certified lower bound.
+    Projected subgradient descent with diminishing steps, the one search
+    outside ``_drive``: it always runs ``max_iters`` steps, as a stall rule
+    moves its estimate. sigma is Dykstra's density-side iterate, PPT only
+    to the projection's tolerance (eigenvalues of sigma^Gamma near -1e-8),
+    so the value is an upper value for the PPT distance only up to that
+    slack, and never a lower bound. Only for d_A * d_B <= 6, where PPT and
+    separable states coincide, does it estimate the separability distance.
     """
     cfg = cfg or OptimizerConfig()
     dims = _require_dims(rho)

@@ -261,14 +261,14 @@ def test_analyze_channel_strict_flags_unconverged(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("verb", ["analyze-channel", "analyze-state"])
-@pytest.mark.parametrize("flag", ["--max-iters", "--restarts"])
+@pytest.mark.parametrize("flag", ["--max-iters", "--restarts", "--seed"])
 def test_analyze_rejects_negative_search_limits(tmp_path, capsys, verb, flag):
     path = _analyze_input(verb, tmp_path, capsys)
     code = main([verb, path, flag, "-1"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error:")
+    assert captured.err.startswith(f"error: {flag[2:].replace('-', '_')} must be >= 0")
 
 
 # ----- analyze-state -----

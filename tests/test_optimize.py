@@ -20,6 +20,7 @@ from distcert import (
     channel_coherent_information,
     chaotic_state,
     coherent_information_gradient,
+    depolarizing,
     erasure,
     identity_embedding,
     maximally_entangled,
@@ -453,29 +454,57 @@ def test_certificate_fields_and_config_defaults():
 
 def _scripted(gains):
     it = iter(gains)
-    return lambda: next(it)
+    return lambda running: {0: next(it)}
 
 
 def test_drive_stops_when_no_improving_move():
-    assert _drive(_scripted([1.0, 1.0, None]), 50) == (True, 3)
+    assert _drive(_scripted([1.0, 1.0, None]), 1, 50) == [(True, 3)]
 
 
 def test_drive_stops_after_stall_limit():
     small = [_TOL / 2] * _STALL_LIMIT
-    assert _drive(_scripted([1.0, *small]), 50) == (True, 1 + _STALL_LIMIT)
+    assert _drive(_scripted([1.0, *small]), 1, 50) == [(True, 1 + _STALL_LIMIT)]
     # a gain at or above the tolerance resets the count
-    assert _drive(_scripted([*small[1:], _TOL, *small]), 50) == (True, 2 * _STALL_LIMIT)
+    assert _drive(_scripted([*small[1:], _TOL, *small]), 1, 50) == [(True, 2 * _STALL_LIMIT)]
 
 
 def test_drive_reports_exhausted_iterations():
-    assert _drive(lambda: 1.0, 7) == (False, 7)
-    assert _drive(_scripted([]), 0) == (False, 0)
+    assert _drive(lambda running: {0: 1.0}, 1, 7) == [(False, 7)]
+    assert _drive(_scripted([]), 1, 0) == [(False, 0)]
 
 
-@pytest.mark.parametrize("field", ["restarts", "max_iters"])
+def test_drive_stops_each_seed_by_its_own_rule():
+    mid = ...  # the seed is mid-step in this round: left out of the dict
+    small = [_TOL / 2] * _STALL_LIMIT
+    scripts = [
+        [1.0, mid, mid, 1.0, None],  # no improving move at its third step
+        [mid, 1.0, *small],  # stalls after 1 + _STALL_LIMIT steps
+        [1.0, mid] * 20,  # runs out of its 15 steps
+    ]
+    rounds = []
+
+    def step(running):
+        rounds.append(list(running))
+        return {s: g for s in running if (g := scripts[s][len(rounds) - 1]) is not mid}
+
+    assert _drive(step, 3, 15) == [(True, 3), (True, 1 + _STALL_LIMIT), (False, 15)]
+    # a seed leaves the rounds once it stops, and mid-step rounds do not count
+    assert rounds[4] == [0, 1, 2] and rounds[5] == [1, 2]
+    assert rounds[1 + _STALL_LIMIT] == [1, 2] and rounds[2 + _STALL_LIMIT] == [2]
+    assert len(rounds) == 29
+    assert _drive(step, 3, 0) == [(False, 0)] * 3 and len(rounds) == 29
+
+
+@pytest.mark.parametrize("field", ["restarts", "max_iters", "seed"])
 def test_config_rejects_negative_limits(field):
     with pytest.raises(ValueError, match=field):
         OptimizerConfig(**{field: -1})
+    for bad in (2.5, float("nan"), "3", None):
+        with pytest.raises(ValueError, match=field):
+            OptimizerConfig(**{field: bad})
+    # an integral value of another numeric type is taken as that int
+    assert getattr(OptimizerConfig(**{field: np.int64(2)}), field) == 2
+    assert type(getattr(OptimizerConfig(**{field: 2.0}), field)) is int
 
 
 def test_zero_iterations_evaluate_start_points_only():
@@ -561,6 +590,47 @@ def test_lockstep_seeds_follow_their_single_seed_paths(monkeypatch, search, chan
     if (search, channel, base, max_iters) == (maximize_coherent_information, "3->2", 2.0, 120):
         # one stack where seeds stop for each of the three reasons
         assert {_stop_reason(run) for run in runs} == {"stall", "line search", "max_iters"}
+
+
+_SEESAW_PAIRS = {
+    "erasure": lambda: (erasure(2, 0.3), erasure(2, 0.6)),
+    "depolarizing": lambda: (depolarizing(3, 0.2), depolarizing(3, 0.5)),
+    "random": lambda: (
+        random_channel(2, 2, 2, np.random.default_rng(4)),
+        random_channel(2, 2, 3, np.random.default_rng(5)),
+    ),
+}
+
+
+@pytest.mark.parametrize("max_iters", [0, 5, 40])
+@pytest.mark.parametrize("pair", list(_SEESAW_PAIRS))
+def test_seesaw_seeds_follow_their_single_seed_paths(monkeypatch, pair, max_iters):
+    phi, psi = _SEESAW_PAIRS[pair]()
+    cfg = OptimizerConfig(restarts=3, max_iters=max_iters, seed=0)
+    seeds = optimize._seesaw_seeds(phi.d_in, cfg)
+    captured = []
+    best = optimize._best_certificate
+
+    def spy(kind, runs, witness, sign=1):
+        captured.append(runs := list(runs))
+        return best(kind, runs, witness, sign)
+
+    monkeypatch.setattr(optimize, "_best_certificate", spy)
+    seesaw_diamond_lower(phi, psi, cfg)
+    for seed in seeds:
+        monkeypatch.setattr(optimize, "_seesaw_seeds", lambda d, c: [seed])
+        seesaw_diamond_lower(phi, psi, cfg)
+    lockstep, alone = captured[0], [runs[0] for runs in captured[1:]]
+    assert len(lockstep) == len(alone) == 4
+    for (v, val, history, *stop), (v1, val1, history1, *stop1) in zip(lockstep, alone):
+        assert v.tobytes() == v1.tobytes()
+        assert [float(h).hex() for h in (val, *history)] == [float(h).hex() for h in (val1, *history1)]
+        assert stop == stop1
+    if max_iters == 0:
+        assert all(run[2:] == ([run[1]], False, 0) for run in lockstep)
+    if (pair, max_iters) == ("erasure", 5):
+        # seeds that stop for different reasons share the rounds
+        assert {_stop_reason(run) for run in lockstep} == {"max_iters", "line search"}
 
 
 def test_stack_kernels_act_slice_by_slice():
