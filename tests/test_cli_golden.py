@@ -45,7 +45,7 @@ def _rank2(a, b):
     return random_density_matrix(a * b, np.random.default_rng(0), rank=2, dims=(a, b))
 
 
-# case -> (verb, input builder, extra flags)
+# case -> (verb, function making the input, extra flags)
 CASES = {
     "channel/erasure(3,0.2)/ree": ("analyze-channel", lambda: erasure(3, 0.2), ["--ree"]),
     "channel/depolarizing(3,0.2)/nats": (
