@@ -48,7 +48,7 @@ def analyze(name, rho, cfg):
 
 
 def main():
-    cfg = OptimizerConfig(restarts=2, max_iters=200, seed=0)
+    cfg = OptimizerConfig(max_iters=200)  # the state searches read only max_iters
 
     bell = maximally_entangled(2).to_density()
     analyze("bell pair", bell, cfg)

@@ -388,11 +388,11 @@ def assemble_state_report(
     mi: float | None = None,
     oracle: float | None = None,
     witnesses: dict[str, str] | None = None,
-    seed: int | None = None,
 ) -> BoundReport:
-    """State-side report: distance to separable and to product states."""
+    """State-side report: distance to separable and to product states. Its
+    ``seed`` stays None: no state-side search draws a random start point."""
     base = _check_base(base)
-    report = BoundReport(subject, base_label(base), seed=seed)
+    report = BoundReport(subject, base_label(base))
     _entry(report, _STATE_SOURCES, {"ic": ic, "er_lower": er_lower, "mi": mi}, d, base, witnesses)
     if oracle is not None:
         report.notes.append(f"trace distance to the PPT set, search estimate: {oracle!r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -209,7 +210,11 @@ def _pairs_to_complex(data, shape: tuple) -> np.ndarray:
         pairs = np.array(data)
     except ValueError as exc:
         raise ValueError(f"malformed complex matrix encoding: {exc}") from exc
-    if pairs.dtype.kind not in "biuf" or pairs.shape[-1:] != (2,):
+    # numpy reads a list mixing booleans and numbers as floats, so each entry's type is checked
+    entries = data
+    for _ in range(pairs.ndim - 1):
+        entries = chain.from_iterable(entries)
+    if pairs.dtype.kind not in "iuf" or pairs.shape[-1:] != (2,) or bool in set(map(type, entries)):
         raise ValueError("malformed complex matrix encoding: expected [re, im] number pairs")
     if pairs.shape[:-1] != shape:
         raise ValueError(f"matrix shape {pairs.shape[:-1]} does not match declared {shape}")

@@ -65,13 +65,9 @@ def _base_of(args) -> float:
     return 2.0 if args.log_base == "2" else math.e
 
 
-def _cfg_of(args) -> OptimizerConfig:
-    return OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
-
-
-def _search(args, certs: list, witnesses: dict, key: str, what: str, search, subject) -> float:
+def _search(cfg, base, certs: list, witnesses: dict, key: str, what: str, search, subject) -> float:
     """One search with the command's config and log base; keeps its Certificate and witness note."""
-    cert = search(subject, _cfg_of(args), _base_of(args))
+    cert = search(subject, cfg, base)
     certs.append(cert)
     witnesses[key] = f"{what} ({cert.iterations} iterations, converged={cert.converged})"
     return _snap(cert.value)
@@ -91,9 +87,10 @@ def _emit_report(report, args, certs) -> int:
 
 def _cmd_analyze_channel(args) -> int:
     phi = load_channel(args.path)
+    cfg = OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
     certs = []
     witnesses = {}
-    run = partial(_search, args, certs, witnesses)
+    run = partial(_search, cfg, _base_of(args), certs, witnesses)
     ic = run("ic", "mirror-ascent input state", maximize_coherent_information, phi)
     min_ic = run("min_ic", "mirror-descent input state", minimize_coherent_information, phi)
     rci = run("rci", "mirror-ascent input state", maximize_reverse_coherent_information, phi)
@@ -120,7 +117,8 @@ def _cmd_analyze_channel(args) -> int:
 def _cmd_analyze_state(args) -> int:
     rho = load_state(args.path)
     base = _base_of(args)
-    cfg = _cfg_of(args)
+    # the REE descent and the oracle start from one fixed point and read only max_iters
+    cfg = OptimizerConfig(max_iters=args.max_iters)
     da, db = rho.dims
     d = min(da, db)
     if d < 2:
@@ -134,7 +132,7 @@ def _cmd_analyze_state(args) -> int:
     notes = []
     er_lower = None
     if args.ree or n <= _REE_AUTO_DIM:
-        er_lower = _search(args, certs, witnesses, "er", "PPT descent candidate", ree_ppt_lower, rho)
+        er_lower = _search(cfg, base, certs, witnesses, "er", "PPT descent candidate", ree_ppt_lower, rho)
     else:
         notes.append(
             f"relative entropy certificate skipped (dimension {n} exceeds "
@@ -154,7 +152,6 @@ def _cmd_analyze_state(args) -> int:
         mi=mi,
         oracle=oracle_val,
         witnesses=witnesses,
-        seed=args.seed,
     )
     report.notes.extend(notes)
     report.notes.append(f"state: dims=({da}, {db})")
@@ -259,8 +256,8 @@ _TABLES = {
 
 def _cmd_reproduce(args) -> int:
     base = _base_of(args)
-    default_d, build = _TABLES[args.table]
-    columns, rows = build(_parse_d_range(args.d_range or default_d), args, base)
+    _, build = _TABLES[args.table]
+    columns, rows = build(_parse_d_range(args.d_range), args, base)
     _emit(_table_text(args.table, columns, rows, base, args.format), args.out)
     return 0
 
@@ -291,17 +288,21 @@ def _cmd_zoo(args) -> int:
 # ----- parser -----
 
 
-def _add_output_flags(sp) -> None:
-    sp.add_argument("--out", default=None, help="write the report here instead of stdout")
-    sp.add_argument("--format", choices=["json", "csv"], default="json")
-    sp.add_argument("--log-base", choices=["2", "e"], default="2", dest="log_base")
+_DEFAULT = " (default %(default)s)"
 
 
-def _add_optimizer_flags(sp) -> None:
-    defaults = OptimizerConfig()
-    sp.add_argument("--seed", type=int, default=defaults.seed)
-    sp.add_argument("--restarts", type=int, default=defaults.restarts)
-    sp.add_argument("--max-iters", type=int, default=defaults.max_iters, dest="max_iters")
+def _output_flags() -> argparse.ArgumentParser:
+    """The output flags of every verb but zoo, as a parent parser (argparse copies a
+    parent's flags without the per-flag formatting check of add_argument)."""
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write the report here instead of stdout")
+    out.add_argument("--format", choices=["json", "csv"], default="json")
+    out.add_argument("--log-base", choices=["2", "e"], default="2")
+    return out
+
+
+def _add_search_flags(sp) -> None:
+    sp.add_argument("--max-iters", type=int, default=OptimizerConfig.max_iters)
     sp.add_argument(
         "--strict",
         action="store_true",
@@ -319,11 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = p.add_subparsers(dest="command", required=True)
+    output = [_output_flags()]
 
-    ac = sub.add_parser("analyze-channel", help="bound distances for a channel file")
+    ac = sub.add_parser("analyze-channel", parents=output, help="bound distances for a channel file")
     ac.add_argument("path", help="channel JSON file")
-    _add_output_flags(ac)
-    _add_optimizer_flags(ac)
+    ac.add_argument("--seed", type=int, default=OptimizerConfig.seed)
+    ac.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
+    _add_search_flags(ac)
     ac.add_argument(
         "--ree",
         action="store_true",
@@ -331,10 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
         "normalized Choi state (slower)",
     )
 
-    st = sub.add_parser("analyze-state", help="bound distances for a bipartite state file")
+    st = sub.add_parser("analyze-state", parents=output, help="bound distances for a bipartite state file")
     st.add_argument("path", help="state JSON file")
-    _add_output_flags(st)
-    _add_optimizer_flags(st)
+    _add_search_flags(st)
     st.add_argument(
         "--ree",
         action="store_true",
@@ -348,16 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     rp = sub.add_parser("reproduce", help="closed-form scan tables")
-    rp.add_argument("table", choices=list(_TABLES))
-    _add_output_flags(rp)
-    rp.add_argument(
-        "--d-range",
-        default=None,
-        dest="d_range",
-        help="'a..b' doubling sweep or comma list (default depends on the table)",
-    )
-    rp.add_argument("--p-grid", default="0.2:0.6:9", dest="p_grid", help="start:stop:count")
-    rp.add_argument("--x", type=float, default=0.25, help="erasure offset for tightness")
+    tables = rp.add_subparsers(dest="table", required=True)
+    for name, (d_range, _) in _TABLES.items():
+        tp = tables.add_parser(name, parents=output)
+        tp.add_argument("--d-range", default=d_range, help="'a..b' doubling sweep or comma list" + _DEFAULT)
+    table = tables.choices
+    table["ex2"].add_argument("--p-grid", default="0.2:0.6:9", help="start:stop:count" + _DEFAULT)
+    table["tightness"].add_argument("--x", type=float, default=0.25, help="erasure p = 1/2 - x" + _DEFAULT)
 
     zoo = sub.add_parser("zoo", help="write a named channel as JSON")
     zoo.add_argument("name", help=" | ".join(_ZOO))

@@ -20,9 +20,10 @@ _LOG_FLOOR = 1e-300
 
 
 def _as_int(value, name: str) -> int:
-    """``value`` as an int; anything but a finite integral number is a ValueError."""
+    """``value`` as an int; anything but a finite integral number (a bool
+    included) is a ValueError."""
     try:
-        if (i := int(value)) == value:
+        if not isinstance(value, (bool, np.bool_)) and (i := int(value)) == value:
             return i
     except (OverflowError, TypeError, ValueError):
         pass

@@ -68,11 +68,13 @@ _DYKSTRA_MAX_ITERS = 200
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Shared knobs for all search routines.
+    """Settings of the search routines.
 
     ``restarts`` counts additional random seeds on top of the deterministic
-    ones. ``max_iters`` caps the steps of each run; 0 evaluates the start
-    points only.
+    ones, drawn from ``seed``. ``max_iters`` caps the steps of each run; 0
+    evaluates the start points only. The mirror ascents and the see-saw read
+    all three fields; ``ree_ppt_lower`` and ``trace_dist_to_ppt`` read only
+    ``max_iters`` and start from one deterministic point.
     """
 
     restarts: int = 8
@@ -500,6 +502,8 @@ def ree_ppt_lower(
     relaxation), and the witness is the candidate behind ``value``. The
     input is mixed with weight 1e-9 of the maximally mixed state so
     logarithms stay finite; this perturbs the target by a comparable amount.
+    One run from the PPT projection of the input: of ``cfg`` only
+    ``max_iters`` is read.
     """
     cfg = cfg or OptimizerConfig()
     lb = math.log(_check_base(base))
@@ -547,6 +551,8 @@ def trace_dist_to_ppt(rho: DensityMatrix, cfg: OptimizerConfig | None = None) ->
     so the value is an upper value for the PPT distance only up to that
     slack, and never a lower bound. Only for d_A * d_B <= 6, where PPT and
     separable states coincide, does it estimate the separability distance.
+    One run from the PPT projection of the input: of ``cfg`` only
+    ``max_iters`` is read.
     """
     cfg = cfg or OptimizerConfig()
     dims = _require_dims(rho)

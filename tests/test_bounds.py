@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distcert import (
+    DensityMatrix,
     antidegradable_distance_lower,
     assemble_report,
     assemble_state_report,
@@ -22,7 +23,9 @@ from distcert import (
     degradable_distance_lower,
     entanglement_breaking_distance_lower,
     g_correction,
+    mutual_information,
     product_distance_lower,
+    random_density_matrix,
     separable_distance_lower,
     state_distance_kernel,
 )
@@ -91,6 +94,17 @@ def test_refusals_on_wrong_sign_certificates():
         separable_distance_lower(-0.1, 4)
     with pytest.raises(ValueError, match="nonnegative"):
         product_distance_lower(-0.1, 4)
+
+
+def test_product_states_have_mutual_information_zero_and_bound_zero():
+    # H(A) + H(B) - H(AB) rounds to about -4e-16 on some product states; the
+    # documented pairing with product_distance_lower must still give 0
+    for s in range(200):
+        rng = np.random.default_rng(s)
+        a, b = random_density_matrix(2, rng), random_density_matrix(3, rng)
+        mi = mutual_information(DensityMatrix(np.kron(a.mat, b.mat), (2, 3)))
+        assert mi >= 0.0
+        assert product_distance_lower(mi, 2) == 0.0
 
 
 @pytest.mark.parametrize("gap", [math.nan, math.inf, -math.inf])

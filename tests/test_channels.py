@@ -369,6 +369,8 @@ def test_channel_decoding_rejects_malformed_pairs():
         [[[["1", "0"], zero], [zero, one]]],  # strings are not numbers
         [[[[1, 0, 0], zero], [zero, one]]],  # a triple is not an [re, im] pair
         [[[one, zero], [zero]]],  # ragged rows
+        [[[[True, False], [False, False]], [[False, False], [True, False]]]],  # booleans
+        [[[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],  # one boolean, read as 1.0 by numpy
     )
     for kraus in malformed:
         with pytest.raises(ValueError, match="malformed complex matrix encoding"):

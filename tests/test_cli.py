@@ -5,6 +5,7 @@ reports can be checked directly; one test exercises the installed
 ``distcert`` entry point as a subprocess smoke check.
 """
 
+import argparse
 import json
 import math
 import subprocess
@@ -35,7 +36,7 @@ from distcert import (
     tensor,
 )
 from distcert import bounds
-from distcert.cli import main
+from distcert.cli import build_parser, main
 
 
 def _run(capsys, argv):
@@ -46,6 +47,18 @@ def _run(capsys, argv):
 
 def _fast(*extra):
     return ["--restarts", "2", "--max-iters", "150", "--seed", "0", *extra]
+
+
+# analyze-state takes no --restarts or --seed: its searches run from one fixed start
+_FAST_STATE = ["--max-iters", "150"]
+
+
+def _exit_code(argv):
+    """What ``main`` returns, or the status argparse exits with on a flag it rejects."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 # ----- zoo -----
@@ -191,7 +204,7 @@ def _analyze_input(verb, tmp_path, capsys):
 @pytest.mark.parametrize("verb", ["analyze-channel", "analyze-state"])
 def test_analyze_channel_deterministic(tmp_path, capsys, verb):
     path = _analyze_input(verb, tmp_path, capsys)
-    argv = [verb, path, "--seed", "7", *_fast()[2:]]
+    argv = [verb, path, *(["--seed", "7", *_fast()[2:]] if verb == "analyze-channel" else _FAST_STATE)]
     _, first = _run(capsys, argv)
     _, second = _run(capsys, argv)
     assert first == second
@@ -264,11 +277,57 @@ def test_analyze_channel_strict_flags_unconverged(tmp_path, capsys):
 @pytest.mark.parametrize("flag", ["--max-iters", "--restarts", "--seed"])
 def test_analyze_rejects_negative_search_limits(tmp_path, capsys, verb, flag):
     path = _analyze_input(verb, tmp_path, capsys)
-    code = main([verb, path, flag, "-1"])
+    code = _exit_code([verb, path, flag, "-1"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {flag[2:].replace('-', '_')} must be >= 0")
+    if verb == "analyze-state" and flag != "--max-iters":
+        assert f"unrecognized arguments: {flag} -1" in captured.err
+    else:
+        assert captured.err.startswith(f"error: {flag[2:].replace('-', '_')} must be >= 0")
+
+
+def _options(parser) -> set[str]:
+    return {s for action in parser._actions for s in action.option_strings} - {"-h", "--help"}
+
+
+def _subparsers(parser) -> dict:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_each_verb_and_table_takes_only_the_flags_it_reads():
+    verbs = _subparsers(build_parser())
+    output = {"--out", "--format", "--log-base"}
+    search = {"--max-iters", "--strict", "--ree"}
+    assert _options(verbs["analyze-channel"]) == output | search | {"--seed", "--restarts"}
+    assert _options(verbs["analyze-state"]) == output | search | {"--oracle"}
+    assert _options(verbs["reproduce"]) == set()
+    tables = _subparsers(verbs["reproduce"])
+    assert _options(tables["ex1"]) == output | {"--d-range"}
+    assert _options(tables["ex2"]) == output | {"--d-range", "--p-grid"}
+    assert _options(tables["tightness"]) == output | {"--d-range", "--x"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze-state", "STATE", "--seed", "1"],
+        ["analyze-state", "STATE", "--restarts", "1"],
+        ["reproduce", "ex1", "--x", "0.3"],
+        ["reproduce", "ex2", "--x", "7"],
+        ["reproduce", "ex1", "--p-grid", "junk"],
+        ["reproduce", "tightness", "--p-grid", "0:1:3"],
+        ["reproduce", "ex1", "--d-range", ""],
+        ["reproduce", "--format", "csv", "ex1"],
+    ],
+    ids=lambda argv: " ".join(argv).replace("STATE ", ""),
+)
+def test_flags_a_verb_does_not_read_exit_2(tmp_path, capsys, argv):
+    state = _write_state(tmp_path, maximally_entangled(2).to_density())
+    code = _exit_code([state if a == "STATE" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
 
 
 # ----- analyze-state -----
@@ -282,9 +341,10 @@ def _write_state(tmp_path, rho, name="state.json"):
 
 def test_analyze_state_bell(tmp_path, capsys):
     path = _write_state(tmp_path, maximally_entangled(2).to_density())
-    code, out = _run(capsys, ["analyze-state", path, *_fast()])
+    code, out = _run(capsys, ["analyze-state", path, *_FAST_STATE])
     assert code == 0
     rep = json.loads(out)
+    assert rep["seed"] is None
     by_tag = {e["formula"]: e for e in rep["entries"]}
     # All three state certificates fire; at d = 2 the bounds clamp to zero.
     assert set(by_tag) == {"Eq5", "Eq6", "ProdMI"}
@@ -300,7 +360,7 @@ def test_analyze_state_bell(tmp_path, capsys):
 
 def test_analyze_state_large_maxent_bound_is_one(tmp_path, capsys):
     path = _write_state(tmp_path, maximally_entangled(16).to_density())
-    code, out = _run(capsys, ["analyze-state", path, *_fast()])
+    code, out = _run(capsys, ["analyze-state", path, *_FAST_STATE])
     assert code == 0
     rep = json.loads(out)
     by_tag = {e["formula"]: e for e in rep["entries"]}
@@ -317,7 +377,7 @@ def test_analyze_state_product_state_all_trivial(tmp_path, capsys):
     rb = random_density_matrix(2, rng)
     rho = DensityMatrix(tensor(ra.mat, rb.mat), dims=(3, 2))
     path = _write_state(tmp_path, rho)
-    code, out = _run(capsys, ["analyze-state", path, *_fast()])
+    code, out = _run(capsys, ["analyze-state", path, *_FAST_STATE])
     assert code == 0
     rep = json.loads(out)
     for e in rep["entries"]:
@@ -370,7 +430,37 @@ def test_malformed_dimensions_exit_2(tmp_path, capsys, verb, bad, good):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     path.write_text(_file_with_dims(verb, good))
-    assert main([verb, str(path), "--restarts", "0", "--max-iters", "1"]) == 0
+    search = ["--max-iters", "1"] + (["--restarts", "0"] if verb == "analyze-channel" else [])
+    assert main([verb, str(path), *search]) == 0
+
+
+@pytest.mark.parametrize(
+    "verb, bad", [("analyze-channel", "true"), ("analyze-state", "[true, 4]")], ids=["d_in", "dims"]
+)
+def test_boolean_dimension_exits_2(tmp_path, capsys, verb, bad):
+    # JSON true is not the integer 1
+    path = tmp_path / "input.json"
+    path.write_text(_file_with_dims(verb, bad))
+    assert main([verb, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be an integer, got True" in err
+
+
+@pytest.mark.parametrize("verb", ["analyze-channel", "analyze-state"])
+def test_boolean_entry_exits_2(tmp_path, capsys, verb):
+    # one [true, 0.0] entry among floats, which numpy alone would read as 1.0
+    if verb == "analyze-channel":
+        data = channel_to_dict(identity_embedding(2, 2))
+        data["kraus"][0][0][0] = [True, 0.0]
+    else:
+        data = state_to_dict(maximally_entangled(2).to_density())
+        data["matrix"][0][0] = [True, 0.0]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main([verb, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "number pairs" in captured.err
 
 
 @pytest.mark.parametrize("verb", ["analyze-channel", "analyze-state"])

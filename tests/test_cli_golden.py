@@ -1,11 +1,15 @@
-"""Pinned command output: what ``analyze-channel`` and ``analyze-state`` print.
+"""Pinned command output: what ``analyze-channel``, ``analyze-state`` and
+``reproduce`` print.
 
 ``golden_cli.json`` holds, for each invocation below, the exit code and the
-parsed report (JSON without its ``subject`` path, or CSV rows), recorded with
-``_observed`` at commit 0631c90. The invocations cover the mirror ascents
-with and without ``--ree``, both log bases, CSV output, ``--max-iters 0``,
-a ``--strict`` run that exits 3, and ``analyze-state`` with the automatic
-REE descent and trace-distance oracle on rank-2 2x2 and 2x3 states.
+parsed output (JSON without its ``subject`` path, or CSV rows), recorded with
+``_observed``: the ``analyze-*`` cases at commit 0631c90, the ``reproduce``
+cases at e240132. When ``analyze-state`` lost ``--seed``, the two state cases
+had their ``"seed"`` value set from 0 to null by hand. The invocations cover the mirror ascents with and without
+``--ree``, both log bases, CSV output, ``--max-iters 0``, a ``--strict`` run
+that exits 3, ``analyze-state`` with the automatic REE descent and
+trace-distance oracle on rank-2 2x2 and 2x3 states, and the three
+``reproduce`` tables at their defaults and with each table parameter set.
 
 Exit codes, strings (notes, witness text, entry order) and key order must
 match exactly; floats must agree within 1e-9, the tolerance of
@@ -33,7 +37,8 @@ from distcert import (
 from distcert.cli import main
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
-FAST = ["--restarts", "1", "--max-iters", "40"]
+# search flags of each analyze verb; analyze-state has no --restarts or --seed
+FAST = {"analyze-channel": ["--restarts", "1", "--max-iters", "40"], "analyze-state": ["--max-iters", "40"]}
 TOL = 1e-9
 
 
@@ -45,7 +50,7 @@ def _rank2(a, b):
     return random_density_matrix(a * b, np.random.default_rng(0), rank=2, dims=(a, b))
 
 
-# case -> (verb, function making the input, extra flags)
+# case -> (verb, function making the input file or None for no file, extra flags)
 CASES = {
     "channel/erasure(3,0.2)/ree": ("analyze-channel", lambda: erasure(3, 0.2), ["--ree"]),
     "channel/depolarizing(3,0.2)/nats": (
@@ -66,6 +71,15 @@ CASES = {
     ),
     "state/2x2": ("analyze-state", lambda: _rank2(2, 2), []),
     "state/2x3": ("analyze-state", lambda: _rank2(2, 3), []),
+    "reproduce/ex1": ("reproduce", None, ["ex1"]),
+    "reproduce/ex2": ("reproduce", None, ["ex2"]),
+    "reproduce/tightness": ("reproduce", None, ["tightness"]),
+    "reproduce/ex2/grid/nats/csv": (
+        "reproduce",
+        None,
+        ["ex2", "--d-range", "2..64", "--p-grid", "0:1:11", "--log-base", "e", "--format", "csv"],
+    ),
+    "reproduce/tightness/x-0.1": ("reproduce", None, ["tightness", "--d-range", "2,8", "--x", "0.1"]),
 }
 
 
@@ -78,15 +92,18 @@ def _cell(text: str):
 
 def _observed(name: str, tmp_path: Path, capsys) -> dict:
     verb, build, extra = CASES[name]
-    path = tmp_path / "input.json"
-    (save_channel if verb == "analyze-channel" else save_state)(build(), str(path))
-    code = main([verb, str(path), *FAST, *extra])
+    argv = [verb, *extra]
+    if build is not None:
+        path = tmp_path / "input.json"
+        (save_channel if verb == "analyze-channel" else save_state)(build(), str(path))
+        argv = [verb, str(path), *FAST[verb], *extra]
+    code = main(argv)
     out = capsys.readouterr().out
     if "--format" in extra:
         report = [[_cell(c) for c in row] for row in csv.reader(io.StringIO(out))]
     else:
         report = json.loads(out)
-        del report["subject"]
+        report.pop("subject", None)
     return {"exit": code, "report": report}
 
 

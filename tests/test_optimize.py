@@ -499,7 +499,7 @@ def test_drive_stops_each_seed_by_its_own_rule():
 def test_config_rejects_negative_limits(field):
     with pytest.raises(ValueError, match=field):
         OptimizerConfig(**{field: -1})
-    for bad in (2.5, float("nan"), "3", None):
+    for bad in (2.5, float("nan"), "3", None, True, np.True_):
         with pytest.raises(ValueError, match=field):
             OptimizerConfig(**{field: bad})
     # an integral value of another numeric type is taken as that int

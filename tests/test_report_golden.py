@@ -38,7 +38,7 @@ CHANNEL_CASES = {
 STATE_CASES = {
     "absent": dict(d=2),
     "zero": dict(d=2, ic=0.0, er_lower=0.0, mi=0.0),
-    "wrong_sign": dict(d=3, ic=-0.3, er_lower=-0.1, mi=-1e-3, oracle=0.123, seed=5),
+    "wrong_sign": dict(d=3, ic=-0.3, er_lower=-0.1, mi=-1e-3, oracle=0.123),
     "positive": dict(
         d=16,
         ic=4.0,
