@@ -108,26 +108,31 @@ def choi(phi: KrausChannel) -> DensityMatrix:
 
 
 # Raw-matrix cores behind the evaluators and the searches; comp = complement(phi).
-def _coherent_information_mat(phi: KrausChannel, comp: KrausChannel, m: np.ndarray, base: float) -> float:
-    return _entropy_mat(apply_mat(phi, m), base) - _entropy_mat(apply_mat(comp, m), base)
+# Each returns (value, outputs), the outputs being the channel outputs it scored.
+def _coherent_information_mat(phi: KrausChannel, comp: KrausChannel, m: np.ndarray, base: float):
+    """H(Phi(m)) - H(comp(m)), with outputs (Phi(m), comp(m))."""
+    out, env = apply_mat(phi, m), apply_mat(comp, m)
+    return _entropy_mat(out, base) - _entropy_mat(env, base), (out, env)
 
 
-def _reverse_coherent_information_mat(comp: KrausChannel, m: np.ndarray, base: float) -> float:
-    return _entropy_mat(m, base) - _entropy_mat(apply_mat(comp, m), base)
+def _reverse_coherent_information_mat(comp: KrausChannel, m: np.ndarray, base: float):
+    """H(m) - H(comp(m)), with outputs (comp(m),)."""
+    env = apply_mat(comp, m)
+    return _entropy_mat(m, base) - _entropy_mat(env, base), (env,)
 
 
 def channel_coherent_information(phi: KrausChannel, rho: DensityMatrix, base: float = 2.0) -> float:
     """I_c(Phi, rho) = H(Phi(rho)) - H(complement(Phi)(rho))."""
     base = _check_base(base)
     _check_input(phi, rho)
-    return _coherent_information_mat(phi, complement(phi), rho.mat, base)
+    return _coherent_information_mat(phi, complement(phi), rho.mat, base)[0]
 
 
 def reverse_coherent_information(phi: KrausChannel, rho: DensityMatrix, base: float = 2.0) -> float:
     """H(rho) - H(complement(Phi)(rho)), the reverse coherent information."""
     base = _check_base(base)
     _check_input(phi, rho)
-    return _reverse_coherent_information_mat(complement(phi), rho.mat, base)
+    return _reverse_coherent_information_mat(complement(phi), rho.mat, base)[0]
 
 
 def tensor_with_identity(phi: KrausChannel, d_ref: int) -> KrausChannel:

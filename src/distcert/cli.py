@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -310,6 +310,7 @@ def _add_search_flags(sp) -> None:
     )
 
 
+@cache  # built once per process: main parses every call with this one parser
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="distcert",

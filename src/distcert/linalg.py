@@ -73,7 +73,7 @@ def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
 
 def _checked_eigh(a: np.ndarray):  # eigh(hermitize(a)) behind the 1e-8 guard; stacks too
     ah = a.conj().swapaxes(-1, -2)
-    if not np.max(np.abs(a - ah), initial=0.0) <= INPUT_HERMITIAN_TOL:  # NaN fails too
+    if not abs(a - ah).max(initial=0.0) <= INPUT_HERMITIAN_TOL:  # NaN fails too
         raise ValueError("matrix is not Hermitian within 1e-8")
     return np.linalg.eigh(0.5 * (a + ah))
 

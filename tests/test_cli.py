@@ -204,10 +204,12 @@ def _analyze_input(verb, tmp_path, capsys):
 @pytest.mark.parametrize("verb", ["analyze-channel", "analyze-state"])
 def test_analyze_channel_deterministic(tmp_path, capsys, verb):
     path = _analyze_input(verb, tmp_path, capsys)
-    argv = [verb, path, *(["--seed", "7", *_fast()[2:]] if verb == "analyze-channel" else _FAST_STATE)]
+    search = ["--restarts", "2", "--max-iters", "150", "--seed", "7"]
+    argv = [verb, path, *(search if verb == "analyze-channel" else _FAST_STATE)]
     _, first = _run(capsys, argv)
     _, second = _run(capsys, argv)
     assert first == second
+    assert json.loads(first)["seed"] == (7 if verb == "analyze-channel" else None)
 
 
 def test_analyze_channel_csv_format(tmp_path, capsys):

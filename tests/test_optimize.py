@@ -44,6 +44,7 @@ from distcert import (
     trace_norm,
     binary_entropy,
 )
+from distcert import channels as channels_module
 from distcert import optimize
 from distcert.channels import adjoint_apply_mat, apply_mat
 from distcert.entropy import _entropy_mat
@@ -358,6 +359,49 @@ def test_project_ppt_matches_the_reference_loop_bit_for_bit(monkeypatch, request
         assert sweeps == optimize._DYKSTRA_MAX_ITERS == 200
 
 
+def _earlier_project_ppt(mat, dims):
+    """``project_ppt`` as written before its partial transpose became one gather
+    and its stop test an inlined norm: (projection, sweeps). Each step is the
+    one the fast loop must reproduce bit for bit."""
+
+    def checked_eigh(a):
+        ah = a.conj().swapaxes(-1, -2)
+        assert np.max(np.abs(a - ah), initial=0.0) <= 1e-8
+        return np.linalg.eigh(0.5 * (a + ah))
+
+    x = hermitize(np.asarray(mat, dtype=complex))
+    p = q = np.zeros_like(x)
+    ranks = np.arange(1.0, len(x) + 1)
+    for sweeps in range(1, 201):
+        s = x + p
+        w, u = checked_eigh(s)
+        css = np.cumsum(w[::-1]) - 1.0
+        k = np.flatnonzero(w[::-1] - css / ranks > 0)[-1]  # the last index where the test is positive
+        y = (u * np.maximum(w - css[k] / (k + 1), 0.0)) @ u.conj().T
+        p = s - y
+        s = y + q
+        w, u = checked_eigh(partial_transpose(s, dims))
+        x = partial_transpose((u * np.maximum(w, 0.0)) @ u.conj().T, dims)
+        q = s - x
+        if np.linalg.norm(y - x) < 1e-10:
+            break
+    return hermitize(y), sweeps
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)], ids=lambda d: f"{d[0]}x{d[1]}")
+def test_project_ppt_matches_the_earlier_sweep_bit_for_bit(dims):
+    rng = np.random.default_rng(10)
+    n = dims[0] * dims[1]
+    sweeps = []
+    for scale in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0):
+        mat = _random_hermitian(rng, n, scale)
+        expected, used = _earlier_project_ppt(mat, dims)
+        assert np.array_equal(project_ppt(mat, dims), expected)
+        sweeps.append(used)
+    # inputs that stop on the 1e-10 test and inputs that run into the 200-sweep cap
+    assert min(sweeps) < optimize._DYKSTRA_MAX_ITERS == max(sweeps) == 200
+
+
 def test_project_ppt_wrong_dims_message():
     with pytest.raises(ValueError, match=re.escape("shape (4, 4) incompatible with dims (2, 3)")):
         project_ppt(np.eye(4) / 4, (2, 3))
@@ -516,16 +560,18 @@ def test_zero_iterations_evaluate_start_points_only():
 def test_ascent_counts_the_failed_step_only_when_nothing_improves():
     rho = np.eye(2, dtype=complex)[None] / 2
 
-    def no_gradient(r, log_r):
-        return np.zeros_like(r)
+    def no_gradient(outputs, log_r):
+        return np.zeros_like(log_r)
 
-    flat_stack = _ascent_stack(lambda r: np.zeros(len(r)), no_gradient, rho, _FAST.max_iters)
-    flat = _single_ascent(flat_stack, 0)
+    def flat_value(r):
+        return np.zeros(len(r)), (r,)  # (values, outputs): the identity channel's output
+
+    flat = _single_ascent(_ascent_stack(flat_value, no_gradient, rho, _FAST.max_iters), 0)
     assert flat[2:] == ([0.0], True, 1)
     values = iter(range(1000))
 
     def creep(r):
-        return 1e-9 * np.array([next(values) for _ in r])
+        return 1e-9 * np.array([next(values) for _ in r]), (r,)
 
     creeping = _single_ascent(_ascent_stack(creep, no_gradient, rho, _FAST.max_iters), 0)
     assert creeping[3:] == (True, _STALL_LIMIT)
@@ -540,6 +586,35 @@ def test_reverse_ascent_takes_each_log_of_rho_once(monkeypatch):
     phi = random_channel(3, 2, 2, np.random.default_rng(5))
     maximize_reverse_coherent_information(phi, OptimizerConfig(restarts=2, max_iters=30))
     assert logged and len(logged) == len(set(logged))
+
+
+@pytest.mark.parametrize(
+    "search, channels",
+    [(maximize_coherent_information, ("phi", "comp")), (maximize_reverse_coherent_information, ("comp",))],
+    ids=["max_ic", "max_rci"],
+)
+def test_ascent_applies_each_channel_once_per_scored_stack(monkeypatch, search, channels):
+    # the gradient reads the outputs its seed carries from the stack that scored its rho
+    phi = random_channel(2, 3, 2, np.random.default_rng(6))  # d_out 3 tells phi from comp (d_out 2)
+    name_of = {phi.d_out: "phi", phi.d_env: "comp"}
+    applied, trials = [], []
+    apply, step = channels_module.apply_mat, optimize._mirror_step
+
+    def counted_apply(chan, m):
+        applied.append((name_of[chan.d_out], len(m)))
+        return apply(chan, m)
+
+    def counted_step(*args):
+        trials.append(len(out := step(*args)))
+        return out
+
+    monkeypatch.setattr(channels_module, "apply_mat", counted_apply)
+    monkeypatch.setattr(optimize, "apply_mat", counted_apply)
+    monkeypatch.setattr(optimize, "_mirror_step", counted_step)
+    cert = search(phi, OptimizerConfig(restarts=2, max_iters=30))
+    assert len(cert.history) > 1 and trials  # steps were accepted, so gradients were taken
+    seeds = 1 + phi.d_in + 2  # I/d, the basis pointers, the random restarts
+    assert applied == [(c, size) for size in (seeds, *trials) for c in channels]
 
 
 # ----- lockstep multistart -----
