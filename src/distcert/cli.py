@@ -240,10 +240,15 @@ def _table_tightness(ds: list[int], x: float, base: float) -> tuple[list[str], l
 
 
 def _table_text(name, columns, rows, base, fmt) -> str:
+    """CSV, or exactly ``json.dumps(table, indent=2)``. ``indent`` turns off CPython's C encoder, so only the
+    head takes it: the rows (lists of numbers) take the C encoder, one number per line at that indent."""
     if fmt == "csv":
         return _csv_text(columns, rows)
-    table = {"table": name, "log_base": base_label(base), "columns": columns, "rows": rows}
-    return json.dumps(table, indent=2)
+    head = json.dumps({"table": name, "log_base": base_label(base), "columns": columns, "rows": []}, indent=2)
+    parts = json.dumps(rows, separators=(",\n      ", ": ")).split("],\n      [")  # one part per row
+    parts[0] = head[:-4] + "[\n    [\n      " + parts[0][2:]
+    parts[-1] = parts[-1][:-2] + "\n    ]\n  ]\n}"
+    return "\n    ],\n    [\n      ".join(parts) if rows else head
 
 
 # table name -> (default --d-range, build(ds, args, base) -> (columns, rows))

@@ -389,6 +389,8 @@ def seesaw_diamond_lower(
 def _four_index_shape(a: np.ndarray, dims) -> tuple[int, int, int, int]:
     """(d_A, d_B, d_A, d_B), after checking that ``a`` is square of side d_A * d_B."""
     da, db = dims
+    if da < 1 or db < 1:
+        raise ValueError(f"dims {dims} must both be at least 1")
     if a.shape != (da * db, da * db):
         raise ValueError(f"shape {a.shape} incompatible with dims {dims}")
     return da, db, da, db
@@ -405,7 +407,10 @@ def _project_density(a: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     the probability simplex; ``ranks`` is 1.0, 2.0, ..., n."""
     w, u = _checked_eigh(a)
     css = np.cumsum(w[::-1]) - 1.0  # eigh sorts ascending: w[::-1] is descending
-    k = (w[::-1] - css / ranks > 0).nonzero()[0][-1]  # the last index where the test is positive
+    try:
+        k = (w[::-1] - css / ranks > 0).nonzero()[0][-1]  # the last index where the test is positive
+    except IndexError:  # none is: near 1e16, w_max - (w_max - 1) rounds to 0
+        raise ValueError(f"spectrum up to {w[-1]:.3g} too large to project onto density matrices") from None
     return (u * np.maximum(w - css[k] / (k + 1), 0.0)) @ u.conj().T
 
 

@@ -35,7 +35,7 @@ from distcert import (
     state_to_dict,
     tensor,
 )
-from distcert import bounds
+from distcert import bounds, cli
 from distcert.cli import build_parser, main
 
 
@@ -633,6 +633,47 @@ def test_reproduce_csv_format(capsys):
     assert len(lines) == 3
     assert "np.float64" not in out
     float(lines[1].split(",")[1])
+
+
+@pytest.mark.parametrize(
+    "table_argv",
+    [
+        ["ex1"], ["ex2"], ["tightness"],
+        # the benchmark's tables
+        ["ex2", "--d-range", "2..4096", "--p-grid", "0:1:1001"],
+        ["tightness", "--d-range", "2..65536", "--x", "0.2871"],
+        ["ex1", "--d-range", "2..65536"],
+        ["ex1", "--log-base", "e"], ["ex2", "--log-base", "e"], ["tightness", "--log-base", "e"],
+        ["ex2", "--d-range", "2", "--p-grid", "0:0:1"],
+    ],
+)
+def test_reproduce_json_is_json_dumps_indent_2_byte_for_byte(capsys, table_argv):
+    argv = ["reproduce", *table_argv]
+    args = build_parser().parse_args(argv)
+    base = cli._base_of(args)
+    columns, rows = cli._TABLES[args.table][1](cli._parse_d_range(args.d_range), args, base)
+    table = {"table": args.table, "log_base": bounds.base_label(base), "columns": columns, "rows": rows}
+    code, out = _run(capsys, argv)
+    assert code == 0
+    # line lists, not strings: pytest would diff a failing 96,110-line string for minutes
+    assert out.splitlines(True) == (json.dumps(table, indent=2) + "\n").splitlines(True)
+
+
+@pytest.mark.parametrize(
+    "columns, rows",
+    [
+        (["d", "x"], [[2, math.nan], [4, math.inf], [8, -math.inf], [16, -0.0], [32, 0.0]]),
+        (["d", "x", "y"], [[2**53, 5e-324, 1e308], [2**53 + 1, -5e-324, -1e308], [10**30, 1e-300, 0.1]]),
+        (["d", "p", "x"], [[3, 0.5, 0.25]]),
+        (["d"], [[2], [4], [8]]),
+        (["d"], [[2]]),
+        (["d", "x"], []),
+    ],
+)
+@pytest.mark.parametrize("base, label", [(2.0, "2"), (math.e, "e")])
+def test_table_text_is_json_dumps_indent_2_byte_for_byte(columns, rows, base, label):
+    table = {"table": "t", "log_base": label, "columns": columns, "rows": rows}
+    assert cli._table_text("t", columns, rows, base, "json") == json.dumps(table, indent=2)
 
 
 def test_reproduce_parameter_errors(capsys):

@@ -407,6 +407,21 @@ def test_project_ppt_wrong_dims_message():
         project_ppt(np.eye(4) / 4, (2, 3))
 
 
+def test_project_ppt_rejects_a_spectrum_beyond_double_precision():
+    # at 1e16 no eigenvalue passes the simplex test; 1e15 still projects to I/4
+    with pytest.raises(ValueError, match="too large to project onto density matrices"):
+        project_ppt(1e16 * np.eye(4), (2, 2))
+    assert np.allclose(project_ppt(1e15 * np.eye(4), (2, 2)), np.eye(4) / 4, atol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(0, 0), (0, 3), (2, 0)])
+def test_project_ppt_rejects_an_empty_factor(dims):
+    with pytest.raises(ValueError, match=re.escape(f"dims {dims} must both be at least 1")):
+        project_ppt(np.zeros((0, 0)), dims)
+    with pytest.raises(ValueError, match="must both be at least 1"):
+        partial_transpose(np.zeros((0, 0)), dims)
+
+
 def test_ree_lower_bell_state():
     bell = maximally_entangled(2).to_density()
     cert = ree_ppt_lower(bell, _FAST)
