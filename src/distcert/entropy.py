@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .linalg import DensityMatrix, clip_eigenvalues, partial_trace
+from .linalg import DensityMatrix, _eigh, _eigvalsh, clip_eigenvalues, partial_trace
 
 NAT = math.e
 
@@ -81,7 +81,7 @@ def spectrum_entropy(w: np.ndarray, base: float = 2.0) -> float:
 
 def _entropy_mat(m: np.ndarray, base: float):
     """Entropy of a PSD matrix; an array of them for a stack of matrices."""
-    h = _eta(clip_eigenvalues(np.linalg.eigvalsh(m)), base).sum(-1)
+    h = _eta(clip_eigenvalues(_eigvalsh(m)), base).sum(-1)
     return h if h.ndim else float(h)
 
 
@@ -100,9 +100,9 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix, base: float = 2.0
     base = _check_base(base)
     if rho.dim != sigma.dim:
         raise ValueError("relative entropy needs states of equal dimension")
-    wr, vr = np.linalg.eigh(rho.mat)
+    wr, vr = _eigh(rho.mat)
     wr = clip_eigenvalues(wr)
-    ws, vs = np.linalg.eigh(sigma.mat)
+    ws, vs = _eigh(sigma.mat)
     ws = clip_eigenvalues(ws)
     overlap = np.abs(vs.conj().T @ vr) ** 2  # overlap[j, i] = |<s_j|r_i>|^2
     kernel = ws <= _SUPPORT_EIG_TOL

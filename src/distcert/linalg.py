@@ -3,12 +3,22 @@
 All matrices are dense complex numpy arrays in row-major layout. Composite
 indices follow the Kronecker convention (i_A, i_B) -> i_A * d_B + i_B, so
 ``tensor(A, B)`` and ``partial_trace`` agree with ``np.kron`` ordering.
+
+Every eigendecomposition in the package goes through ``_eigh`` or
+``_eigvalsh``. They call the LAPACK gufuncs behind ``np.linalg.eigh`` and
+``eigvalsh`` with numpy's signature, so they return numpy's bits without its
+Python wrapper, which takes about half of a 4x4 or 6x6 call; a state analysis
+makes tens of thousands of them in the PPT projection. The convergence check
+stays: LAPACK failure leaves NaN in the output, and a NaN eigenvalue raises
+``LinAlgError``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo, eigvalsh_lo as _eigvalsh_lo
 
 # Tolerances. States are validated tightly, generic Hermitian inputs loosely.
 STATE_HERMITIAN_TOL = 1e-10
@@ -61,6 +71,27 @@ def clip_eigenvalues(w: np.ndarray) -> np.ndarray:
     return np.where(w < 0.0, 0.0, w)
 
 
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(a)`` of a float64 or complex128 matrix or stack, bit
+    for bit (other dtypes come back in double precision). A NaN eigenvalue is
+    a LinAlgError: a LAPACK failure, as in numpy (it also sets numpy's invalid
+    flag, a RuntimeWarning in the default error state), and NaN input too."""
+    w, u = _eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+    x = w.ravel()
+    if (s := x.dot(x)) != s:  # NaN: a sum of squares is NaN only if an entry is
+        raise LinAlgError("Eigenvalues did not converge")
+    return w, u
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(a)`` as ``_eigh`` is ``np.linalg.eigh``."""
+    w = _eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+    x = w.ravel()
+    if (s := x.dot(x)) != s:
+        raise LinAlgError("Eigenvalues did not converge")
+    return w
+
+
 def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (w, u) after symmetrization.
 
@@ -75,7 +106,7 @@ def _checked_eigh(a: np.ndarray):  # eigh(hermitize(a)) behind the 1e-8 guard; s
     ah = a.conj().swapaxes(-1, -2)
     if not abs(a - ah).max(initial=0.0) <= INPUT_HERMITIAN_TOL:  # NaN fails too
         raise ValueError("matrix is not Hermitian within 1e-8")
-    return np.linalg.eigh(0.5 * (a + ah))
+    return _eigh(0.5 * (a + ah))
 
 
 def _check_state(a: np.ndarray, dims) -> tuple[int, int] | None:
@@ -119,7 +150,7 @@ class DensityMatrix:
         if abs(tr - 1.0) > STATE_TRACE_TOL:
             raise ValueError(f"trace {tr:.12g} differs from 1 by more than 1e-10")
         a = hermitize(a)
-        clip_eigenvalues(np.linalg.eigvalsh(a))
+        clip_eigenvalues(_eigvalsh(a))
         a.setflags(write=False)
         object.__setattr__(self, "mat", a)
 
@@ -181,7 +212,7 @@ def trace_norm(m) -> float:
     if not np.isfinite(a).all():
         raise ValueError("matrix has a non-finite entry")
     if herm_defect(a) <= INPUT_HERMITIAN_TOL:
-        return float(np.sum(np.abs(np.linalg.eigvalsh(hermitize(a)))))
+        return float(np.sum(np.abs(_eigvalsh(hermitize(a)))))
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
@@ -191,7 +222,7 @@ def purify(rho: DensityMatrix) -> PureState:
     The reference system is a copy of the input space, so the result lives on
     d (x) d with the original state as its first marginal.
     """
-    w, v = np.linalg.eigh(rho.mat)
+    w, v = _eigh(rho.mat)
     w = clip_eigenvalues(w)
     order = np.argsort(w)[::-1]
     # entry (i, slot) of the weighted eigenvector matrix is the amplitude of
@@ -216,7 +247,7 @@ def maximally_entangled(d: int) -> PureState:
 
 def hermitian_log(m: np.ndarray) -> np.ndarray:
     """log of a positive matrix (of each, for a stack); eigenvalues floored at 1e-300."""
-    w, v = np.linalg.eigh(hermitize(m))
+    w, v = _eigh(hermitize(m))
     return (v * np.log(np.maximum(w, _LOG_FLOOR))[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 

@@ -45,6 +45,7 @@ from .linalg import (
     _as_int,
     PureState,
     _checked_eigh,
+    _eigvalsh,
     _require_dims,
     hermitian_eigen,
     hermitian_log,
@@ -482,8 +483,8 @@ def _ree_terms(rho_t: np.ndarray, tr_rho_log_rho: float, sigma: np.ndarray, dims
     kernel[near] = (2.0 / (wa + wb))[near]
     grad = hermitize(us @ (-kernel * rho_e) @ us.conj().T) / lb
     f = f_nat / lb
-    lam = float(np.linalg.eigvalsh(grad)[0])
-    lam_pt = float(np.linalg.eigvalsh(partial_transpose(grad, dims))[0])
+    lam = float(_eigvalsh(grad)[0])
+    lam_pt = float(_eigvalsh(partial_transpose(grad, dims))[0])
     slope = float(np.real(np.trace(grad @ sig)))
     cert = max(0.0, f + max(lam, lam_pt) - slope)
     return f, grad, cert, sig

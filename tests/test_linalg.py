@@ -18,10 +18,20 @@ from distcert import (
     purify,
     random_density_matrix,
     random_pure_state,
+    save_state,
     tensor,
     trace_norm,
 )
-from distcert.linalg import _checked_eigh, clip_eigenvalues, hermitian_eigen, hermitian_log, hermitize
+from distcert import cli, linalg
+from distcert.linalg import (
+    _checked_eigh,
+    _eigh,
+    _eigvalsh,
+    clip_eigenvalues,
+    hermitian_eigen,
+    hermitian_log,
+    hermitize,
+)
 
 
 def _random_complex(rng, shape):
@@ -165,6 +175,61 @@ def test_checked_eigh_is_eigh_of_the_hermitized_input():
     for a in (bad, bad[2]):
         with pytest.raises(ValueError, match="matrix is not Hermitian within 1e-8"):
             _checked_eigh(a)
+
+
+def test_eigen_entry_point_is_numpys_eigh_bit_for_bit():
+    # the gufuncs read the lower triangle only, so raw non-Hermitian input
+    # must give numpy's bits too
+    rng = np.random.default_rng(35)
+    for n in range(1, 25):
+        h = _random_complex(rng, (3, n, n))
+        for a in (h[0], hermitize(h[0]), h, hermitize(h), h.real, hermitize(h.real)[1]):
+            w, u = _eigh(a)
+            w_ref, u_ref = np.linalg.eigh(a)
+            assert w.dtype == w_ref.dtype and u.dtype == u_ref.dtype
+            assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref)
+            v = _eigvalsh(a)
+            assert v.dtype == w_ref.dtype and np.array_equal(v, np.linalg.eigvalsh(a))
+
+
+def _nan_eigenvalues(gufunc):
+    """The gufunc with its eigenvalues replaced by NaN, as on a LAPACK failure."""
+
+    def failed(a, signature):
+        out = gufunc(a, signature=signature)
+        if isinstance(out, tuple):
+            return np.full_like(out[0], np.nan), out[1]
+        return np.full_like(out, np.nan)
+
+    return failed
+
+
+@pytest.mark.parametrize("name", ["_eigh_lo", "_eigvalsh_lo"])
+def test_eigen_entry_point_raises_when_lapack_fails(monkeypatch, tmp_path, capsys, name):
+    path = tmp_path / "state.json"
+    save_state(maximally_entangled(2).to_density(), str(path))
+    h = hermitize(_random_complex(np.random.default_rng(36), (2, 4, 4)))
+    monkeypatch.setattr(linalg, name, _nan_eigenvalues(getattr(linalg, name)))
+    entry = linalg._eigh if name == "_eigh_lo" else linalg._eigvalsh
+    for a in (h, h[0], h[0].real):
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            entry(a)
+    # the CLI reads a LinAlgError as the ValueError it is: loading the state
+    # fails through eigvalsh, the REE search through eigh
+    assert cli.main(["analyze-state", str(path), "--max-iters", "5"]) == 2
+    assert "Eigenvalues did not converge" in capsys.readouterr().err
+
+
+def test_hermitian_log_keeps_the_input_dtype():
+    # a real input takes numpy's real ("d->dd") path and returns a real log
+    rng = np.random.default_rng(37)
+    g = rng.standard_normal((2, 5, 5))
+    for m in (g @ g.swapaxes(-1, -2), (g @ g.swapaxes(-1, -2))[0]):
+        w, v = np.linalg.eigh(hermitize(m))
+        want = (v * np.log(w)[..., None, :]) @ v.swapaxes(-1, -2)
+        got = hermitian_log(m)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+        assert hermitian_log(m.astype(complex)).dtype == np.complex128
 
 
 def test_hermitian_exp_log_invert_each_other():

@@ -80,3 +80,27 @@ def test_every_private_module_name_has_a_caller():
         if name not in used
     ]
     assert dead == []
+
+
+# numpy's eigensolvers and the LAPACK gufuncs behind them
+EIGENSOLVERS = {"eigh", "eigvalsh", "_umath_linalg", "eigh_lo", "eigvalsh_lo"}
+
+
+def test_only_linalg_calls_numpy_eigensolvers():
+    # every other module decomposes through linalg._eigh and linalg._eigvalsh,
+    # so the solver, its bits and its convergence check are chosen in one place
+    found = []
+    for path in SOURCES:
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Import):
+                names = [part for alias in node.names for part in alias.name.split(".")]
+            elif isinstance(node, ast.ImportFrom):
+                names = (node.module or "").split(".") + [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}:{name}" for name in names if name in EIGENSOLVERS]
+    assert found == []
