@@ -3,10 +3,14 @@ and the JSON encoding of channels and bipartite states.
 
 A channel maps states on the input space (dimension ``d_in``) to states on the
 output space (``d_out``). Its Kraus operators are stored as one tensor K of
-shape (d_env, d_out, d_in), so every channel operation is a single array
-expression over K. The Stinespring isometry is V = sum_k K_k (x) |k>_E, so the
-environment dimension equals the number of Kraus operators, and the
-complementary channel has the Kraus tensor K with its first two axes swapped.
+shape (d_env, d_out, d_in). Apply and adjoint add the Kraus terms one at a
+time into one output, in the order a sum over the stacked products adds them.
+That gives the stacked sum's bits (bar a 1x1 output, which numpy sums
+pairwise) without a (..., d_env, d_out, d_in) temporary, which the allocator
+hands back to the OS and faults in again on every call. The
+Stinespring isometry is V = sum_k K_k (x) |k>_E, so the environment dimension
+equals the number of Kraus operators, and the complementary channel has the
+Kraus tensor K with its first two axes swapped.
 """
 from __future__ import annotations
 
@@ -36,6 +40,8 @@ class KrausChannel:
     d_out: int
 
     def __post_init__(self):
+        object.__setattr__(self, "d_in", _as_int(self.d_in, "d_in"))
+        object.__setattr__(self, "d_out", _as_int(self.d_out, "d_out"))
         ops = [np.asarray(k, dtype=complex) for k in self.kraus]
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
@@ -58,14 +64,24 @@ class KrausChannel:
         return self.kraus.shape[0]
 
 
+# The Kraus loop is written out in both actions rather than shared, so that a
+# profile charges its time to the action that runs it.
 def apply_mat(phi: KrausChannel, m: np.ndarray) -> np.ndarray:
     """Channel action on a raw matrix or a stack of them (no state validation)."""
-    return (phi.kraus @ m[..., None, :, :] @ phi.kraus.conj().transpose(0, 2, 1)).sum(-3)
+    k = phi.kraus
+    acc = k[0] @ m @ k[0].conj().T
+    for a in k[1:]:
+        acc += a @ m @ a.conj().T
+    return acc
 
 
 def adjoint_apply_mat(phi: KrausChannel, m: np.ndarray) -> np.ndarray:
     """Heisenberg-picture action sum_k K^dag M K, on a matrix or a stack."""
-    return (phi.kraus.conj().transpose(0, 2, 1) @ m[..., None, :, :] @ phi.kraus).sum(-3)
+    k = phi.kraus
+    acc = k[0].conj().T @ m @ k[0]
+    for a in k[1:]:
+        acc += a.conj().T @ m @ a
+    return acc
 
 
 def _check_input(phi: KrausChannel, rho: DensityMatrix) -> None:

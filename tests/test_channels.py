@@ -6,6 +6,7 @@ forms that the generic machinery must reproduce.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,20 @@ def test_kraus_completeness_enforced():
         KrausChannel((half,), 2, 2)
 
 
+@pytest.mark.parametrize("d_in", [2.5, True, "2"], ids=["float", "bool", "str"])
+def test_kraus_channel_rejects_non_integer_dimensions(d_in):
+    with pytest.raises(ValueError, match=f"d_in must be an integer, got {d_in}"):
+        KrausChannel(np.eye(2)[None], d_in, 2)
+    with pytest.raises(ValueError, match=f"d_out must be an integer, got {d_in}"):
+        KrausChannel(np.eye(2)[None], 2, d_in)
+
+
+def test_kraus_channel_stores_integral_dimensions_as_int():
+    phi = KrausChannel(np.eye(2)[None], 2.0, np.int64(2))
+    assert (phi.d_in, phi.d_out) == (2, 2)
+    assert type(phi.d_in) is int and type(phi.d_out) is int
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_kraus_channel_rejects_non_finite_entries(bad):
     ops = np.array([np.eye(2), np.zeros((2, 2))], dtype=complex)
@@ -359,6 +374,64 @@ def test_kraus_tensor_operations_match_per_operator_sums(d_in, d_out, d_env):
     assert comp.kraus.shape == (d_out, d_env, d_in)
     close(comp.kraus, np.array([v[b * d_env : (b + 1) * d_env] for b in range(d_out)]))
     close(d_in * choi(phi).mat, sum(np.outer(k.reshape(-1), k.reshape(-1).conj()) for k in ops))
+
+
+def _stacked_apply(kraus, m):
+    """The Kraus sum as one stacked product summed over k: the reference order."""
+    return (kraus @ m[..., None, :, :] @ kraus.conj().transpose(0, 2, 1)).sum(-3)
+
+
+def _stacked_adjoint(kraus, m):
+    return (kraus.conj().transpose(0, 2, 1) @ m[..., None, :, :] @ kraus).sum(-3)
+
+
+def test_kraus_sums_are_bit_identical_to_the_stacked_sum():
+    rng = np.random.default_rng(16)
+    for d_in in range(1, 7):
+        for d_out in range(1, 7):
+            for d_env in range(-(-d_in // d_out), 20):  # d_out * d_env >= d_in
+                phi = random_channel(d_in, d_out, d_env, rng)
+                for stack in ((), (1,), (3,), (17,)):
+                    for f, ref, d, side in (
+                        (apply_mat, _stacked_apply, d_in, d_out),
+                        (adjoint_apply_mat, _stacked_adjoint, d_out, d_in),
+                    ):
+                        g = rng.normal(size=stack + (d, d)) + 1j * rng.normal(size=stack + (d, d))
+                        m = g @ g.conj().swapaxes(-1, -2)
+                        got, want = f(phi, m), ref(phi.kraus, m)
+                        assert got.shape == want.shape
+                        if side > 1:
+                            assert np.array_equal(got, want)
+                        else:
+                            # A 1x1 output makes k the only axis of the stacked
+                            # sum, which numpy then adds pairwise instead of in
+                            # order; the inputs are PSD, so the terms do not cancel.
+                            np.testing.assert_allclose(got, want, rtol=4e-15, atol=0)
+
+
+def _extra_bytes(f, phi, m):
+    """Peak memory one call of ``f`` allocates beyond what was live before it."""
+    f(phi, m)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = f(phi, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - before, out.nbytes
+
+
+def test_kraus_sums_need_no_per_operator_stack():
+    # erasure(16, 0.1) has 17 Kraus operators and the mirror ascent passes a
+    # stack of 17 inputs; a (17, 17, 17, 16) per-operator stack is 34x the output.
+    phi = erasure(16, 0.1)
+    rng = np.random.default_rng(0)
+    m = rng.normal(size=(17, 16, 16)) + 1j * rng.normal(size=(17, 16, 16))
+    w = rng.normal(size=(17, 17, 17)) + 1j * rng.normal(size=(17, 17, 17))
+    for f, ch, x in ((apply_mat, phi, m), (adjoint_apply_mat, complement(phi), w)):
+        extra, out = _extra_bytes(f, ch, x)
+        assert extra <= 4 * out, (f.__name__, extra / out)
 
 
 def test_channel_decoding_rejects_malformed_pairs():
