@@ -129,7 +129,6 @@ def separable_distance_lower(gap: float, d: int, base: float = 2.0, clamped: boo
     entanglement (the max coherent information qualifies), in units of
     ``base``; d = min of the two local dimensions.
     """
-    base = _check_base(base)
     if gap < 0.0:
         raise ValueError("certificate must be nonnegative")
     return _formula_distance_lower(Formula.DS_FROM_REE, gap, d, base, clamped)
@@ -143,7 +142,6 @@ def antidegradable_distance_lower(ic: float, d: int, base: float = 2.0, clamped:
     R of dimension rank(rho) <= d_in, and the conditional-entropy continuity
     bound is taken in d_R; min(d_in, d_out) is not justified when d_out < d_in.
     """
-    base = _check_base(base)
     if ic <= 0.0:
         raise ValueError("no antidegradability certificate (coherent information <= 0)")
     return _formula_distance_lower(Formula.DA_FROM_CI, ic, d, base, clamped)
@@ -156,7 +154,6 @@ def degradable_distance_lower(neg_ic: float, d: int, base: float = 2.0, clamped:
     some input state has negative coherent information; d = d_in, as for
     ``antidegradable_distance_lower``.
     """
-    base = _check_base(base)
     if neg_ic <= 0.0:
         raise ValueError("no degradability certificate (coherent information >= 0)")
     return _formula_distance_lower(Formula.DD_FROM_CI, neg_ic, d, base, clamped)
@@ -173,7 +170,6 @@ def entanglement_breaking_distance_lower(
     entanglement of the Choi-type output state ("ER", Eq12). The three rows
     share one kernel.
     """
-    base = _check_base(base)
     if source not in ("Ic", "L", "ER"):
         raise ValueError(f"source must be 'Ic', 'L' or 'ER', got {source!r}")
     if gap <= 0.0:
@@ -187,7 +183,6 @@ def product_distance_lower(mi: float, d: int, base: float = 2.0, clamped: bool =
 
     ``mi`` is the state's mutual information, d = min local dimension.
     """
-    base = _check_base(base)
     if mi < 0.0:
         raise ValueError("mutual information must be nonnegative")
     return _formula_distance_lower(Formula.PROD_FROM_MI, mi, d, base, clamped)

@@ -164,6 +164,7 @@ def tensor_with_identity(phi: KrausChannel, d_ref: int) -> KrausChannel:
 
 def identity_embedding(d_in: int, d_out: int) -> KrausChannel:
     """Identity channel, embedded into a possibly larger output space."""
+    d_in, d_out = _as_int(d_in, "d_in"), _as_int(d_out, "d_out")
     if d_in < 1 or d_out < d_in:
         raise ValueError("identity embedding needs 1 <= d_in <= d_out")
     return KrausChannel([np.eye(d_out, d_in, dtype=complex)], d_in, d_out)
@@ -176,7 +177,7 @@ def erasure(d: int, p: float) -> KrausChannel:
     action in block form is (1-p) rho (+) p Tr(rho). Canonical Kraus set:
     one scaled injection and d flag operators, d+1 in total.
     """
-    if d < 2:
+    if (d := _as_int(d, "d")) < 2:
         raise ValueError("erasure needs d >= 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError("erasure probability must lie in [0, 1]")
@@ -188,7 +189,7 @@ def erasure(d: int, p: float) -> KrausChannel:
 
 def depolarizing(d: int, lam: float) -> KrausChannel:
     """rho -> (1 - lam) rho + lam Tr(rho) I/d."""
-    if d < 2:
+    if (d := _as_int(d, "d")) < 2:
         raise ValueError("depolarizing needs d >= 2")
     if not 0.0 <= lam <= 1.0:
         raise ValueError("depolarizing strength must lie in [0, 1]")

@@ -27,7 +27,6 @@ from .channels import (
     load_state,
 )
 from .entropy import _log, binary_entropy, max_coherent_information, mutual_information
-from .linalg import _as_int
 from .optimize import (
     OptimizerConfig,
     maximize_coherent_information,
@@ -38,6 +37,7 @@ from .optimize import (
 )
 
 _REE_AUTO_DIM = 36
+# the trace-distance oracle runs only here: PPT and separable states coincide up to d_A*d_B = 6
 _ORACLE_AUTO_DIM = 6
 
 # Search values this close to zero are evaluation noise, not certificates;
@@ -129,17 +129,11 @@ def _cmd_analyze_state(args) -> int:
     certs = []
     exact = "the state itself (exact evaluation)"
     witnesses = {"ic": exact, "mi": exact}
-    notes = []
     er_lower = None
     if args.ree or n <= _REE_AUTO_DIM:
         er_lower = _search(cfg, base, certs, witnesses, "er", "PPT descent candidate", ree_ppt_lower, rho)
-    else:
-        notes.append(
-            f"relative entropy certificate skipped (dimension {n} exceeds "
-            f"{_REE_AUTO_DIM}); pass --ree to force it"
-        )
     oracle_val = None
-    if args.oracle or n <= _ORACLE_AUTO_DIM:
+    if n <= _ORACLE_AUTO_DIM:
         o_cert = trace_dist_to_ppt(rho, cfg)
         certs.append(o_cert)
         oracle_val = o_cert.value
@@ -153,7 +147,9 @@ def _cmd_analyze_state(args) -> int:
         oracle=oracle_val,
         witnesses=witnesses,
     )
-    report.notes.extend(notes)
+    if er_lower is None:
+        skipped = f"relative entropy certificate skipped (dimension {n} exceeds {_REE_AUTO_DIM})"
+        report.notes.append(skipped + "; pass --ree to force it")
     report.notes.append(f"state: dims=({da}, {db})")
     return _emit_report(report, args, certs)
 
@@ -270,22 +266,22 @@ def _cmd_reproduce(args) -> int:
 # ----- zoo -----
 
 
-# zoo name -> (constructor, its parameters as (name, int or float) pairs)
+# zoo name -> (constructor, its parameter names); the constructors check the numbers
 _ZOO = {
-    "erasure": (erasure, (("d", int), ("p", float))),
-    "identity": (identity_embedding, (("d_in", int), ("d_out", int))),
-    "depolarizing": (depolarizing, (("d", int), ("lambda", float))),
-    "completely-depolarizing": (completely_depolarizing, (("d", int),)),
+    "erasure": (erasure, ("d", "p")),
+    "identity": (identity_embedding, ("d_in", "d_out")),
+    "depolarizing": (depolarizing, ("d", "lambda")),
+    "completely-depolarizing": (completely_depolarizing, ("d",)),
 }
 
 
 def _cmd_zoo(args) -> int:
     if args.name not in _ZOO:
         raise ValueError(f"unknown zoo channel {args.name!r}")
-    make, spec = _ZOO[args.name]
-    if len(args.params) != len(spec):
-        raise ValueError(f"zoo {args.name} takes: " + " ".join(name for name, _ in spec))
-    phi = make(*(_as_int(v, name) if kind is int else v for (name, kind), v in zip(spec, args.params)))
+    make, names = _ZOO[args.name]
+    if len(args.params) != len(names):
+        raise ValueError(f"zoo {args.name} takes: " + " ".join(names))
+    phi = make(*args.params)
     _emit(json.dumps(channel_to_dict(phi)), args.out)
     return 0
 
@@ -347,12 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--ree",
         action="store_true",
         help=f"force the relative entropy certificate above dimension {_REE_AUTO_DIM}",
-    )
-    st.add_argument(
-        "--oracle",
-        action="store_true",
-        help=f"force the PPT trace-distance search above dimension {_ORACLE_AUTO_DIM}, where "
-        "it estimates the distance to PPT states only, not to separable states",
     )
 
     rp = sub.add_parser("reproduce", help="closed-form scan tables")

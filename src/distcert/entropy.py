@@ -121,7 +121,6 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix, base: float = 2.0
 def mutual_information(rho: DensityMatrix, base: float = 2.0) -> float:
     """I(A:B) = H(A) + H(B) - H(AB) for a bipartite state, floored at 0: it is
     nonnegative by subadditivity, and rounding can leave it at about -1e-16."""
-    base = _check_base(base)
     ha = von_neumann_entropy(partial_trace(rho, "B"), base)
     hb = von_neumann_entropy(partial_trace(rho, "A"), base)
     return max(0.0, ha + hb - von_neumann_entropy(rho, base))
@@ -129,7 +128,6 @@ def mutual_information(rho: DensityMatrix, base: float = 2.0) -> float:
 
 def coherent_information(rho: DensityMatrix, direction: str = "a->b", base: float = 2.0) -> float:
     """I(A>B) = H(rho_B) - H(rho_AB), or I(B>A) with direction "b->a"."""
-    base = _check_base(base)
     if direction == "a->b":
         kept = von_neumann_entropy(partial_trace(rho, "A"), base)
     elif direction == "b->a":

@@ -135,6 +135,22 @@ def test_report_refuses_a_non_finite_certificate(assemble, arg, value):
         assemble("subject", d=4, **{arg: value})
 
 
+@pytest.mark.parametrize(
+    "bound",
+    [
+        separable_distance_lower,
+        antidegradable_distance_lower,
+        degradable_distance_lower,
+        product_distance_lower,
+        entanglement_breaking_distance_lower,
+    ],
+)
+def test_valid_certificate_in_an_unknown_base_is_a_value_error(bound):
+    # the kernel behind each bound checks the base
+    with pytest.raises(ValueError, match="base must be 2 or e"):
+        bound(0.5, 4, base=10.0)
+
+
 def test_dimension_validation():
     with pytest.raises(ValueError, match="dimension"):
         separable_distance_lower(1.0, 1)

@@ -275,6 +275,22 @@ def test_kraus_channel_stores_integral_dimensions_as_int():
     assert type(phi.d_in) is int and type(phi.d_out) is int
 
 
+@pytest.mark.parametrize(
+    "make, floats, ints",
+    [
+        (erasure, (2.0, 0.1), (2, 0.1)),
+        (depolarizing, (4.0, 0.2), (4, 0.2)),
+        (identity_embedding, (2.0, 3.0), (2, 3)),
+    ],
+    ids=["erasure", "depolarizing", "identity"],
+)
+def test_zoo_reads_integral_float_dimensions_as_int(make, floats, ints):
+    phi, want = make(*floats), make(*ints)
+    assert np.array_equal(phi.kraus, want.kraus)
+    assert (phi.d_in, phi.d_out) == (want.d_in, want.d_out)
+    assert type(phi.d_in) is int and type(phi.d_out) is int
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_kraus_channel_rejects_non_finite_entries(bad):
     ops = np.array([np.eye(2), np.zeros((2, 2))], dtype=complex)
@@ -299,6 +315,9 @@ def test_kraus_channel_rejects_non_finite_entries(bad):
             "invalid channel description: empty Kraus list",
         ),
         (lambda: trace_norm(np.ones((2, 3))), r"expected a square matrix, got shape \(2, 3\)"),
+        (lambda: erasure(2.5, 0.1), "d must be an integer, got 2.5"),
+        (lambda: depolarizing(True, 0.2), "d must be an integer, got True"),
+        (lambda: identity_embedding(2, 3.5), "d_out must be an integer, got 3.5"),
     ],
     ids=[
         "no-kraus",
@@ -308,6 +327,9 @@ def test_kraus_channel_rejects_non_finite_entries(bad):
         "random-no-isometry",
         "empty-kraus-dict",
         "trace-norm-2x3",
+        "erasure-d2.5",
+        "depolarizing-d-true",
+        "identity-d_out3.5",
     ],
 )
 def test_malformed_arguments_are_value_errors(call, message):

@@ -8,8 +8,10 @@ reports can be checked directly; one test exercises the installed
 import argparse
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +115,9 @@ def test_zoo_parameter_validation(capsys):
     ):
         code, _ = _run(capsys, argv)
         assert code == 2, argv
+    # the constructor's message reaches stderr word for word
+    assert main(["zoo", "erasure", "2.5", "0.3"]) == 2
+    assert capsys.readouterr().err == "error: d must be an integer, got 2.5\n"
 
 
 # ----- analyze-channel -----
@@ -302,7 +307,7 @@ def test_each_verb_and_table_takes_only_the_flags_it_reads():
     output = {"--out", "--format", "--log-base"}
     search = {"--max-iters", "--strict", "--ree"}
     assert _options(verbs["analyze-channel"]) == output | search | {"--seed", "--restarts"}
-    assert _options(verbs["analyze-state"]) == output | search | {"--oracle"}
+    assert _options(verbs["analyze-state"]) == output | search
     assert _options(verbs["reproduce"]) == set()
     tables = _subparsers(verbs["reproduce"])
     assert _options(tables["ex1"]) == output | {"--d-range"}
@@ -310,11 +315,49 @@ def test_each_verb_and_table_takes_only_the_flags_it_reads():
     assert _options(tables["tightness"]) == output | {"--d-range", "--x"}
 
 
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_flags(text: str) -> dict[str, set[str]]:
+    """Each verb's (or ``reproduce`` table's) flags as README's verbs table lists them:
+    the backticked ``--flags`` of the row's last cell, "output flags" standing for three."""
+    verbs = _subparsers(build_parser())
+    flags = {}
+    for row in text.splitlines():
+        cells = row.strip("| ").split(" | ")
+        words = cells[0].strip("`").split()
+        if row.startswith("| `") and words[0] in verbs:
+            key = " ".join(words[:2]) if words[0] == "reproduce" else words[0]
+            flags[key] = set(re.findall(r"`(--[a-z-]+)", cells[-1]))
+            if "output flags" in cells[-1]:
+                flags[key] |= {"--out", "--format", "--log-base"}
+    return flags
+
+
+def _parser_flags() -> dict[str, set[str]]:
+    verbs = _subparsers(build_parser())
+    flags = {verb: _options(sp) for verb, sp in verbs.items() if verb != "reproduce"}
+    flags.update({f"reproduce {t}": _options(tp) for t, tp in _subparsers(verbs["reproduce"]).items()})
+    return flags
+
+
+def test_readme_verbs_table_lists_each_parsers_flags():
+    assert _readme_flags(_README.read_text()) == _parser_flags()
+
+
+def test_readme_flag_check_sees_a_flag_the_parser_dropped():
+    text = _README.read_text()
+    row = next(line for line in text.splitlines() if line.startswith("| `analyze-state PATH`"))
+    stale = text.replace(row, row.removesuffix(" |") + ", `--oracle` |")
+    assert _readme_flags(stale)["analyze-state"] - _parser_flags()["analyze-state"] == {"--oracle"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["analyze-state", "STATE", "--seed", "1"],
         ["analyze-state", "STATE", "--restarts", "1"],
+        ["analyze-state", "STATE", "--oracle"],
         ["reproduce", "ex1", "--x", "0.3"],
         ["reproduce", "ex2", "--x", "7"],
         ["reproduce", "ex1", "--p-grid", "junk"],
@@ -358,6 +401,24 @@ def test_analyze_state_bell(tmp_path, capsys):
     assert len(oracle_notes) == 1
     estimate = float(oracle_notes[0].rsplit(":", 1)[1])
     assert abs(estimate - 1.0) <= 1e-3
+
+
+@pytest.mark.parametrize("dims, runs", [((2, 3), 1), ((3, 3), 0)], ids=["n=6", "n=9"])
+def test_oracle_runs_up_to_dimension_6(tmp_path, capsys, monkeypatch, dims, runs):
+    # PPT and separable states coincide up to d_A*d_B = 6, and only there does the oracle run
+    calls = []
+    real = cli.trace_dist_to_ppt
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "trace_dist_to_ppt", counted)
+    rho = random_density_matrix(dims[0] * dims[1], np.random.default_rng(4), rank=2, dims=dims)
+    code, out = _run(capsys, ["analyze-state", _write_state(tmp_path, rho), "--max-iters", "20"])
+    assert code == 0
+    assert len(calls) == runs
+    assert sum("search estimate" in n for n in json.loads(out)["notes"]) == runs
 
 
 def test_analyze_state_large_maxent_bound_is_one(tmp_path, capsys):

@@ -227,6 +227,13 @@ def test_coherent_information_nonpositive_on_separable():
         assert max_coherent_information(joint) <= 1e-10
 
 
+@pytest.mark.parametrize("quantity", [mutual_information, coherent_information])
+def test_bipartite_quantities_in_an_unknown_base_are_a_value_error(quantity):
+    # von_neumann_entropy, which both call, checks the base
+    with pytest.raises(ValueError, match="base must be 2 or e"):
+        quantity(maximally_entangled(2).to_density(), base=10.0)
+
+
 def test_coherent_information_needs_dims():
     with pytest.raises(ValueError, match="dims"):
         coherent_information(chaotic_state(4))
