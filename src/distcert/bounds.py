@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -203,20 +203,11 @@ class BoundEntry:
     inputs: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        self.formula = Formula(self.formula)
         if not 0.0 <= self.value <= 2.0:
             raise ValueError(f"bound value {self.value} outside [0, 2]")
         if self.target != FORMULAS[self.formula].target:
             raise ValueError(f"formula {self.formula.value} does not target {self.target}")
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "formula": self.formula.value,
-            "value": self.value,
-            "raw": self.raw,
-            "witness": self.witness,
-            "inputs": dict(self.inputs),
-        }
 
 
 @dataclass
@@ -224,31 +215,23 @@ class BoundReport:
     """Collection of certified bounds for one channel or state.
 
     Absence of an entry means no certificate was available for that target,
-    which is weaker information than a bound of zero.
+    which is weaker information than a bound of zero. ``to_json`` writes
+    ``asdict`` of the report, so the field order is the key order.
     """
 
     subject: str
-    base_label: str
+    log_base: str
+    seed: int | None = None
     entries: list[BoundEntry] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    seed: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "log_base": self.base_label,
-            "seed": self.seed,
-            "entries": [e.to_dict() for e in self.entries],
-            "notes": list(self.notes),
-        }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     def to_csv(self) -> str:
         return _csv_text(
             ["target", "formula", "value", "raw", "witness", "log_base"],
-            [[e.target, e.formula.value, e.value, e.raw, e.witness, self.base_label] for e in self.entries],
+            [[e.target, e.formula.value, e.value, e.raw, e.witness, self.log_base] for e in self.entries],
         )
 
     def entry(self, formula: Formula) -> BoundEntry | None:

@@ -5,6 +5,7 @@ distance of the maximally entangled state from the separable set is
 bounded below by 2 - 4/log2(d), which is exactly 1 at d = 16.
 """
 
+import dataclasses
 import json
 import math
 
@@ -29,7 +30,7 @@ from distcert import (
     separable_distance_lower,
     state_distance_kernel,
 )
-from distcert.bounds import FORMULAS, BoundEntry, Formula, _inversion_kernel, product_distance_kernel
+from distcert.bounds import FORMULAS, BoundEntry, BoundReport, Formula, _inversion_kernel, product_distance_kernel
 
 
 def _invert(scale, delta):
@@ -313,6 +314,17 @@ def test_bound_entry_validation():
         BoundEntry("separable", Formula.DA_FROM_CI, 0.5, 0.5, "")
 
 
+def test_bound_entry_reads_a_tag_string_as_its_formula():
+    entry = BoundEntry("separable", "Eq5", 0.1, 0.1, "")
+    assert entry.formula is Formula.DS_FROM_REE
+    report = BoundReport("s", "2", entries=[entry])
+    assert report.entry(Formula.DS_FROM_REE) is entry
+    assert json.loads(report.to_json())["entries"][0]["formula"] == "Eq5"
+    assert report.to_csv().splitlines()[1].startswith("separable,Eq5,")
+    with pytest.raises(ValueError, match="nope"):
+        BoundEntry("separable", "nope", 0.1, 0.1, "")
+
+
 def test_assemble_report_identity_channel_certificates():
     report = assemble_report("id4", d=4, ic=2.0, min_ic=0.0, rci=None, seed=3)
     tags = [e.formula for e in report.entries]
@@ -376,3 +388,12 @@ def test_report_serialization_round_trip():
     assert csv_text.splitlines()[0] == "target,formula,value,raw,witness,log_base"
     assert "np.float64" not in csv_text
     assert len(csv_text.splitlines()) == 6
+
+
+def test_report_json_keys_are_the_dataclass_fields_in_order():
+    report = assemble_report("chan", d=4, ic=1.5, min_ic=-0.2, rci=0.3, er_lower=1.2, seed=7)
+    data = json.loads(report.to_json())
+    assert list(data) == [f.name for f in dataclasses.fields(BoundReport)]
+    assert data["entries"]
+    for e in data["entries"]:
+        assert list(e) == [f.name for f in dataclasses.fields(BoundEntry)]

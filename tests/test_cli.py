@@ -1,13 +1,14 @@
 """End-to-end tests of the command-line interface.
 
 Commands run in-process through ``main`` so exit codes and emitted
-reports can be checked directly; one test exercises the installed
-``distcert`` entry point as a subprocess smoke check.
+reports can be checked directly; one test runs ``python -m distcert.cli``
+on the tree under test as a subprocess smoke check.
 """
 
 import argparse
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -751,10 +752,13 @@ def test_reproduce_parameter_errors(capsys):
 
 
 def test_entry_point_subprocess():
+    # the child imports the same tree as this suite, not an installed copy
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "distcert.cli", "zoo", "erasure", "3", "0.1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
