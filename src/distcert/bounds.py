@@ -54,7 +54,10 @@ def _inversion_kernel(delta, scale: float, correction, *args):
 def _log_dim(d: int, base: float) -> float:
     if _as_int(d, "dimension") < 2:
         raise ValueError("dimension must be an integer >= 2")
-    return float(_log(float(d), base))
+    try:
+        return float(_log(float(d), base))
+    except OverflowError:
+        raise ValueError("dimension too large for a float") from None
 
 
 def _clamp(raw: float) -> float:
@@ -193,9 +196,10 @@ def product_distance_lower(mi: float, d: int, base: float = 2.0, clamped: bool =
 
 @dataclass
 class BoundEntry:
-    """One certified bound: target set, formula tag, clamped and raw values."""
+    """One certified bound: formula tag, clamped and raw values; the target
+    set is the formula's."""
 
-    target: str
+    target: str = field(init=False)
     formula: Formula
     value: float
     raw: float
@@ -204,10 +208,9 @@ class BoundEntry:
 
     def __post_init__(self):
         self.formula = Formula(self.formula)
+        self.target = FORMULAS[self.formula].target
         if not 0.0 <= self.value <= 2.0:
             raise ValueError(f"bound value {self.value} outside [0, 2]")
-        if self.target != FORMULAS[self.formula].target:
-            raise ValueError(f"formula {self.formula.value} does not target {self.target}")
 
 
 @dataclass
@@ -324,9 +327,7 @@ def _entry(report: BoundReport, sources, certs: dict, d: int, base: float, witne
         inputs, witness = {src.input_key: value, "dim": d}, wit.get(src.witness_key, "")
         for formula in src.formulas:
             raw = _formula_distance_lower(formula, max(gap, 0.0), d, base, clamped=False)
-            report.entries.append(
-                BoundEntry(FORMULAS[formula].target, formula, _clamp(raw), raw, witness, inputs)
-            )
+            report.entries.append(BoundEntry(formula, _clamp(raw), raw, witness, inputs))
     return report
 
 

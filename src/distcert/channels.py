@@ -153,7 +153,7 @@ def reverse_coherent_information(phi: KrausChannel, rho: DensityMatrix, base: fl
 
 def tensor_with_identity(phi: KrausChannel, d_ref: int) -> KrausChannel:
     """Phi (x) Id acting on input (x) reference, Kraus operators K_k (x) I."""
-    if d_ref < 1:
+    if (d_ref := _as_int(d_ref, "d_ref")) < 1:
         raise ValueError("reference dimension must be at least 1")
     ops = np.kron(phi.kraus, np.eye(d_ref, dtype=complex))
     return KrausChannel(ops, phi.d_in * d_ref, phi.d_out * d_ref)
@@ -265,11 +265,12 @@ def save_channel(phi: KrausChannel, path: str) -> None:
 
 
 def _read_json(path: str, what: str):
-    """Parsed JSON content of ``path``; invalid JSON is "malformed <what> file"."""
+    """Parsed JSON content of ``path``; invalid JSON, or JSON nested too deep
+    for the parser's recursion, is "malformed <what> file"."""
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"malformed {what} file: {exc}") from exc
 
 

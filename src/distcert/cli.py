@@ -158,7 +158,7 @@ def _cmd_analyze_state(args) -> int:
 
 
 def _parse_d_range(text: str) -> list[int]:
-    """Either 'a..b' (doubling from a up to b) or a comma list of ints."""
+    """Either 'a..b' (doubling from a up to b) or a comma list of ints >= 2, within a float's range."""
     try:
         if ".." in text:
             lo_s, hi_s = text.split("..", 1)
@@ -170,12 +170,13 @@ def _parse_d_range(text: str) -> list[int]:
             while d <= hi:
                 ds.append(d)
                 d *= 2
-            return ds
-        ds = [int(t) for t in text.split(",") if t.strip()]
-        if not ds or any(d < 2 for d in ds):
-            raise ValueError
+        else:
+            ds = [int(t) for t in text.split(",") if t.strip()]
+            if not ds or any(d < 2 for d in ds):
+                raise ValueError
+        float(max(ds))  # an OverflowError past the largest float
         return ds
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ValueError(f"bad dimension range {text!r}") from None
 
 

@@ -139,8 +139,7 @@ def coherent_information(rho: DensityMatrix, direction: str = "a->b", base: floa
 
 def max_coherent_information(rho: DensityMatrix, base: float = 2.0) -> float:
     """max of the two coherent informations; lower-bounds the relative
-    entropy of entanglement of the state."""
-    return max(
-        coherent_information(rho, "a->b", base),
-        coherent_information(rho, "b->a", base),
-    )
+    entropy of entanglement of the state. H(AB) is evaluated once; tracing
+    out A first gives I(A>B) first."""
+    h_ab = von_neumann_entropy(rho, base)
+    return max(von_neumann_entropy(partial_trace(rho, over), base) - h_ab for over in "AB")

@@ -179,10 +179,6 @@ class PureState:
         v.setflags(write=False)
         object.__setattr__(self, "vec", v)
 
-    @property
-    def dim(self) -> int:
-        return self.vec.size
-
     def to_density(self) -> DensityMatrix:
         return DensityMatrix(np.outer(self.vec, self.vec.conj()), self.dims)
 

@@ -24,6 +24,7 @@ witness: each search scores with the code that re-checks it (the evaluators in
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -147,10 +148,9 @@ def _halvings(eta: float, tries: int):
 
 def _best_certificate(kind, runs, witness, sign=1) -> Certificate:
     """Certificate of the highest-valued (point, value, history, converged,
-    iterations) run, values scaled by ``sign``; ties keep the earliest run."""
-    point, val, history, converged, iters = max(runs, key=lambda run: run[1])
-    history = tuple(sign * h for h in history)
-    return Certificate(kind, sign * val, witness(point), converged, iters, history=history)
+    iterations) run, the lowest with ``sign`` -1; ties keep the earliest run."""
+    point, val, history, converged, iters = (max if sign > 0 else min)(runs, key=lambda run: run[1])
+    return Certificate(kind, val, witness(point), converged, iters, history=tuple(history))
 
 
 def _sign_matrix(m: np.ndarray) -> np.ndarray:
@@ -200,23 +200,23 @@ def _mirror_step(log_rho: np.ndarray, grad: np.ndarray, eta: np.ndarray) -> np.n
     return (u * ew[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
-def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int) -> list:
-    """Mirror ascent from every matrix of the stack ``seeds`` in lockstep.
+def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int, sign: int = 1) -> list:
+    """Mirror ascent of ``sign`` * ``value_fn`` from every matrix of the stack ``seeds`` in lockstep.
 
-    Returns one (rho, value, history, converged, iterations) run per seed.
-    ``value_fn(stack)`` returns (values, outputs), outputs a tuple of stacks of
-    the channel outputs it scored; ``grad_fn(outputs, log_rho)`` is the gradient
-    at the matrices they came from. Each seed carries its rho's outputs and
-    takes a trial's on accepting it, so no channel sees one matrix twice.
-    A round sends the next trial of every running seed through one stacked
-    mirror step and one stacked ``value_fn`` call, and the seeds starting a
-    step through one ``hermitian_log`` and one ``grad_fn`` call. Seeds never
-    mix, so each follows the path it follows alone.
+    Returns one (rho, value, history, converged, iterations) run per seed, in ``value_fn``'s own
+    values. ``value_fn(stack)`` returns (values, outputs), outputs a tuple of stacks of the channel
+    outputs it scored; ``grad_fn(outputs, log_rho)`` is its gradient at the matrices they came from.
+    ``sign`` -1 negates both, so the ascent descends (by negation: a product with -1 could flip a
+    complex zero). Each seed carries its rho's outputs and takes a trial's on accepting it, so no
+    channel sees one matrix twice. A round sends the next trial of every running seed through one
+    stacked mirror step and one stacked ``value_fn`` call, and the seeds starting a step through
+    one ``hermitian_log`` and one ``grad_fn`` call. Seeds never mix, so each follows the path it
+    follows alone.
     """
+    signed = operator.neg if sign < 0 else operator.pos
     rho = np.array(seeds, dtype=complex)
     vals, outs = value_fn(rho)
-    vals = vals.tolist()
-    history = [[v] for v in vals]
+    history = [[v] for v in vals.tolist()]
     n = len(rho)
     etas, eta = [None] * n, [_STEP] * n  # etas[s]: seed s's line search, None between steps
     log_rho, grad = np.empty_like(rho), np.empty_like(rho)
@@ -226,7 +226,7 @@ def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int) -> list:
             for s in fresh:
                 etas[s] = _halvings(eta[s], 50)
             log_rho[fresh] = hermitian_log(rho[fresh])
-            grad[fresh] = grad_fn(tuple(o[fresh] for o in outs), log_rho[fresh])
+            grad[fresh] = signed(grad_fn(tuple(o[fresh] for o in outs), log_rho[fresh]))
         gains, idx, steps = {}, [], []
         for s in running:
             if (e := next(etas[s], None)) is None:
@@ -238,8 +238,8 @@ def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int) -> list:
             trial = _mirror_step(log_rho[idx], grad[idx], np.array(steps))
             trial_vals, trial_outs = value_fn(trial)
             for i, (s, e, v) in enumerate(zip(idx, steps, trial_vals.tolist())):
-                if v > vals[s] + 1e-15:
-                    gains[s], rho[s], vals[s] = v - vals[s], trial[i], v
+                if signed(v) > (cur := signed(history[s][-1])) + 1e-15:
+                    gains[s], rho[s] = signed(v) - cur, trial[i]
                     for o, t in zip(outs, trial_outs):
                         o[s] = t[i]
                     history[s].append(v)
@@ -247,7 +247,7 @@ def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int) -> list:
         return gains
 
     stops = _drive(step, n, max_iters)
-    return [(rho[s], vals[s], history[s], *stops[s]) for s in range(n)]
+    return [(rho[s], history[s][-1], history[s], *stops[s]) for s in range(n)]
 
 
 def _single_ascent(runs: list, s: int):
@@ -270,15 +270,16 @@ def _ascent_seeds(d: int, cfg: OptimizerConfig) -> list:
 
 
 def _ascent_certificate(kind, phi, cfg, base, value_fn, grad_fn, sign=1) -> Certificate:
-    """Best-of-seeds mirror ascent of value_fn(comp, m, base) = (value, outputs) over input
-    matrices m, comp = complement(phi); grad_fn(comp, outputs, log m, log(base)) is its gradient."""
+    """Best-of-seeds mirror ascent of ``sign`` * value_fn(comp, m, base) = (value, outputs) over
+    input matrices m, comp = complement(phi), certified with value_fn's own value (the lowest
+    for ``sign`` -1); grad_fn(comp, outputs, log m, log(base)) is value_fn's gradient."""
     base = _check_base(base)
     lb = math.log(base)
     comp = complement(phi)
     cfg = cfg or OptimizerConfig()
     seeds = _ascent_seeds(phi.d_in, cfg)
     runs = _ascent_stack(
-        lambda m: value_fn(comp, m, base), partial(grad_fn, comp, lb=lb), seeds, cfg.max_iters
+        lambda m: value_fn(comp, m, base), partial(grad_fn, comp, lb=lb), seeds, cfg.max_iters, sign
     )
     return _best_certificate(kind, (_single_ascent(runs, s) for s in range(len(runs))), DensityMatrix, sign)
 
@@ -302,15 +303,9 @@ def minimize_coherent_information(
 ) -> Certificate:
     """Lowest coherent information found; negative values certify distance
     from the degradable set."""
-
-    def neg_ic(comp, m, b):
-        val, outputs = _coherent_information_mat(phi, comp, m, b)
-        return -val, outputs
-
-    def neg_ic_gradient(comp, outputs, log_m, lb):
-        return -_ic_gradient(phi, comp, outputs, log_m, lb)
-
-    return _ascent_certificate("negIc", phi, cfg, base, neg_ic, neg_ic_gradient, sign=-1)
+    return _ascent_certificate(
+        "negIc", phi, cfg, base, partial(_coherent_information_mat, phi), partial(_ic_gradient, phi), sign=-1
+    )
 
 
 def maximize_reverse_coherent_information(
@@ -387,20 +382,20 @@ def seesaw_diamond_lower(
 # ----- PPT geometry -----
 
 
-def _four_index_shape(a: np.ndarray, dims) -> tuple[int, int, int, int]:
-    """(d_A, d_B, d_A, d_B), after checking that ``a`` is square of side d_A * d_B."""
-    da, db = dims
+def _pt_index(a: np.ndarray, dims) -> np.ndarray:
+    """Index i with ``a.take(i)`` the partial transpose of ``a``, checked square of side d_A * d_B."""
+    da, db = (_as_int(x, "dims entry") for x in dims)
     if da < 1 or db < 1:
         raise ValueError(f"dims {dims} must both be at least 1")
     if a.shape != (da * db, da * db):
         raise ValueError(f"shape {a.shape} incompatible with dims {dims}")
-    return da, db, da, db
+    return np.arange(a.size).reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(a.shape)
 
 
 def partial_transpose(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """Transpose the second tensor factor of a bipartite operator."""
     a = np.asarray(mat, dtype=complex)
-    return a.reshape(_four_index_shape(a, dims)).transpose(0, 3, 2, 1).reshape(a.shape)
+    return a.take(_pt_index(a, dims))
 
 
 def _project_density(a: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -424,11 +419,11 @@ def project_ppt(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     check; Dykstra's corrections p, q make the limit the projection onto the
     intersection. It stops once the two iterates lie within 1e-10 in Frobenius
     norm, or after 200 sweeps without any flag, and returns the density-side
-    iterate, always a valid state. ``take(perm)`` and the written-out norm are
-    ``partial_transpose`` and ``np.linalg.norm`` bit for bit, with less overhead.
+    iterate, always a valid state. The written-out norm is ``np.linalg.norm``
+    bit for bit, with less overhead.
     """
     a = np.asarray(mat, dtype=complex)
-    perm = np.arange(a.size).reshape(_four_index_shape(a, dims)).transpose(0, 3, 2, 1).reshape(a.shape)
+    perm = _pt_index(a, dims)
     x = hermitize(a)
     p = q = np.zeros_like(x)
     y = x

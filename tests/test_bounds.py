@@ -157,10 +157,17 @@ def test_dimension_validation():
         separable_distance_lower(1.0, 1)
 
 
-@pytest.mark.parametrize("d", [math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "d",
+    [math.inf, -math.inf, pytest.param(2**1024, id="2**1024"), pytest.param(2**1024 - 1, id="2**1024-1")],
+)
 def test_infinite_dimension_is_a_value_error(d):
+    # an integer past the largest float overflows float(d) as inf does int(d)
     with pytest.raises(ValueError, match="dimension"):
         separable_distance_lower(1.0, d)
+    for kernel in (state_distance_kernel, channel_distance_kernel, product_distance_kernel):
+        with pytest.raises(ValueError, match="dimension"):
+            kernel(1.0, d)
 
 
 def test_bounds_never_exceed_two():
@@ -309,20 +316,21 @@ def test_continuity_bound_spec_validation():
 
 def test_bound_entry_validation():
     with pytest.raises(ValueError, match="outside"):
-        BoundEntry("separable", Formula.DS_FROM_CI, 2.5, 2.5, "")
-    with pytest.raises(ValueError, match="does not target"):
-        BoundEntry("separable", Formula.DA_FROM_CI, 0.5, 0.5, "")
+        BoundEntry(Formula.DS_FROM_CI, 2.5, 2.5, "")
+    # the target is the formula's, so an entry cannot name another
+    for formula, row in FORMULAS.items():
+        assert BoundEntry(formula, 0.5, 0.5, "").target == row.target
 
 
 def test_bound_entry_reads_a_tag_string_as_its_formula():
-    entry = BoundEntry("separable", "Eq5", 0.1, 0.1, "")
+    entry = BoundEntry("Eq5", 0.1, 0.1, "")
     assert entry.formula is Formula.DS_FROM_REE
     report = BoundReport("s", "2", entries=[entry])
     assert report.entry(Formula.DS_FROM_REE) is entry
     assert json.loads(report.to_json())["entries"][0]["formula"] == "Eq5"
     assert report.to_csv().splitlines()[1].startswith("separable,Eq5,")
     with pytest.raises(ValueError, match="nope"):
-        BoundEntry("separable", "nope", 0.1, 0.1, "")
+        BoundEntry("nope", 0.1, 0.1, "")
 
 
 def test_assemble_report_identity_channel_certificates():

@@ -223,6 +223,8 @@ def test_tensor_with_identity_acts_locally():
     out = apply_channel(tensor_with_identity(phi, 2), joint)
     want = tensor(apply_mat(phi, rho_a.mat), rho_b.mat)
     assert np.allclose(out.mat, want, atol=1e-12)
+    # an integral float reference dimension is read as that int
+    assert np.array_equal(tensor_with_identity(phi, 2.0).kraus, tensor_with_identity(phi, 2).kraus)
 
 
 def test_channel_dict_round_trip():
@@ -318,6 +320,8 @@ def test_kraus_channel_rejects_non_finite_entries(bad):
         (lambda: erasure(2.5, 0.1), "d must be an integer, got 2.5"),
         (lambda: depolarizing(True, 0.2), "d must be an integer, got True"),
         (lambda: identity_embedding(2, 3.5), "d_out must be an integer, got 3.5"),
+        (lambda: tensor_with_identity(erasure(2, 0.5), 2.5), "d_ref must be an integer, got 2.5"),
+        (lambda: tensor_with_identity(erasure(2, 0.5), True), "d_ref must be an integer, got True"),
     ],
     ids=[
         "no-kraus",
@@ -330,6 +334,8 @@ def test_kraus_channel_rejects_non_finite_entries(bad):
         "erasure-d2.5",
         "depolarizing-d-true",
         "identity-d_out3.5",
+        "reference-dim-2.5",
+        "reference-dim-true",
     ],
 )
 def test_malformed_arguments_are_value_errors(call, message):

@@ -498,6 +498,16 @@ def test_malformed_dimensions_exit_2(tmp_path, capsys, verb, bad, good):
     assert main([verb, str(path), *search]) == 0
 
 
+@pytest.mark.parametrize("verb", ["analyze-channel", "analyze-state"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, verb):
+    # the JSON parser recurses once per level, so 100,000 levels end in a RecursionError
+    path = tmp_path / "input.json"
+    path.write_text("[" * 100_000)
+    assert main([verb, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed") and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "verb, bad", [("analyze-channel", "true"), ("analyze-state", "[true, 4]")], ids=["d_in", "dims"]
 )
@@ -749,6 +759,12 @@ def test_reproduce_parameter_errors(capsys):
     ):
         code, _ = _run(capsys, argv)
         assert code == 2, argv
+    # a dimension past the largest float, where the tables' log(float(d)) overflows
+    for d_range in (str(2**1024), f"2..{2**1024}"):
+        for table in ("ex1", "ex2", "tightness"):
+            assert main(["reproduce", table, "--d-range", d_range]) == 2
+            assert capsys.readouterr().err.startswith("error: bad dimension range")
+    assert _run(capsys, ["reproduce", "ex1", "--d-range", str(2**1023)])[0] == 0
 
 
 def test_entry_point_subprocess():

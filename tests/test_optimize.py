@@ -269,6 +269,32 @@ def test_partial_transpose_detects_bell_state():
     assert np.isclose(evals.min(), -0.5, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize(
+    "dims", [(1, 1), (1, 4), (4, 1), (2, 3), (3, 2), (4, 6)], ids=lambda d: f"{d[0]}x{d[1]}"
+)
+def test_partial_transpose_is_the_reshape_transpose(dims, kind):
+    # the one gather index equals the plain reshape, axis swap and reshape back
+    rng = np.random.default_rng(12)
+    n = dims[0] * dims[1]
+    mat = rng.standard_normal((n, n))
+    if kind == "complex":
+        mat = mat + 1j * rng.standard_normal((n, n))
+    da, db = dims
+    expected = np.asarray(mat, dtype=complex).reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(n, n)
+    assert np.array_equal(partial_transpose(mat, dims), expected)
+
+
+def test_ppt_dims_are_read_as_integers():
+    mat = np.eye(6) / 6
+    assert np.array_equal(partial_transpose(mat, (2.0, 3)), partial_transpose(mat, (2, 3)))
+    assert np.array_equal(project_ppt(mat, (2.0, 3)), project_ppt(mat, (2, 3)))
+    for dims in ((2.5, 2), (True, 4), ("2", "2")):
+        for call in (partial_transpose, project_ppt):
+            with pytest.raises(ValueError, match="dims entry must be an integer"):
+                call(np.eye(4) / 4, dims)
+
+
 def test_project_ppt_fixes_ppt_states():
     rng = np.random.default_rng(9)
     ra = random_density_matrix(2, rng)
@@ -666,11 +692,11 @@ def test_lockstep_seeds_follow_their_single_seed_paths(monkeypatch, search, chan
 
     monkeypatch.setattr(optimize, "_ascent_stack", spy)
     search(_LOCKSTEP_CHANNELS[channel](), OptimizerConfig(restarts=2, max_iters=max_iters), base)
-    value_fn, grad_fn, seeds, limit = stacks[0]
-    lockstep = _ascent_stack(value_fn, grad_fn, seeds, limit)
+    value_fn, grad_fn, seeds, limit, sign = stacks[0]
+    lockstep = _ascent_stack(value_fn, grad_fn, seeds, limit, sign)
     runs = [_single_ascent(lockstep, s) for s in range(len(seeds))]
     for s, (rho, val, history, converged, iterations) in enumerate(runs):
-        alone = _single_ascent(_ascent_stack(value_fn, grad_fn, seeds[s : s + 1], limit), 0)
+        alone = _single_ascent(_ascent_stack(value_fn, grad_fn, seeds[s : s + 1], limit, sign), 0)
         assert np.array_equal(rho, alone[0])
         bits = [float(h).hex() for h in (val, *history)]
         assert bits == [float(h).hex() for h in (alone[1], *alone[2])]

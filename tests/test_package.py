@@ -82,6 +82,21 @@ def test_every_private_module_name_has_a_caller():
     assert dead == []
 
 
+def test_one_partial_transpose_in_src():
+    # partial_transpose and project_ppt gather through one index, optimize._pt_index,
+    # the only place that writes the partial transpose's axis order
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "transpose"
+        and [getattr(arg, "value", None) for arg in node.args] == [0, 3, 2, 1]
+    ]
+    assert len(found) == 1, found
+
+
 # numpy's eigensolvers and the LAPACK gufuncs behind them
 EIGENSOLVERS = {"eigh", "eigvalsh", "_umath_linalg", "eigh_lo", "eigvalsh_lo"}
 
