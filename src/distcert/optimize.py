@@ -46,6 +46,7 @@ from .linalg import (
     _as_int,
     PureState,
     _checked_eigh,
+    _eigh,
     _eigvalsh,
     _require_dims,
     hermitian_eigen,
@@ -399,12 +400,13 @@ def partial_transpose(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
 
 
 def _project_density(a: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Nearest density matrix to Hermitian ``a``: its spectrum projected onto
+    """Nearest density matrix to hermitize(``a``): its spectrum projected onto
     the probability simplex; ``ranks`` is 1.0, 2.0, ..., n."""
-    w, u = _checked_eigh(a)
-    css = np.cumsum(w[::-1]) - 1.0  # eigh sorts ascending: w[::-1] is descending
+    w, u = _eigh(hermitize(a))
+    wr = w[::-1]  # eigh sorts ascending: wr is descending
+    css = wr.cumsum() - 1.0
     try:
-        k = (w[::-1] - css / ranks > 0).nonzero()[0][-1]  # the last index where the test is positive
+        k = (wr - css / ranks > 0).nonzero()[0][-1]  # the last index where the test is positive
     except IndexError:  # none is: near 1e16, w_max - (w_max - 1) rounds to 0
         raise ValueError(f"spectrum up to {w[-1]:.3g} too large to project onto density matrices") from None
     return (u * np.maximum(w - css[k] / (k + 1), 0.0)) @ u.conj().T
@@ -413,17 +415,19 @@ def _project_density(a: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 def project_ppt(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """Nearest PPT density matrix in Frobenius norm, via Dykstra alternation.
 
-    A sweep projects exactly onto the density matrices (``_project_density``,
-    once per sweep, so its calls count sweeps), then onto the cone with positive
-    partial transpose, each eigendecomposition behind the 1e-8 Hermiticity
-    check; Dykstra's corrections p, q make the limit the projection onto the
-    intersection. It stops once the two iterates lie within 1e-10 in Frobenius
-    norm, or after 200 sweeps without any flag, and returns the density-side
-    iterate, always a valid state. The written-out norm is ``np.linalg.norm``
-    bit for bit, with less overhead.
+    The input is checked once (its split, finite entries) and hermitized. A sweep,
+    two bare eigendecompositions of hermitized iterates, projects exactly onto the
+    density matrices (``_project_density``, once per sweep, so its calls count
+    sweeps), then onto the cone with positive partial transpose; Dykstra's
+    corrections p, q make the limit the projection onto the intersection. It stops
+    once the two iterates lie within 1e-10 in Frobenius norm, or after 200 sweeps
+    without any flag, and returns the density-side iterate, always a valid state.
+    The written-out norm is ``np.linalg.norm`` bit for bit, with less overhead.
     """
     a = np.asarray(mat, dtype=complex)
     perm = _pt_index(a, dims)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry")
     x = hermitize(a)
     p = q = np.zeros_like(x)
     y = x
@@ -433,7 +437,7 @@ def project_ppt(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
         y = _project_density(s, ranks)
         p = s - y
         s = y + q
-        w, u = _checked_eigh(s.take(perm))
+        w, u = _eigh(hermitize(s.take(perm)))
         x = ((u * np.maximum(w, 0.0)) @ u.conj().T).take(perm)
         q = s - x
         d = (y - x).ravel()
@@ -445,8 +449,21 @@ def project_ppt(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
 # ----- relative entropy of entanglement, certified from below -----
 
 
-def _ree_terms(rho_t: np.ndarray, tr_rho_log_rho: float, sigma: np.ndarray, dims, lb):
+def _ree_objective(rho_t: np.ndarray, tr_rho_log_rho: float, sigma: np.ndarray, lb):
+    """The objective f at the floored sig (see ``_ree_terms``) and the (sig, ws, us, rho_e) it reads."""
+    n = sigma.shape[0]
+    sig = (1.0 - _SIGMA_FLOOR) * hermitize(sigma) + _SIGMA_FLOOR * np.eye(n) / n
+    ws, us = hermitian_eigen(sig)
+    ws = np.maximum(ws, _LOG_FLOOR)
+    rho_e = us.conj().T @ rho_t @ us
+    return (tr_rho_log_rho - float(np.real(np.log(ws) @ np.diag(rho_e).real))) / lb, (sig, ws, us, rho_e)
+
+
+def _ree_terms(rho_t: np.ndarray, tr_rho_log_rho: float, sigma: np.ndarray, dims, lb, scored=None):
     """Objective, gradient and dual certificate at one PPT candidate.
+
+    ``scored``, ``_ree_objective`` at ``sigma`` if given, is all that the line search
+    of ``ree_ppt_lower`` reads of a trial; the rest is made for the accepted one.
 
     The certificate uses convexity of sigma -> H(rho||sigma): the tangent
     plane at sigma minorizes the objective, and its minimum over density
@@ -464,12 +481,7 @@ def _ree_terms(rho_t: np.ndarray, tr_rho_log_rho: float, sigma: np.ndarray, dims
     moves by at most 1e-4 * log(dim). The tangent-plane inequality holds at
     the mixed candidate exactly, so validity is unaffected.
     """
-    n = sigma.shape[0]
-    sig = (1.0 - _SIGMA_FLOOR) * hermitize(sigma) + _SIGMA_FLOOR * np.eye(n) / n
-    ws, us = hermitian_eigen(sig)
-    ws = np.maximum(ws, _LOG_FLOOR)
-    rho_e = us.conj().T @ rho_t @ us
-    f_nat = tr_rho_log_rho - float(np.real(np.log(ws) @ np.diag(rho_e).real))
+    f, (sig, ws, us, rho_e) = scored or _ree_objective(rho_t, tr_rho_log_rho, sigma, lb)
     wa, wb = ws[:, None], ws[None, :]
     diff = wa - wb
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -477,7 +489,6 @@ def _ree_terms(rho_t: np.ndarray, tr_rho_log_rho: float, sigma: np.ndarray, dims
     near = np.abs(diff) <= _EIG_PAIR_GUARD
     kernel[near] = (2.0 / (wa + wb))[near]
     grad = hermitize(us @ (-kernel * rho_e) @ us.conj().T) / lb
-    f = f_nat / lb
     lam = float(_eigvalsh(grad)[0])
     lam_pt = float(_eigvalsh(partial_transpose(grad, dims))[0])
     slope = float(np.real(np.trace(grad @ sig)))
@@ -528,13 +539,13 @@ def ree_ppt_lower(
         nonlocal f, grad, sig, best_cert, best_sigma, eta
         for e in _halvings(eta, 40):
             trial = project_ppt(sig - e * grad, dims)
-            terms = _ree_terms(rho_t, tr_log, trial, dims, lb)
-            if terms[0] < f - 1e-15:
+            scored = _ree_objective(rho_t, tr_log, trial, lb)
+            if scored[0] < f - 1e-15:
                 break
         else:
             return {0: None}  # the line search is exhausted: no step size improved
-        gain = f - terms[0]
-        f, grad, cert, sig = terms
+        gain = f - scored[0]
+        f, grad, cert, sig = _ree_terms(rho_t, tr_log, trial, dims, lb, scored)
         history.append(cert)
         if cert > best_cert:
             best_cert, best_sigma = cert, trial

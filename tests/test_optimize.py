@@ -364,6 +364,8 @@ def _ppt_cases():
         yield pytest.param(_random_hermitian(rng, n, 1.0), dims, id=f"{dims[0]}x{dims[1]}-hermitian")
     product = tensor(random_density_matrix(2, rng).mat, random_density_matrix(3, rng).mat)
     yield pytest.param(product, (2, 3), id="already-ppt")
+    for scale in (1e6, 1e9):
+        yield pytest.param(_random_hermitian(rng, 6, scale), (2, 3), id=f"2x3-hermitian-{scale:.0e}")
     yield pytest.param(100.0 * maximally_entangled(2).to_density().mat, (2, 2), id="sweep-cap")
 
 
@@ -371,12 +373,13 @@ def _ppt_cases():
 def test_project_ppt_matches_the_reference_loop_bit_for_bit(monkeypatch, request, mat, dims):
     expected, sweeps = _reference_project_ppt(mat, dims)
     sweep_calls, eigh_calls = [], []
-    density, eigh = optimize._project_density, optimize._checked_eigh
+    density, eigh = optimize._project_density, optimize._eigh
     monkeypatch.setattr(optimize, "_project_density", lambda *a: sweep_calls.append(1) or density(*a))
-    monkeypatch.setattr(optimize, "_checked_eigh", lambda a: eigh_calls.append(1) or eigh(a))
+    monkeypatch.setattr(optimize, "_eigh", lambda a: eigh_calls.append(1) or eigh(a))
     assert np.array_equal(project_ppt(mat, dims), expected)
     assert len(sweep_calls) == sweeps
-    # both eigendecompositions of every sweep pass the 1e-8 Hermiticity guard
+    # a sweep is two bare eigendecompositions; the reference loop checks each
+    # iterate it decomposes for Hermiticity within 1e-8
     assert len(eigh_calls) == 2 * sweeps
     case = request.node.callspec.id
     if case == "already-ppt":
@@ -440,6 +443,23 @@ def test_project_ppt_rejects_a_spectrum_beyond_double_precision():
     assert np.allclose(project_ppt(1e15 * np.eye(4), (2, 2)), np.eye(4) / 4, atol=1e-12)
 
 
+def test_project_ppt_rejects_non_finite_input_once():
+    # checked on entry: the sweeps decompose without a guard, so a NaN or an
+    # infinity must not reach LAPACK (LinAlgError) or the hermitization
+    # (a RuntimeWarning, an error under this suite's warning filter)
+    nan = np.full((4, 4), np.nan)
+    inf_off = np.eye(4) / 4
+    inf_off[0, 1] = np.inf
+    inf_diag = np.eye(4) / 4
+    inf_diag[2, 2] = -np.inf
+    for mat in (nan, inf_off, inf_diag):
+        with pytest.raises(ValueError, match="non-finite") as err:
+            project_ppt(mat, (2, 2))
+        assert not isinstance(err.value, np.linalg.LinAlgError)
+    with pytest.raises(ValueError, match=re.escape("shape (4, 4) incompatible with dims (2, 3)")):
+        project_ppt(nan, (2, 3))
+
+
 @pytest.mark.parametrize("dims", [(0, 0), (0, 3), (2, 0)])
 def test_project_ppt_rejects_an_empty_factor(dims):
     with pytest.raises(ValueError, match=re.escape(f"dims {dims} must both be at least 1")):
@@ -497,6 +517,58 @@ def test_ree_lower_never_exceeds_true_relative_entropy():
         0.5 * bell.mat + 0.5 * (np.eye(4) - bell.mat) / 3, dims=(2, 2)
     )
     assert cert.value <= relative_entropy(bell, boundary) + 1e-9
+
+
+def _reference_ree_ppt_lower(rho, max_iters):
+    """``ree_ppt_lower`` with every line-search trial scored by the full
+    ``_ree_terms``: (value, objective, history, iterations, converged,
+    witness matrix, how it stopped)."""
+    lb = math.log(2.0)
+    rho_t, tr_log, dims = optimize._regularized(rho)
+    best_sigma = project_ppt(rho_t, dims)
+    f, grad, cert, sig = optimize._ree_terms(rho_t, tr_log, best_sigma, dims, lb)
+    best_cert, history, eta, gains = cert, [cert], _STEP, []
+
+    def step(_):
+        nonlocal f, grad, sig, best_cert, best_sigma, eta
+        for e in optimize._halvings(eta, 40):
+            trial = project_ppt(sig - e * grad, dims)
+            terms = optimize._ree_terms(rho_t, tr_log, trial, dims, lb)
+            if terms[0] < f - 1e-15:
+                break
+        else:
+            gains.append(None)
+            return {0: None}
+        gains.append(f - terms[0])
+        f, grad, cert, sig = terms
+        history.append(cert)
+        if cert > best_cert:
+            best_cert, best_sigma = cert, trial
+        eta = min(e * 2.0, 10.0 * _STEP)
+        return {0: gains[-1]}
+
+    [(converged, iters)] = _drive(step, 1, max_iters)
+    stop = "max_iters" if not converged else "exhausted" if gains[-1] is None else "stall"
+    witness = DensityMatrix(best_sigma, dims).mat
+    return best_cert, f, tuple(history), iters, converged, witness, stop
+
+
+@pytest.mark.parametrize(
+    "dims, seed, max_iters, stop",
+    [
+        ((2, 2), 17, 500, "stall"),
+        ((2, 2), 0, 500, "exhausted"),  # the 2x2 state of the benchmark's panel
+        ((2, 3), 0, 60, "max_iters"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_ree_scores_trials_by_the_objective_alone_bit_for_bit(dims, seed, max_iters, stop):
+    rho = random_density_matrix(dims[0] * dims[1], np.random.default_rng(seed), rank=2, dims=dims)
+    *expected, witness, how = _reference_ree_ppt_lower(rho, max_iters)
+    assert how == stop
+    cert = ree_ppt_lower(rho, OptimizerConfig(max_iters=max_iters))
+    assert [cert.value, cert.objective, cert.history, cert.iterations, cert.converged] == expected
+    assert np.array_equal(cert.witness.mat, witness)
 
 
 def test_ree_needs_dims():
