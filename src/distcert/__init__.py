@@ -25,7 +25,6 @@ from .bounds import (
 )
 from .channels import (
     KrausChannel,
-    apply_channel,
     channel_coherent_information,
     channel_from_dict,
     channel_to_dict,
@@ -43,27 +42,20 @@ from .channels import (
     save_state,
     state_from_dict,
     state_to_dict,
-    stinespring,
     tensor_with_identity,
 )
 from .entropy import (
     binary_entropy,
-    coherent_information,
     g_correction,
     max_coherent_information,
     mutual_information,
-    relative_entropy,
-    spectrum_entropy,
     von_neumann_entropy,
 )
 from .linalg import (
     DensityMatrix,
     PureState,
-    basis_state,
-    chaotic_state,
     maximally_entangled,
     partial_trace,
-    purify,
     random_density_matrix,
     random_pure_state,
     tensor,
@@ -72,7 +64,6 @@ from .linalg import (
 from .optimize import (
     Certificate,
     OptimizerConfig,
-    coherent_information_gradient,
     maximize_coherent_information,
     maximize_reverse_coherent_information,
     minimize_coherent_information,
@@ -80,7 +71,6 @@ from .optimize import (
     project_ppt,
     ree_dual_certificate,
     ree_ppt_lower,
-    reverse_coherent_information_gradient,
     seesaw_diamond_lower,
     seesaw_objective,
     trace_dist_to_ppt,

@@ -40,14 +40,14 @@ class Formula(str, Enum):
     PROD_FROM_MI = "ProdMI"
 
 
-def _inversion_kernel(delta, scale: float, correction, *args):
-    """The one inversion expression (delta - r(delta/A)) / A, sign-preserving,
+def _inversion_kernel(delta, scale: float, base: float):
+    """The one inversion expression (delta - g(delta/A)) / A, sign-preserving,
     elementwise over an array of gaps; a float gap gives a float.
 
-    ``r`` is ``correction(., *args)``. Every eps with delta <= A*eps + r(eps)
+    ``g`` is ``g_correction`` in ``base``. Every eps with delta <= A*eps + g(eps)
     is at least this value.
     """
-    out = (delta - correction(delta / scale, *args)) / scale
+    out = (delta - g_correction(delta / scale, base)) / scale
     return out if np.ndim(out) else float(out)
 
 
@@ -76,7 +76,7 @@ def state_distance_kernel(gap, d: int, base: float = 2.0):
     Equals 2*gap/log(d) - 2*g(gap/log(d))/log(d).
     """
     base = _check_base(base)
-    return 2.0 * _inversion_kernel(gap, _log_dim(d, base), g_correction, base)
+    return 2.0 * _inversion_kernel(gap, _log_dim(d, base), base)
 
 
 def channel_distance_kernel(gap, d: int, base: float = 2.0):
@@ -85,7 +85,7 @@ def channel_distance_kernel(gap, d: int, base: float = 2.0):
     Equals gap/log(d) - g(gap/(2*log(d)))/log(d).
     """
     base = _check_base(base)
-    return 2.0 * _inversion_kernel(gap, 2.0 * _log_dim(d, base), g_correction, base)
+    return 2.0 * _inversion_kernel(gap, 2.0 * _log_dim(d, base), base)
 
 
 def product_distance_kernel(gap, d: int, base: float = 2.0):
@@ -95,7 +95,7 @@ def product_distance_kernel(gap, d: int, base: float = 2.0):
     equals gap/log(d) - 2*g(gap/(2*log(d)))/log(d).
     """
     base = _check_base(base)
-    return 2.0 * _inversion_kernel(0.5 * gap, _log_dim(d, base), g_correction, base)
+    return 2.0 * _inversion_kernel(0.5 * gap, _log_dim(d, base), base)
 
 
 class FormulaRow(NamedTuple):
@@ -236,12 +236,6 @@ class BoundReport:
             ["target", "formula", "value", "raw", "witness", "log_base"],
             [[e.target, e.formula.value, e.value, e.raw, e.witness, self.log_base] for e in self.entries],
         )
-
-    def entry(self, formula: Formula) -> BoundEntry | None:
-        for e in self.entries:
-            if e.formula is formula:
-                return e
-        return None
 
 
 def _csv_text(columns: list[str], rows) -> str:

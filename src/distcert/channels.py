@@ -1,5 +1,5 @@
-"""Quantum channels in Kraus form, their Stinespring dilations and complements,
-and the JSON encoding of channels and bipartite states.
+"""Quantum channels in Kraus form, their complements, and the JSON encoding of
+channels and bipartite states.
 
 A channel maps states on the input space (dimension ``d_in``) to states on the
 output space (``d_out``). Its Kraus operators are stored as one tensor K of
@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from .entropy import _check_base, _entropy_mat
-from .linalg import DensityMatrix, _as_int, _require_dims, hermitize
+from .linalg import DensityMatrix, _as_int, _require_dims
 
 COMPLETENESS_TOL = 1e-9
 
@@ -87,19 +87,6 @@ def adjoint_apply_mat(phi: KrausChannel, m: np.ndarray) -> np.ndarray:
 def _check_input(phi: KrausChannel, rho: DensityMatrix) -> None:
     if rho.dim != phi.d_in:
         raise ValueError(f"state dimension {rho.dim} does not match d_in {phi.d_in}")
-
-
-def apply_channel(phi: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Schroedinger-picture action on a validated state."""
-    _check_input(phi, rho)
-    return DensityMatrix(hermitize(apply_mat(phi, rho.mat)))
-
-
-def stinespring(phi: KrausChannel) -> np.ndarray:
-    """Dilation V = sum_k K_k (x) |k>_E as a (d_out * d_env, d_in) array, rows
-    indexed (output, environment); V^dag V = sum_k K_k^dag K_k = I is the
-    completeness ``KrausChannel`` checks."""
-    return phi.kraus.transpose(1, 0, 2).reshape(phi.d_out * phi.d_env, phi.d_in)
 
 
 def complement(phi: KrausChannel) -> KrausChannel:

@@ -10,13 +10,11 @@ import math
 
 import numpy as np
 
-from .linalg import DensityMatrix, _eigh, _eigvalsh, clip_eigenvalues, partial_trace
+from .linalg import DensityMatrix, _eigvalsh, clip_eigenvalues, partial_trace
 
 NAT = math.e
 
 _DOMAIN_SLACK = 1e-12
-_SUPPORT_EIG_TOL = 1e-10
-_SUPPORT_OVERLAP_TOL = 1e-9
 
 
 def _check_base(base: float) -> float:
@@ -73,12 +71,6 @@ def g_correction(x, base: float = 2.0):
     return out if out.ndim else float(out)
 
 
-def spectrum_entropy(w: np.ndarray, base: float = 2.0) -> float:
-    """Entropy of a nonnegative weight vector (no normalization applied)."""
-    base = _check_base(base)
-    return float(_eta(np.asarray(w, dtype=float), base).sum())
-
-
 def _entropy_mat(m: np.ndarray, base: float):
     """Entropy of a PSD matrix; an array of them for a stack of matrices."""
     h = _eta(clip_eigenvalues(_eigvalsh(m)), base).sum(-1)
@@ -90,51 +82,12 @@ def von_neumann_entropy(rho: DensityMatrix, base: float = 2.0) -> float:
     return _entropy_mat(rho.mat, _check_base(base))
 
 
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix, base: float = 2.0) -> float:
-    """H(rho||sigma) = Tr rho (log rho - log sigma); +inf outside supp(sigma).
-
-    The support test treats sigma-eigenvalues <= 1e-10 as kernel; a rho
-    eigenvector (eigenvalue > 1e-10) with squared kernel overlap >= 1e-9
-    makes the divergence infinite.
-    """
-    base = _check_base(base)
-    if rho.dim != sigma.dim:
-        raise ValueError("relative entropy needs states of equal dimension")
-    wr, vr = _eigh(rho.mat)
-    wr = clip_eigenvalues(wr)
-    ws, vs = _eigh(sigma.mat)
-    ws = clip_eigenvalues(ws)
-    overlap = np.abs(vs.conj().T @ vr) ** 2  # overlap[j, i] = |<s_j|r_i>|^2
-    kernel = ws <= _SUPPORT_EIG_TOL
-    carried = wr > _SUPPORT_EIG_TOL
-    if np.any(kernel) and np.any(carried):
-        mass = overlap[np.ix_(kernel, carried)].sum(axis=0)
-        if np.any(mass >= _SUPPORT_OVERLAP_TOL):
-            return math.inf
-    first = -spectrum_entropy(wr, base)
-    support = ~kernel
-    cross = (wr[None, :] * overlap[support, :]).sum(axis=1)
-    second = float(np.dot(cross, _log(ws[support], base)))
-    return float(first - second)
-
-
 def mutual_information(rho: DensityMatrix, base: float = 2.0) -> float:
     """I(A:B) = H(A) + H(B) - H(AB) for a bipartite state, floored at 0: it is
     nonnegative by subadditivity, and rounding can leave it at about -1e-16."""
     ha = von_neumann_entropy(partial_trace(rho, "B"), base)
     hb = von_neumann_entropy(partial_trace(rho, "A"), base)
     return max(0.0, ha + hb - von_neumann_entropy(rho, base))
-
-
-def coherent_information(rho: DensityMatrix, direction: str = "a->b", base: float = 2.0) -> float:
-    """I(A>B) = H(rho_B) - H(rho_AB), or I(B>A) with direction "b->a"."""
-    if direction == "a->b":
-        kept = von_neumann_entropy(partial_trace(rho, "A"), base)
-    elif direction == "b->a":
-        kept = von_neumann_entropy(partial_trace(rho, "B"), base)
-    else:
-        raise ValueError(f"direction must be 'a->b' or 'b->a', got {direction!r}")
-    return kept - von_neumann_entropy(rho, base)
 
 
 def max_coherent_information(rho: DensityMatrix, base: float = 2.0) -> float:

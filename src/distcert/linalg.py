@@ -27,6 +27,7 @@ EIG_CLIP_TOL = 1e-10
 INPUT_HERMITIAN_TOL = 1e-8
 MAX_DIM = 1024
 _LOG_FLOOR = 1e-300
+_HALF_MAX = float(np.finfo(float).max) / 2  # two parts this large still add to a finite float
 
 
 def _as_int(value, name: str) -> int:
@@ -50,6 +51,16 @@ def _as_matrix(m) -> np.ndarray:
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Symmetrized part (M + M^dag)/2, of each matrix of a stack too."""
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
+def _check_symmetrizable(a: np.ndarray) -> None:
+    """Check that hermitize(a) neither meets nor makes an inf: every real and
+    imaginary part finite and at most half the largest float. An inf made in
+    the sum would reach LAPACK and come back as a LinAlgError."""
+    if not abs(np.ascontiguousarray(a).view(float)).max(initial=0.0) <= _HALF_MAX:  # NaN fails too
+        if not np.isfinite(a).all():
+            raise ValueError("matrix has a non-finite entry")
+        raise ValueError(f"matrix entries are too large to symmetrize: a part exceeds {_HALF_MAX:.4g}")
 
 
 def herm_defect(m: np.ndarray) -> float:
@@ -158,10 +169,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def with_dims(self, dims: tuple[int, int]) -> "DensityMatrix":
-        """Same state, reinterpreted with an explicit bipartite split."""
-        return DensityMatrix(self.mat, dims)
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -204,36 +211,12 @@ def partial_trace(rho: DensityMatrix, over: str) -> DensityMatrix:
 def trace_norm(m) -> float:
     """Sum of singular values; for Hermitian input, sum of |eigenvalues|."""
     a = _as_matrix(m)
-    # checked first: an inf entry makes the defect inf - inf, and SVD returns NaN for it
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has a non-finite entry")
+    # checked first: an inf entry makes the defect inf - inf, SVD returns NaN for it,
+    # and hermitize overflows on a part above half the largest float
+    _check_symmetrizable(a)
     if herm_defect(a) <= INPUT_HERMITIAN_TOL:
         return float(np.sum(np.abs(_eigvalsh(hermitize(a)))))
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
-
-
-def purify(rho: DensityMatrix) -> PureState:
-    """Canonical purification sum_i sqrt(l_i) |e_i> (x) |i>, weights descending.
-
-    The reference system is a copy of the input space, so the result lives on
-    d (x) d with the original state as its first marginal.
-    """
-    w, v = _eigh(rho.mat)
-    w = clip_eigenvalues(w)
-    order = np.argsort(w)[::-1]
-    # entry (i, slot) of the weighted eigenvector matrix is the amplitude of
-    # |i> (x) |slot>, so its row-major flattening is the purification
-    vec = (v[:, order] * np.sqrt(w[order])).reshape(-1)
-    return PureState(vec / np.linalg.norm(vec), dims=(rho.dim, rho.dim))
-
-
-def basis_state(d: int, i: int) -> PureState:
-    return PureState(np.eye(d)[i])
-
-
-def chaotic_state(d: int, dims: tuple[int, int] | None = None) -> DensityMatrix:
-    """Maximally mixed state I/d."""
-    return DensityMatrix(np.eye(d, dtype=complex) / d, dims)
 
 
 def maximally_entangled(d: int) -> PureState:

@@ -45,6 +45,7 @@ from .linalg import (
     DensityMatrix,
     _as_int,
     PureState,
+    _check_symmetrizable,
     _checked_eigh,
     _eigh,
     _eigvalsh,
@@ -161,27 +162,6 @@ def _sign_matrix(m: np.ndarray) -> np.ndarray:
 
 
 # ----- mirror ascent over density matrices -----
-
-
-def coherent_information_gradient(
-    phi: KrausChannel, rho_mat: np.ndarray, base: float = 2.0
-) -> np.ndarray:
-    """Euclidean gradient of rho -> H(Phi(rho)) - H(complement(rho)).
-
-    The identity components of both entropy gradients cancel because channel
-    adjoints are unital, leaving adjoint-propagated logarithms.
-    """
-    lb, comp = math.log(_check_base(base)), complement(phi)
-    return _ic_gradient(phi, comp, _coherent_information_mat(phi, comp, rho_mat, base)[1], None, lb)
-
-
-def reverse_coherent_information_gradient(
-    phi: KrausChannel, rho_mat: np.ndarray, base: float = 2.0
-) -> np.ndarray:
-    """Euclidean gradient of rho -> H(rho) - H(complement(rho))."""
-    lb, comp = math.log(_check_base(base)), complement(phi)
-    outputs = _reverse_coherent_information_mat(comp, rho_mat, base)[1]
-    return _rci_gradient(comp, outputs, hermitian_log(rho_mat), lb)
 
 
 def _ic_gradient(phi, comp, outputs, log_rho, lb):  # log_rho unused: _rci_gradient's signature
@@ -415,10 +395,11 @@ def _project_density(a: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 def project_ppt(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """Nearest PPT density matrix in Frobenius norm, via Dykstra alternation.
 
-    The input is checked once (its split, finite entries) and hermitized. A sweep,
-    two bare eigendecompositions of hermitized iterates, projects exactly onto the
-    density matrices (``_project_density``, once per sweep, so its calls count
-    sweeps), then onto the cone with positive partial transpose; Dykstra's
+    The input is checked once (its split, finite entries small enough to
+    symmetrize) and hermitized. A sweep, two bare eigendecompositions of
+    hermitized iterates, projects exactly onto the density matrices
+    (``_project_density``, once per sweep, so its calls count sweeps), then
+    onto the cone with positive partial transpose; Dykstra's
     corrections p, q make the limit the projection onto the intersection. It stops
     once the two iterates lie within 1e-10 in Frobenius norm, or after 200 sweeps
     without any flag, and returns the density-side iterate, always a valid state.
@@ -426,8 +407,7 @@ def project_ppt(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """
     a = np.asarray(mat, dtype=complex)
     perm = _pt_index(a, dims)
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has a non-finite entry")
+    _check_symmetrizable(a)
     x = hermitize(a)
     p = q = np.zeros_like(x)
     y = x

@@ -1,4 +1,4 @@
-"""Tests for Kraus channels, dilations, complements, and the Choi form.
+"""Tests for Kraus channels, complements, and the Choi form.
 
 The erasure channel doubles as the main oracle: its action, complement,
 coherent information, and reverse coherent information all have closed
@@ -13,15 +13,12 @@ import pytest
 
 from distcert import (
     DensityMatrix,
-    apply_channel,
-    basis_state,
+    PureState,
     binary_entropy,
     channel_coherent_information,
     channel_from_dict,
     channel_to_dict,
-    chaotic_state,
     choi,
-    coherent_information,
     complement,
     completely_depolarizing,
     depolarizing,
@@ -30,38 +27,49 @@ from distcert import (
     load_channel,
     mutual_information,
     partial_trace,
-    purify,
     random_channel,
     random_density_matrix,
     reverse_coherent_information,
     save_channel,
-    stinespring,
     tensor,
     tensor_with_identity,
     trace_norm,
     von_neumann_entropy,
 )
 from distcert.channels import KrausChannel, adjoint_apply_mat, apply_mat
+from distcert.linalg import hermitian_eigen
 
 
 def _random_state(d, seed):
     return random_density_matrix(d, np.random.default_rng(seed))
 
 
+def _output(phi, rho, dims=None):
+    """The channel's output state on ``rho``, split by ``dims``."""
+    return DensityMatrix(apply_mat(phi, rho.mat), dims)
+
+
+def _purification(rho):
+    """vec(sqrt(rho)) on input (x) reference: tracing out the reference gives rho."""
+    w, u = hermitian_eigen(rho.mat)
+    root = (u * np.sqrt(np.maximum(w, 0.0))) @ u.conj().T
+    return PureState(root.reshape(-1), (rho.dim, rho.dim)).to_density()
+
+
 def test_erasure_block_action():
     rho = _random_state(3, 1)
-    out = apply_channel(erasure(3, 0.3), rho)
+    out = apply_mat(erasure(3, 0.3), rho.mat)
     expected = np.zeros((4, 4), dtype=complex)
     expected[:3, :3] = 0.7 * rho.mat
     expected[3, 3] = 0.3
-    assert np.allclose(out.mat, expected, atol=1e-12)
+    assert np.allclose(out, expected, atol=1e-12)
 
 
 def test_erasure_zero_probability_is_identity_embedding():
     rho = _random_state(2, 2)
-    a = apply_channel(erasure(2, 0.0), rho)
-    b = apply_channel(identity_embedding(2, 3), rho)
-    assert np.allclose(a.mat, b.mat, atol=1e-12)
+    a = apply_mat(erasure(2, 0.0), rho.mat)
+    b = apply_mat(identity_embedding(2, 3), rho.mat)
+    assert np.allclose(a, b, atol=1e-12)
 
 
 def test_erasure_shape_and_validation():
@@ -81,8 +89,8 @@ def test_erasure_complement_swaps_probability():
     rho = _random_state(3, 3)
     comp = complement(erasure(3, 0.3))
     swapped = erasure(3, 0.7)
-    h_comp = von_neumann_entropy(apply_channel(comp, rho))
-    h_swap = von_neumann_entropy(apply_channel(swapped, rho))
+    h_comp = von_neumann_entropy(_output(comp, rho))
+    h_swap = von_neumann_entropy(_output(swapped, rho))
     assert np.isclose(h_comp, h_swap, atol=1e-8)
 
 
@@ -92,8 +100,8 @@ def test_double_complement_preserves_output_entropy():
         phi = random_channel(3, 2, 3, rng)
         rho = random_density_matrix(3, rng)
         back = complement(complement(phi))
-        h1 = von_neumann_entropy(apply_channel(phi, rho))
-        h2 = von_neumann_entropy(apply_channel(back, rho))
+        h1 = von_neumann_entropy(_output(phi, rho))
+        h2 = von_neumann_entropy(_output(back, rho))
         assert np.isclose(h1, h2, atol=1e-8)
 
 
@@ -135,9 +143,9 @@ def test_completely_depolarizing_never_has_positive_coherent_information():
 def test_depolarizing_action_closed_form():
     rho = _random_state(3, 10)
     for lam in (0.0, 0.4, 1.0):
-        out = apply_channel(depolarizing(3, lam), rho)
+        out = apply_mat(depolarizing(3, lam), rho.mat)
         want = (1 - lam) * rho.mat + lam * np.eye(3) / 3
-        assert np.allclose(out.mat, want, atol=1e-12)
+        assert np.allclose(out, want, atol=1e-12)
 
 
 def test_coherent_information_equals_mutual_information_minus_entropy():
@@ -147,7 +155,7 @@ def test_coherent_information_equals_mutual_information_minus_entropy():
         phi = random_channel(3, 3, 3, rng)
         rho = random_density_matrix(3, rng)
         ext = tensor_with_identity(phi, 3)
-        out = apply_channel(ext, purify(rho).to_density()).with_dims((3, 3))
+        out = _output(ext, _purification(rho), (3, 3))
         want = mutual_information(out) - von_neumann_entropy(rho)
         assert np.isclose(channel_coherent_information(phi, rho), want, atol=1e-8)
 
@@ -160,32 +168,18 @@ def test_coherent_information_transfer_to_output_reference_state():
     phi = random_channel(3, 2, 3, rng)
     rho = random_density_matrix(3, rng)
     ext = tensor_with_identity(phi, 3)
-    out = apply_channel(ext, purify(rho).to_density()).with_dims((2, 3))
+    out = _output(ext, _purification(rho), (2, 3))
+    h_out = von_neumann_entropy(out)
     assert np.isclose(
-        coherent_information(out, "b->a"),
+        von_neumann_entropy(partial_trace(out, "B")) - h_out,
         channel_coherent_information(phi, rho),
         atol=1e-8,
     )
     assert np.isclose(
-        coherent_information(out, "a->b"),
+        von_neumann_entropy(partial_trace(out, "A")) - h_out,
         reverse_coherent_information(phi, rho),
         atol=1e-8,
     )
-
-
-def test_stinespring_dilation_reproduces_channel():
-    rng = np.random.default_rng(13)
-    phi = random_channel(3, 2, 2, rng)
-    v = stinespring(phi)
-    assert v.shape == (phi.d_out * phi.d_env, phi.d_in)
-    assert np.allclose(v.conj().T @ v, np.eye(3), atol=1e-10)
-    rho = random_density_matrix(3, rng)
-    lifted = v @ rho.mat @ v.conj().T
-    lifted = DensityMatrix(lifted, (phi.d_out, phi.d_env))
-    kept = partial_trace(lifted, "B")
-    assert np.allclose(kept.mat, apply_mat(phi, rho.mat), atol=1e-12)
-    env = partial_trace(lifted, "A")
-    assert np.allclose(env.mat, apply_mat(complement(phi), rho.mat), atol=1e-12)
 
 
 def test_choi_matches_index_sum():
@@ -220,9 +214,9 @@ def test_tensor_with_identity_acts_locally():
     rho_a = random_density_matrix(2, rng)
     rho_b = random_density_matrix(2, rng)
     joint = DensityMatrix(tensor(rho_a.mat, rho_b.mat), dims=(2, 2))
-    out = apply_channel(tensor_with_identity(phi, 2), joint)
+    out = apply_mat(tensor_with_identity(phi, 2), joint.mat)
     want = tensor(apply_mat(phi, rho_a.mat), rho_b.mat)
-    assert np.allclose(out.mat, want, atol=1e-12)
+    assert np.allclose(out, want, atol=1e-12)
     # an integral float reference dimension is read as that int
     assert np.array_equal(tensor_with_identity(phi, 2.0).kraus, tensor_with_identity(phi, 2).kraus)
 
@@ -243,9 +237,9 @@ def test_channel_file_round_trip(tmp_path):
     save_channel(phi, str(path))
     back = load_channel(str(path))
     rho = random_density_matrix(3, rng)
-    a = apply_channel(phi, rho)
-    b = apply_channel(back, rho)
-    assert np.allclose(a.mat, b.mat, atol=1e-12)
+    a = apply_mat(phi, rho.mat)
+    b = apply_mat(back, rho.mat)
+    assert np.allclose(a, b, atol=1e-12)
 
 
 def test_channel_loading_errors(tmp_path):
@@ -344,15 +338,17 @@ def test_malformed_arguments_are_value_errors(call, message):
 
 
 def test_apply_channel_dimension_check():
-    with pytest.raises(ValueError, match="does not match"):
-        apply_channel(erasure(3, 0.2), chaotic_state(2))
+    # the public evaluators check the state against d_in before applying the channel
+    for evaluate in (channel_coherent_information, reverse_coherent_information):
+        with pytest.raises(ValueError, match="state dimension 2 does not match d_in 3"):
+            evaluate(erasure(3, 0.2), DensityMatrix(np.eye(2) / 2))
 
 
 def test_identity_embedding_validation():
     with pytest.raises(ValueError):
         identity_embedding(3, 2)
-    out = apply_channel(identity_embedding(2, 4), basis_state(2, 1).to_density())
-    assert np.isclose(out.mat[1, 1].real, 1.0, atol=1e-12)
+    out = apply_mat(identity_embedding(2, 4), PureState(np.eye(2)[1]).to_density().mat)
+    assert np.isclose(out[1, 1].real, 1.0, atol=1e-12)
 
 
 def test_random_channel_complement_is_valid():
@@ -397,7 +393,6 @@ def test_kraus_tensor_operations_match_per_operator_sums(d_in, d_out, d_env):
     close(apply_mat(phi, m), sum(k @ m @ k.conj().T for k in ops))
     close(adjoint_apply_mat(phi, w), sum(k.conj().T @ w @ k for k in ops))
     v = sum(np.kron(k, np.eye(d_env)[:, [e]]) for e, k in enumerate(ops))
-    close(stinespring(phi), v)
     comp = complement(phi)
     assert comp.kraus.shape == (d_out, d_env, d_in)
     close(comp.kraus, np.array([v[b * d_env : (b + 1) * d_env] for b in range(d_out)]))

@@ -11,11 +11,8 @@ import pytest
 from distcert import (
     DensityMatrix,
     PureState,
-    basis_state,
-    chaotic_state,
     maximally_entangled,
     partial_trace,
-    purify,
     random_density_matrix,
     random_pure_state,
     save_state,
@@ -93,11 +90,11 @@ def test_partial_trace_of_product_recovers_factors():
 
 
 def test_partial_trace_needs_dims():
-    rho = chaotic_state(4)
+    rho = DensityMatrix(np.eye(4) / 4)
     with pytest.raises(ValueError, match="dims"):
         partial_trace(rho, "B")
     with pytest.raises(ValueError, match="over"):
-        partial_trace(chaotic_state(4, dims=(2, 2)), "C")
+        partial_trace(DensityMatrix(np.eye(4) / 4, dims=(2, 2)), "C")
 
 
 def test_trace_norm_matches_gram_eigenvalues():
@@ -157,6 +154,24 @@ def test_non_finite_input_to_the_eigen_layer_is_a_value_error():
     ]
     for call in calls:
         with pytest.raises(ValueError, match="not Hermitian|non-finite") as err:
+            call()
+        assert not isinstance(err.value, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("big", [1e308, 1.7e308])
+def test_entries_too_large_to_symmetrize_are_a_value_error(big):
+    # finite, but M + M^dag overflows to inf, which LAPACK would meet as a
+    # LinAlgError after a RuntimeWarning (an error under this suite's filter)
+    from distcert import project_ppt
+
+    calls = [
+        lambda: trace_norm(np.diag([big, 1.0])),
+        lambda: trace_norm(np.array([[0.0, 1j * big], [-1j * big, 0.0]])),
+        lambda: project_ppt(np.full((4, 4), big), (2, 2)),
+        lambda: project_ppt(np.diag([big, 0.0, 0.0, 0.0]), (2, 2)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="too large to symmetrize") as err:
             call()
         assert not isinstance(err.value, np.linalg.LinAlgError)
 
@@ -278,7 +293,7 @@ def test_states_reject_non_finite_entries(bad):
 
 
 def test_density_matrix_with_dims():
-    rho = chaotic_state(6).with_dims((2, 3))
+    rho = DensityMatrix(np.eye(6) / 6, (2, 3))
     assert rho.dims == (2, 3)
     assert rho.dim == 6
 
@@ -289,15 +304,10 @@ def test_pure_state_validation_and_density():
     for dims in ((-2, -2), (4.0, 1.5), (float("inf"), 2)):
         with pytest.raises(ValueError, match="dims"):
             PureState(np.eye(4)[0], dims=dims)
-    psi = basis_state(3, 1)
+    psi = PureState(np.eye(3)[1])
     rho = psi.to_density()
     assert np.isclose(rho.mat[1, 1], 1.0)
     assert np.isclose(np.trace(rho.mat), 1.0)
-
-
-def test_basis_and_chaotic_states():
-    assert np.allclose(basis_state(4, 2).vec, np.eye(4)[2])
-    assert np.allclose(chaotic_state(5).mat, np.eye(5) / 5)
 
 
 def test_maximally_entangled_has_chaotic_marginals():
@@ -306,23 +316,6 @@ def test_maximally_entangled_has_chaotic_marginals():
     assert rho.dims == (3, 3)
     red = partial_trace(rho, "B")
     assert np.allclose(red.mat, np.eye(3) / 3, atol=1e-12)
-
-
-def test_purify_round_trip():
-    rng = np.random.default_rng(51)
-    rho = random_density_matrix(3, rng)
-    psi = purify(rho)
-    assert psi.dims == (3, 3)
-    back = partial_trace(psi.to_density(), "B")
-    assert np.max(np.abs(back.mat - rho.mat)) < 1e-10
-
-
-def test_purify_pure_state_stays_uncorrelated():
-    rho = basis_state(2, 0).to_density()
-    joint = purify(rho).to_density()
-    marginal_b = partial_trace(joint, "A")
-    # A pure input needs no correlation with the purifying system.
-    assert np.isclose(np.max(np.linalg.eigvalsh(marginal_b.mat)), 1.0, atol=1e-12)
 
 
 def test_random_density_matrix_properties():

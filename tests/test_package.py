@@ -1,6 +1,7 @@
 """The package namespace: ``__all__`` lists exactly the public names, the
-benchmark's trace still finds every layer function it groups, and no private
-module-level name is left without a caller."""
+benchmark's trace still finds every layer function it groups, no private
+module-level name is left without a caller, and no public name has callers
+only in the tests."""
 
 import ast
 import importlib
@@ -80,6 +81,65 @@ def test_every_private_module_name_has_a_caller():
         if name not in used
     ]
     assert dead == []
+
+
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+CALLERS = MODULES + sorted(SPANS.parent.glob("*.py")) + sorted((SPANS.parents[1] / "demos").glob("*.py"))
+
+
+def _public_definitions(tree: ast.Module) -> list:
+    """(qualified name, node, is_method) of every public module-level def or
+    class and every public method."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            defs.append((node.name, node, False))
+            if isinstance(node, ast.ClassDef):
+                defs += [
+                    (f"{node.name}.{f.name}", f, True)
+                    for f in node.body
+                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+                ]
+    return defs
+
+
+def _reads(tree: ast.Module, enclosing=()) -> list:
+    """(name, is_attribute, enclosing definition nodes) of every read in ``tree``."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.append((node.id, False, enclosing))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, True, enclosing))
+        inner = enclosing + (node,) if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else enclosing
+        found += _reads(node, inner)
+    return found
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # a definition is live if something reads it from src/ (bar __init__.py's
+    # re-exports), bench/ or demos/, outside its own body and outside the body
+    # of a dead definition; a method is read only through an attribute, so a
+    # local variable of the same name does not keep it alive
+    trees = {path: ast.parse(path.read_text()) for path in CALLERS}
+    defs = {
+        f"{path.stem}:{qualname}": (qualname.rpartition(".")[2], node, is_method)
+        for path in MODULES
+        for qualname, node, is_method in _public_definitions(trees[path])
+    }
+    reads = [r for tree in trees.values() for r in _reads(tree)]
+    dead = {}
+    while newly := {
+        key: node
+        for key, (name, node, is_method) in defs.items()
+        if key not in dead
+        and not any(
+            read == name and (attr or not is_method) and not {node, *dead.values()} & set(enclosing)
+            for read, attr, enclosing in reads
+        )
+    }:
+        dead.update(newly)
+    assert sorted(dead) == []
 
 
 def test_one_partial_transpose_in_src():
