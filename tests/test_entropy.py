@@ -197,7 +197,10 @@ def test_coherent_information_nonpositive_on_separable():
         assert max_coherent_information(joint) <= 1e-10
 
 
-@pytest.mark.parametrize("quantity", [mutual_information, max_coherent_information])
+@pytest.mark.parametrize(
+    "quantity",
+    [mutual_information, pytest.param(max_coherent_information, id="coherent_information")],
+)
 def test_bipartite_quantities_in_an_unknown_base_are_a_value_error(quantity):
     # von_neumann_entropy, which both call, checks the base
     with pytest.raises(ValueError, match="base must be 2 or e"):
