@@ -1,12 +1,13 @@
 """Distance lower bounds obtained by inverting entropic continuity bounds.
 
-The pattern behind every bound: a continuity bound says that moving a state
-or channel by distance eps changes an entropic quantity by at most
-A*eps + r(eps) with r concave and increasing. Reading it backwards, a
-certified gap Delta in the entropic quantity between the object and the
-nearest member of a structured class forces the distance to be at least
-(Delta - r(Delta/A)) / A. ``FORMULAS`` has one row per formula tag, giving
-the target set and the kernel that specializes this expression; the public
+Every bound inverts one tight continuity inequality: moving a state or
+channel by eps (half the trace-norm or diamond-norm distance) changes an
+entropic quantity by at most a*eps*log(d) + c*g(eps), with g the
+``g_correction`` term (Winter, arXiv:1507.07775). Reading it backwards, a
+certified gap Delta between the object and the nearest member of a structured
+class forces eps >= (Delta/c - g(Delta/(c*A)))/A with A = (a/c)*log(d).
+``FORMULAS`` has one row per formula tag, giving the target set and the pair
+(a, c); ``FormulaRow.kernel`` is the one evaluation of every row. The public
 bound functions validate, look up their row and clamp into [0, 2] (trivial
 bounds are allowed, negative ones are not informative), and the report
 builders feed each certificate to its rows through one source table.
@@ -64,58 +65,48 @@ def _clamp(raw: float) -> float:
     return min(2.0, max(0.0, raw))
 
 
-# Each kernel is the raw (unclamped, sign-preserving) distance 2*eps forced by
-# a gap, or by each gap of an array; g vanishes at nonpositive arguments, so
-# any gap below +inf is accepted and a negative result means the certificate
-# is too small to force a distance.
-
-
-def state_distance_kernel(gap, d: int, base: float = 2.0):
-    """Inverts gap <= eps*log(d) + g(eps), reported as 2*eps.
-
-    Equals 2*gap/log(d) - 2*g(gap/log(d))/log(d).
-    """
-    base = _check_base(base)
-    return 2.0 * _inversion_kernel(gap, _log_dim(d, base), base)
-
-
-def channel_distance_kernel(gap, d: int, base: float = 2.0):
-    """Inverts gap <= 2*eps*log(d) + g(eps), reported as 2*eps.
-
-    Equals gap/log(d) - g(gap/(2*log(d)))/log(d).
-    """
-    base = _check_base(base)
-    return 2.0 * _inversion_kernel(gap, 2.0 * _log_dim(d, base), base)
-
-
-def product_distance_kernel(gap, d: int, base: float = 2.0):
-    """Inverts gap <= 2*eps*log(d) + 2*g(eps), reported as 2*eps.
-
-    Halving both sides leaves the state kernel's inequality at gap/2, so this
-    equals gap/log(d) - 2*g(gap/(2*log(d)))/log(d).
-    """
-    base = _check_base(base)
-    return 2.0 * _inversion_kernel(0.5 * gap, _log_dim(d, base), base)
-
-
 class FormulaRow(NamedTuple):
-    """What a formula tag stands for: the set it bounds the distance to and
-    the raw kernel that turns its certificate gap into that distance."""
+    """What a formula tag stands for: the set it bounds the distance to, and
+    the constants of the continuity bound it inverts,
+    Delta <= a*eps*log(d) + c*g(eps)."""
 
     target: str
-    kernel: Callable[[float | np.ndarray, int, float], float | np.ndarray]
+    a: int
+    c: int
+
+    def kernel(self, gap, d: int, base: float = 2.0):
+        """The raw (unclamped, sign-preserving) distance 2*eps forced by a gap,
+        or by each gap of an array; a float gap gives a float.
+
+        Dividing the inequality by c leaves gap/c <= (a/c)*log(d)*eps + g(eps),
+        the one ``_inversion_kernel`` inverts. g vanishes at nonpositive
+        arguments, so any gap below +inf is accepted, and a negative result
+        means the certificate is too small to force a distance.
+        """
+        base = _check_base(base)
+        return 2.0 * _inversion_kernel(gap / self.c, self.a / self.c * _log_dim(d, base), base)
 
 
 FORMULAS = {
-    Formula.DS_FROM_REE: FormulaRow("separable", state_distance_kernel),
-    Formula.DS_FROM_CI: FormulaRow("separable", state_distance_kernel),
-    Formula.DA_FROM_CI: FormulaRow("antidegradable", channel_distance_kernel),
-    Formula.DEB_FROM_CI: FormulaRow("entanglement_breaking", state_distance_kernel),
-    Formula.DEB_FROM_RCI: FormulaRow("entanglement_breaking", state_distance_kernel),
-    Formula.DEB_FROM_REE: FormulaRow("entanglement_breaking", state_distance_kernel),
-    Formula.DD_FROM_CI: FormulaRow("degradable", channel_distance_kernel),
-    Formula.PROD_FROM_MI: FormulaRow("product", product_distance_kernel),
+    Formula.DS_FROM_REE: FormulaRow("separable", 1, 1),
+    Formula.DS_FROM_CI: FormulaRow("separable", 1, 1),
+    Formula.DA_FROM_CI: FormulaRow("antidegradable", 2, 1),
+    Formula.DEB_FROM_CI: FormulaRow("entanglement_breaking", 1, 1),
+    Formula.DEB_FROM_RCI: FormulaRow("entanglement_breaking", 1, 1),
+    Formula.DEB_FROM_REE: FormulaRow("entanglement_breaking", 1, 1),
+    Formula.DD_FROM_CI: FormulaRow("degradable", 2, 1),
+    Formula.PROD_FROM_MI: FormulaRow("product", 2, 2),
 }
+
+
+def state_distance_kernel(gap, d: int, base: float = 2.0):
+    """The state rows' kernel, (a, c) = (1, 1)."""
+    return FORMULAS[Formula.DS_FROM_REE].kernel(gap, d, base)
+
+
+def channel_distance_kernel(gap, d: int, base: float = 2.0):
+    """The channel rows' kernel, (a, c) = (2, 1)."""
+    return FORMULAS[Formula.DA_FROM_CI].kernel(gap, d, base)
 
 
 def _formula_distance_lower(formula: Formula, gap: float, d: int, base: float, clamped: bool) -> float:
@@ -173,11 +164,12 @@ def entanglement_breaking_distance_lower(
     entanglement of the Choi-type output state ("ER", Eq12). The three rows
     share one kernel.
     """
-    if source not in ("Ic", "L", "ER"):
-        raise ValueError(f"source must be 'Ic', 'L' or 'ER', got {source!r}")
+    try:
+        formula = {"Ic": Formula.DEB_FROM_CI, "L": Formula.DEB_FROM_RCI, "ER": Formula.DEB_FROM_REE}[source]
+    except (KeyError, TypeError):  # TypeError: an unhashable source
+        raise ValueError(f"source must be 'Ic', 'L' or 'ER', got {source!r}") from None
     if gap <= 0.0:
         raise ValueError("no entanglement-breaking certificate (gap <= 0)")
-    formula = {"Ic": Formula.DEB_FROM_CI, "L": Formula.DEB_FROM_RCI, "ER": Formula.DEB_FROM_REE}[source]
     return _formula_distance_lower(formula, gap, d, base, clamped)
 
 

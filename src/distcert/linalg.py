@@ -106,16 +106,15 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
 def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (w, u) after symmetrization.
 
-    The input must be Hermitian within 1e-8 entrywise; (M + M^dag)/2 is
+    The input must be Hermitian within 1e-8 entrywise, with every real and
+    imaginary part at most half the largest float; (M + M^dag)/2 is
     decomposed so the result is exactly real-spectral. Eigenvalues w come
     back ascending, with the orthonormal eigenvectors as the columns of u.
     """
-    return _checked_eigh(_as_matrix(m))
-
-
-def _checked_eigh(a: np.ndarray):  # eigh(hermitize(a)) behind the 1e-8 guard; stacks too
-    ah = a.conj().swapaxes(-1, -2)
-    if not abs(a - ah).max(initial=0.0) <= INPUT_HERMITIAN_TOL:  # NaN fails too
+    a = _as_matrix(m)
+    _check_symmetrizable(a)
+    ah = a.conj().T
+    if not abs(a - ah).max(initial=0.0) <= INPUT_HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within 1e-8")
     return _eigh(0.5 * (a + ah))
 

@@ -46,7 +46,6 @@ from .linalg import (
     _as_int,
     PureState,
     _check_symmetrizable,
-    _checked_eigh,
     _eigh,
     _eigvalsh,
     _require_dims,
@@ -174,8 +173,11 @@ def _rci_gradient(comp, outputs, log_rho, lb):  # outputs: (comp(rho),)
 
 
 def _mirror_step(log_rho: np.ndarray, grad: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Trace-normalized exp(log_rho + eta * grad) per matrix of the stacks (eta per matrix)."""
-    w, u = _checked_eigh(log_rho + eta[:, None, None] * grad)
+    """Trace-normalized exp(log_rho + eta * grad) per matrix of the stacks (eta per matrix).
+
+    Both stacks are Hermitian as built (``hermitian_log`` output and a hermitized
+    gradient), so their sum is symmetrized, not checked."""
+    w, u = _eigh(hermitize(log_rho + eta[:, None, None] * grad))
     ew = np.exp(w - w.max(-1, keepdims=True))
     ew /= ew.sum(-1, keepdims=True)
     return (u * ew[..., None, :]) @ u.conj().swapaxes(-1, -2)
@@ -439,11 +441,11 @@ def _ree_objective(rho_t: np.ndarray, tr_rho_log_rho: float, sigma: np.ndarray, 
     return (tr_rho_log_rho - float(np.real(np.log(ws) @ np.diag(rho_e).real))) / lb, (sig, ws, us, rho_e)
 
 
-def _ree_terms(rho_t: np.ndarray, tr_rho_log_rho: float, sigma: np.ndarray, dims, lb, scored=None):
-    """Objective, gradient and dual certificate at one PPT candidate.
+def _ree_terms(scored, dims, lb):
+    """Objective, gradient and dual certificate at one PPT candidate sigma.
 
-    ``scored``, ``_ree_objective`` at ``sigma`` if given, is all that the line search
-    of ``ree_ppt_lower`` reads of a trial; the rest is made for the accepted one.
+    ``scored`` is ``_ree_objective`` at sigma, all that the line search of
+    ``ree_ppt_lower`` reads of a trial; the rest is made for the accepted one.
 
     The certificate uses convexity of sigma -> H(rho||sigma): the tangent
     plane at sigma minorizes the objective, and its minimum over density
@@ -461,7 +463,7 @@ def _ree_terms(rho_t: np.ndarray, tr_rho_log_rho: float, sigma: np.ndarray, dims
     moves by at most 1e-4 * log(dim). The tangent-plane inequality holds at
     the mixed candidate exactly, so validity is unaffected.
     """
-    f, (sig, ws, us, rho_e) = scored or _ree_objective(rho_t, tr_rho_log_rho, sigma, lb)
+    f, (sig, ws, us, rho_e) = scored
     wa, wb = ws[:, None], ws[None, :]
     diff = wa - wb
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -487,7 +489,7 @@ def ree_dual_certificate(rho: DensityMatrix, sigma: DensityMatrix, base: float =
     """Re-evaluate the certified lower bound at a stored witness."""
     lb = math.log(_check_base(base))
     rho_t, tr_log, dims = _regularized(rho)
-    _, _, cert, _ = _ree_terms(rho_t, tr_log, sigma.mat, dims, lb)
+    _, _, cert, _ = _ree_terms(_ree_objective(rho_t, tr_log, sigma.mat, lb), dims, lb)
     return cert
 
 
@@ -510,7 +512,7 @@ def ree_ppt_lower(
     lb = math.log(_check_base(base))
     rho_t, tr_log, dims = _regularized(rho)
     best_sigma = project_ppt(rho_t, dims)
-    f, grad, cert, sig = _ree_terms(rho_t, tr_log, best_sigma, dims, lb)
+    f, grad, cert, sig = _ree_terms(_ree_objective(rho_t, tr_log, best_sigma, lb), dims, lb)
     best_cert = cert
     history = [cert]
     eta = _STEP
@@ -525,7 +527,7 @@ def ree_ppt_lower(
         else:
             return {0: None}  # the line search is exhausted: no step size improved
         gain = f - scored[0]
-        f, grad, cert, sig = _ree_terms(rho_t, tr_log, trial, dims, lb, scored)
+        f, grad, cert, sig = _ree_terms(scored, dims, lb)
         history.append(cert)
         if cert > best_cert:
             best_cert, best_sigma = cert, trial

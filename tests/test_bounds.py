@@ -30,7 +30,10 @@ from distcert import (
     separable_distance_lower,
     state_distance_kernel,
 )
-from distcert.bounds import FORMULAS, BoundEntry, BoundReport, Formula, _inversion_kernel, product_distance_kernel
+from distcert.bounds import FORMULAS, BoundEntry, BoundReport, Formula, _inversion_kernel, _log_dim
+
+# the ProdMI row's kernel, (a, c) = (2, 2); unlike the state and channel rows it has no public wrapper
+product_distance_kernel = FORMULAS[Formula.PROD_FROM_MI].kernel
 
 
 def _invert(scale, delta):
@@ -284,7 +287,14 @@ _KERNEL_GAPS = [-1e300, -5.0, -1e-13, -0.0, 0.0, 5e-324, 1e-12, 0.3, 1.0, 2.0, 7
 
 
 @pytest.mark.parametrize("base", [2.0, math.e])
-@pytest.mark.parametrize("kernel", [state_distance_kernel, channel_distance_kernel, product_distance_kernel])
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        state_distance_kernel,
+        channel_distance_kernel,
+        pytest.param(product_distance_kernel, id="product_distance_kernel"),
+    ],
+)
 def test_kernel_on_an_array_gives_the_scalar_results_bit_for_bit(kernel, base):
     for d in (2, 3, 16, 4096):
         scalars = [kernel(gap, d, base) for gap in _KERNEL_GAPS]
@@ -293,6 +303,57 @@ def test_kernel_on_an_array_gives_the_scalar_results_bit_for_bit(kernel, base):
         assert got.tolist() == scalars
         assert np.signbit(got).tolist() == np.signbit(scalars).tolist()
         assert kernel(np.array([0.3]), d, base).tolist() == [kernel(0.3, d, base)]
+
+
+def _closed_form(delta, scale, base):
+    """The inversion expression as the three kernels wrote it before the rows held (a, c)."""
+    out = (delta - g_correction(delta / scale, base)) / scale
+    return out if np.ndim(out) else float(out)
+
+
+# the three closed forms, each reported as 2*eps, keyed by the (a, c) of their rows
+_CLOSED_FORMS = {
+    (1, 1): lambda gap, d, base: 2.0 * _closed_form(gap, _log_dim(d, base), base),
+    (2, 1): lambda gap, d, base: 2.0 * _closed_form(gap, 2.0 * _log_dim(d, base), base),
+    (2, 2): lambda gap, d, base: 2.0 * _closed_form(0.5 * gap, _log_dim(d, base), base),
+}
+_ENGINE_GAPS = _KERNEL_GAPS + [-5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 3.7, 123.456]
+
+
+@pytest.mark.parametrize("base", [2.0, math.e])
+@pytest.mark.parametrize("formula", list(Formula), ids=lambda f: f.value)
+def test_every_row_is_its_closed_form_bit_for_bit(formula, base):
+    row = FORMULAS[formula]
+    closed_form = _CLOSED_FORMS[row.a, row.c]
+    for d in (2, 3, 16, 4096, 2**20):
+        for gap in _ENGINE_GAPS:
+            got = row.kernel(gap, d, base)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(closed_form(gap, d, base)).tobytes(), (gap, d)
+        got = row.kernel(np.array(_ENGINE_GAPS), d, base)
+        assert got.tobytes() == closed_form(np.array(_ENGINE_GAPS), d, base).tobytes()
+
+
+def test_rows_hold_the_constants_of_the_inequality_they_invert():
+    # Delta <= a*eps*log(d) + c*g(eps): states and the entanglement-breaking rows
+    # (conditional entropy, a = c = 1), channels (diamond norm doubles the log
+    # term), mutual information (two entropies, each with its own g)
+    assert {f.value: (row.a, row.c) for f, row in FORMULAS.items()} == {
+        "Eq5": (1, 1),
+        "Eq6": (1, 1),
+        "Eq9": (2, 1),
+        "Eq10": (1, 1),
+        "Eq11": (1, 1),
+        "Eq12": (1, 1),
+        "Eq13": (2, 1),
+        "ProdMI": (2, 2),
+    }
+    # each row inverts its own inequality: the gap it makes at eps forces no more than eps
+    for row in FORMULAS.values():
+        for d in (2, 5, 64):
+            for eps in (0.01, 0.2, 0.7, 1.0):
+                gap = row.a * eps * math.log2(d) + row.c * g_correction(eps)
+                assert row.kernel(gap, d) / 2 <= eps + 1e-12
 
 
 def test_formula_table_covers_every_tag():

@@ -21,7 +21,6 @@ from distcert import (
 )
 from distcert import cli, linalg
 from distcert.linalg import (
-    _checked_eigh,
     _eigh,
     _eigvalsh,
     clip_eigenvalues,
@@ -166,6 +165,7 @@ def test_entries_too_large_to_symmetrize_are_a_value_error(big):
 
     calls = [
         lambda: trace_norm(np.diag([big, 1.0])),
+        lambda: hermitian_eigen(np.diag([big, 1.0])),
         lambda: trace_norm(np.array([[0.0, 1j * big], [-1j * big, 0.0]])),
         lambda: project_ppt(np.full((4, 4), big), (2, 2)),
         lambda: project_ppt(np.diag([big, 0.0, 0.0, 0.0]), (2, 2)),
@@ -176,20 +176,19 @@ def test_entries_too_large_to_symmetrize_are_a_value_error(big):
         assert not isinstance(err.value, np.linalg.LinAlgError)
 
 
-def test_checked_eigh_is_eigh_of_the_hermitized_input():
+def test_hermitian_eigen_is_eigh_of_the_hermitized_input():
     rng = np.random.default_rng(33)
     h = _random_complex(rng, (4, 5, 5))
     # Hermitian up to 1e-9 noise, so the symmetrization changes bits
     h = h + h.conj().swapaxes(-1, -2) + 1e-9 * _random_complex(rng, (4, 5, 5))
-    for a in (h, h[0]):
-        w, u = _checked_eigh(a)
+    for a in h:
+        w, u = hermitian_eigen(a)
         w_ref, u_ref = np.linalg.eigh(hermitize(a))
         assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref)
-    bad = h.copy()
-    bad[2, 0, 1] += 1e-7
-    for a in (bad, bad[2]):
-        with pytest.raises(ValueError, match="matrix is not Hermitian within 1e-8"):
-            _checked_eigh(a)
+    bad = h[2].copy()
+    bad[0, 1] += 1e-7
+    with pytest.raises(ValueError, match="matrix is not Hermitian within 1e-8"):
+        hermitian_eigen(bad)
 
 
 def test_eigen_entry_point_is_numpys_eigh_bit_for_bit():

@@ -179,3 +179,33 @@ def test_only_linalg_calls_numpy_eigensolvers():
                 continue
             found += [f"{path.name}:{node.lineno}:{name}" for name in names if name in EIGENSOLVERS]
     assert found == []
+
+
+def _readers(name: str) -> set[str]:
+    """'module:def' for every def or method in src/ whose body reads ``name``;
+    'module:' for a read at module level."""
+    found = set()
+
+    def visit(node, path, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) and child.id == name:
+                found.add(f"{path.stem}:{where}")
+            elif isinstance(child, ast.Attribute) and child.attr == name:
+                found.add(f"{path.stem}:{where}")
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            visit(child, path, inner)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text()), path, "")
+    return found
+
+
+def test_one_inversion_engine():
+    # every bound inverts Delta <= a*eps*log(d) + c*g(eps) through its FORMULAS
+    # row: only the row's kernel inverts, and only the inversion expression
+    # evaluates g, so a hand-written kernel beside them fails here
+    assert _readers("_inversion_kernel") == {"bounds:FormulaRow.kernel"}
+    outside_entropy = {r for r in _readers("g_correction") if not r.startswith("entropy:")}
+    assert outside_entropy == {"bounds:_inversion_kernel"}
