@@ -3,14 +3,15 @@ channels and bipartite states.
 
 A channel maps states on the input space (dimension ``d_in``) to states on the
 output space (``d_out``). Its Kraus operators are stored as one tensor K of
-shape (d_env, d_out, d_in). Apply and adjoint add the Kraus terms one at a
-time into one output, in the order a sum over the stacked products adds them.
-That gives the stacked sum's bits (bar a 1x1 output, which numpy sums
-pairwise) without a (..., d_env, d_out, d_in) temporary, which the allocator
-hands back to the OS and faults in again on every call. The
-Stinespring isometry is V = sum_k K_k (x) |k>_E, so the environment dimension
-equals the number of Kraus operators, and the complementary channel has the
-Kraus tensor K with its first two axes swapped.
+shape (d_env, d_out, d_in). The Stinespring isometry is V = sum_k K_k (x)
+|k>_E, so the environment dimension equals the number of Kraus operators, and
+the complementary channel has the Kraus tensor K with its first two axes
+swapped. Apply takes every first product K_k M as one product with V's rows
+(K read as a (d_env * d_out, d_in) matrix), adjoint every K_k^dag M likewise,
+and both add the second products into one output in k order, bit for bit the
+per-operator sum: a one-row product goes through numpy's matrix-vector route,
+which rounds differently from a row of a larger product, so a side of
+dimension 1 keeps per-operator first products.
 """
 from __future__ import annotations
 
@@ -64,23 +65,35 @@ class KrausChannel:
         return self.kraus.shape[0]
 
 
-# The Kraus loop is written out in both actions rather than shared, so that a
-# profile charges its time to the action that runs it.
+def _stinespring_products(k: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """K_j M for every Kraus operator K_j of the tensor ``k``, shape (..., d_env, d_out, d_in):
+    one product with the Stinespring isometry, per operator when d_out is 1."""
+    d_env, d_out, d_in = k.shape
+    if d_out == 1:
+        return k @ m[..., None, :, :]
+    return (k.reshape(-1, d_in) @ m).reshape(*m.shape[:-2], d_env, d_out, d_in)
+
+
+def _kraus_sum(w: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """sum_j W_j K_j^dag over the first products W of ``_stinespring_products``, in j order."""
+    acc = w[..., 0, :, :] @ k[0].conj().T
+    for j in range(1, len(k)):
+        acc += w[..., j, :, :] @ k[j].conj().T
+    return acc
+
+
 def apply_mat(phi: KrausChannel, m: np.ndarray) -> np.ndarray:
     """Channel action on a raw matrix or a stack of them (no state validation)."""
-    k = phi.kraus
-    acc = k[0] @ m @ k[0].conj().T
-    for a in k[1:]:
-        acc += a @ m @ a.conj().T
-    return acc
+    return _kraus_sum(_stinespring_products(phi.kraus, m), phi.kraus)
 
 
 def adjoint_apply_mat(phi: KrausChannel, m: np.ndarray) -> np.ndarray:
     """Heisenberg-picture action sum_k K^dag M K, on a matrix or a stack."""
     k = phi.kraus
-    acc = k[0].conj().T @ m @ k[0]
-    for a in k[1:]:
-        acc += a.conj().T @ m @ a
+    w = _stinespring_products(k.conj().transpose(0, 2, 1), m)
+    acc = w[..., 0, :, :] @ k[0]
+    for j in range(1, len(k)):
+        acc += w[..., j, :, :] @ k[j]
     return acc
 
 
@@ -106,15 +119,20 @@ def choi(phi: KrausChannel) -> DensityMatrix:
     input-space identity.
     """
     vecs = phi.kraus.reshape(phi.d_env, -1)
-    j = (vecs[:, :, None] * vecs.conj()[:, None, :]).sum(0)
+    j = np.outer(vecs[0], vecs[0].conj())
+    for v in vecs[1:]:
+        j += np.outer(v, v.conj())
     return DensityMatrix(j / phi.d_in, (phi.d_out, phi.d_in))
 
 
 # Raw-matrix cores behind the evaluators and the searches; comp = complement(phi).
 # Each returns (value, outputs), the outputs being the channel outputs it scored.
 def _coherent_information_mat(phi: KrausChannel, comp: KrausChannel, m: np.ndarray, base: float):
-    """H(Phi(m)) - H(comp(m)), with outputs (Phi(m), comp(m))."""
-    out, env = apply_mat(phi, m), apply_mat(comp, m)
+    """H(Phi(m)) - H(comp(m)), with outputs (Phi(m), comp(m)); comp's first
+    products are Phi's grouped by output index, one stack for both bar a one-row side."""
+    w = _stinespring_products(phi.kraus, m)
+    w_env = w.swapaxes(-3, -2) if min(phi.d_out, phi.d_env) > 1 else _stinespring_products(comp.kraus, m)
+    out, env = _kraus_sum(w, phi.kraus), _kraus_sum(w_env, comp.kraus)
     return _entropy_mat(out, base) - _entropy_mat(env, base), (out, env)
 
 

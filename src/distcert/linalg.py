@@ -89,7 +89,7 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     flag, a RuntimeWarning in the default error state), and NaN input too."""
     w, u = _eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
     x = w.ravel()
-    if (s := x.dot(x)) != s:  # NaN: a sum of squares is NaN only if an entry is
+    if x.size and (s := x[x.argmax()]) != s:  # argmax stops at the first NaN, and cannot overflow
         raise LinAlgError("Eigenvalues did not converge")
     return w, u
 
@@ -98,7 +98,7 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
     """``np.linalg.eigvalsh(a)`` as ``_eigh`` is ``np.linalg.eigh``."""
     w = _eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
     x = w.ravel()
-    if (s := x.dot(x)) != s:
+    if x.size and (s := x[x.argmax()]) != s:
         raise LinAlgError("Eigenvalues did not converge")
     return w
 

@@ -36,7 +36,7 @@ from distcert import (
     trace_norm,
     von_neumann_entropy,
 )
-from distcert.channels import KrausChannel, adjoint_apply_mat, apply_mat
+from distcert.channels import KrausChannel, _coherent_information_mat, adjoint_apply_mat, apply_mat
 from distcert.linalg import hermitian_eigen
 
 
@@ -408,20 +408,54 @@ def _stacked_adjoint(kraus, m):
     return (kraus.conj().transpose(0, 2, 1) @ m[..., None, :, :] @ kraus).sum(-3)
 
 
+def _per_operator_apply(kraus, m):
+    """The Kraus sum one operator at a time, each product taken on its own."""
+    acc = kraus[0] @ m @ kraus[0].conj().T
+    for a in kraus[1:]:
+        acc += a @ m @ a.conj().T
+    return acc
+
+
+def _per_operator_adjoint(kraus, m):
+    acc = kraus[0].conj().T @ m @ kraus[0]
+    for a in kraus[1:]:
+        acc += a.conj().T @ m @ a
+    return acc
+
+
+def _random_psd(rng, stack, d):
+    g = rng.normal(size=stack + (d, d)) + 1j * rng.normal(size=stack + (d, d))
+    return g @ g.conj().swapaxes(-1, -2)
+
+
 def test_kraus_sums_are_bit_identical_to_the_stacked_sum():
+    # Every Kraus sum, Ic's two outputs from their shared first products
+    # included, has the per-operator loop's bits. A one-row first product
+    # (d_out 1 on phi, d_env 1 on the complement, d_in 1 on the adjoint)
+    # rounds differently from a row of one larger product, so the sweep
+    # covers every side of dimension 1.
     rng = np.random.default_rng(16)
-    for d_in in range(1, 7):
-        for d_out in range(1, 7):
+    for d_in in range(1, 9):
+        for d_out in range(1, 9):
             for d_env in range(-(-d_in // d_out), 20):  # d_out * d_env >= d_in
                 phi = random_channel(d_in, d_out, d_env, rng)
+                comp = complement(phi)
                 for stack in ((), (1,), (3,), (17,)):
-                    for f, ref, d, side in (
-                        (apply_mat, _stacked_apply, d_in, d_out),
-                        (adjoint_apply_mat, _stacked_adjoint, d_out, d_in),
+                    m, x = _random_psd(rng, stack, d_in), _random_psd(rng, stack, d_out)
+                    out, env = _coherent_information_mat(phi, comp, m, 2.0)[1]
+                    for got, loop, ch, y in (
+                        (out, _per_operator_apply, phi, m),
+                        (apply_mat(phi, m), _per_operator_apply, phi, m),
+                        (env, _per_operator_apply, comp, m),
+                        (apply_mat(comp, m), _per_operator_apply, comp, m),
+                        (adjoint_apply_mat(phi, x), _per_operator_adjoint, phi, x),
                     ):
-                        g = rng.normal(size=stack + (d, d)) + 1j * rng.normal(size=stack + (d, d))
-                        m = g @ g.conj().swapaxes(-1, -2)
-                        got, want = f(phi, m), ref(phi.kraus, m)
+                        assert np.array_equal(got, loop(ch.kraus, y))
+                    for f, ref, y, side in (
+                        (apply_mat, _stacked_apply, m, d_out),
+                        (adjoint_apply_mat, _stacked_adjoint, x, d_in),
+                    ):
+                        got, want = f(phi, y), ref(phi.kraus, y)
                         assert got.shape == want.shape
                         if side > 1:
                             assert np.array_equal(got, want)
@@ -432,29 +466,55 @@ def test_kraus_sums_are_bit_identical_to_the_stacked_sum():
                             np.testing.assert_allclose(got, want, rtol=4e-15, atol=0)
 
 
-def _extra_bytes(f, phi, m):
-    """Peak memory one call of ``f`` allocates beyond what was live before it."""
-    f(phi, m)
+def _extra_bytes(call):
+    """Peak memory one ``call()`` allocates beyond what was live before it, and its result."""
+    call()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = f(phi, m)
+        out = call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak - before, out.nbytes
+    return peak - before, out
 
 
-def test_kraus_sums_need_no_per_operator_stack():
+def test_kraus_sums_need_one_first_product_stack():
     # erasure(16, 0.1) has 17 Kraus operators and the mirror ascent passes a
-    # stack of 17 inputs; a (17, 17, 17, 16) per-operator stack is 34x the output.
+    # stack of 17 inputs: the first products K_k m are one (17, 17, 17, 16)
+    # stack, 16x the output; the second products, added one at a time, would
+    # be another 17x as a stack.
     phi = erasure(16, 0.1)
     rng = np.random.default_rng(0)
     m = rng.normal(size=(17, 16, 16)) + 1j * rng.normal(size=(17, 16, 16))
     w = rng.normal(size=(17, 17, 17)) + 1j * rng.normal(size=(17, 17, 17))
     for f, ch, x in ((apply_mat, phi, m), (adjoint_apply_mat, complement(phi), w)):
-        extra, out = _extra_bytes(f, ch, x)
-        assert extra <= 4 * out, (f.__name__, extra / out)
+        extra, out = _extra_bytes(lambda: f(ch, x))
+        first_products = len(x) * ch.kraus.size * x.itemsize
+        assert extra <= first_products + 4 * out.nbytes, (f.__name__, extra / out.nbytes)
+
+
+def test_choi_needs_no_product_stack():
+    # erasure(16, 0.1): 17 Kraus vectors of length 272, so a stack of their
+    # outer products is 17x the 272 x 272 output; the scaling and the
+    # DensityMatrix checks take about 3x on their own
+    extra, rho = _extra_bytes(lambda: choi(erasure(16, 0.1)))
+    assert extra <= 5 * rho.mat.nbytes, extra / rho.mat.nbytes
+
+
+def test_choi_is_the_stacked_outer_product_sum_bit_for_bit():
+    # the outer products are added in k order, as the stacked sum over its
+    # first axis adds them; at 1x1 (a 1->1 channel) numpy sums pairwise
+    rng = np.random.default_rng(25)
+    for d_in in range(1, 7):
+        for d_out in range(1, 7):
+            for d_env in range(-(-d_in // d_out), 12):
+                if d_in * d_out == 1:
+                    continue
+                phi = random_channel(d_in, d_out, d_env, rng)
+                vecs = phi.kraus.reshape(d_env, -1)
+                j = (vecs[:, :, None] * vecs.conj()[:, None, :]).sum(0)
+                assert np.array_equal(choi(phi).mat, DensityMatrix(j / d_in, (d_out, d_in)).mat)
 
 
 def test_channel_decoding_rejects_malformed_pairs():

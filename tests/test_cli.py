@@ -180,6 +180,76 @@ def test_analyze_channel_identity_bound_value(tmp_path, capsys):
     assert "Eq13" not in by_tag
 
 
+def test_analyze_channel_pins_a_three_to_one_report(tmp_path, capsys):
+    # d_out 1: each Phi(m) first product K_k m has one row, which numpy takes
+    # through its matrix-vector route; a row of one product with the whole
+    # Stinespring isometry rounds differently and moves the min-Ic search
+    path = tmp_path / "three_to_one.json"
+    save_channel(random_channel(3, 1, 3, np.random.default_rng(31)), str(path))
+    code, out = _run(capsys, ["analyze-channel", str(path), "--ree"])
+    assert code == 0
+    rep = json.loads(out)
+    (entry,) = rep["entries"]
+    assert entry["formula"] == "Eq13"
+    assert entry["witness"] == "mirror-descent input state (14 iterations, converged=True)"
+    assert entry["value"] == entry["raw"] == pytest.approx(0.13092975357145803, abs=1e-9)
+    assert entry["inputs"]["min_coherent_information"] == pytest.approx(-1.5849625007211579, abs=1e-9)
+    assert rep["notes"] == [
+        "no antidegradability certificate (max coherent information <= 0)",
+        "no entanglement-breaking certificate from reverse coherent information (<= 0)",
+        "no entanglement-breaking certificate from relative entropy (<= 0)",
+        "channel: d_in=3, d_out=1, kraus=3",
+    ]
+
+
+def _per_operator_channels(monkeypatch):
+    """Route every Kraus sum and the Choi state through per-operator products."""
+    from distcert import channels, optimize
+    from distcert.entropy import _entropy_mat
+
+    def apply(phi, m):
+        k = phi.kraus
+        acc = k[0] @ m @ k[0].conj().T
+        for a in k[1:]:
+            acc += a @ m @ a.conj().T
+        return acc
+
+    def adjoint(phi, m):
+        k = phi.kraus
+        acc = k[0].conj().T @ m @ k[0]
+        for a in k[1:]:
+            acc += a.conj().T @ m @ a
+        return acc
+
+    def ic(phi, comp, m, base):
+        out, env = apply(phi, m), apply(comp, m)
+        return _entropy_mat(out, base) - _entropy_mat(env, base), (out, env)
+
+    def choi(phi):
+        vecs = phi.kraus.reshape(phi.d_env, -1)
+        j = (vecs[:, :, None] * vecs.conj()[:, None, :]).sum(0)
+        return DensityMatrix(j / phi.d_in, (phi.d_out, phi.d_in))
+
+    for module in (channels, optimize):
+        monkeypatch.setattr(module, "apply_mat", apply)
+        monkeypatch.setattr(module, "adjoint_apply_mat", adjoint)
+        monkeypatch.setattr(module, "_coherent_information_mat", ic)
+    monkeypatch.setattr(cli, "choi", choi)
+
+
+@pytest.mark.parametrize(
+    "dims", [(3, 1, 3), (1, 3, 2), (3, 4, 1), (3, 3, 2)], ids=["3->1", "1->3", "d_env=1", "3->3"]
+)
+def test_analyze_channel_reports_are_the_per_operator_reports(tmp_path, capsys, monkeypatch, dims):
+    # dims is (d_in, d_out, d_env); each of the first three has a one-row side
+    path = tmp_path / "channel.json"
+    save_channel(random_channel(*dims, np.random.default_rng(7)), str(path))
+    argv = ["analyze-channel", str(path), "--ree", *_fast()]
+    got = _run(capsys, argv)
+    _per_operator_channels(monkeypatch)
+    assert _run(capsys, argv) == got
+
+
 @pytest.mark.parametrize("d_in, d_out", [(4, 2), (2, 4)])
 def test_analyze_channel_bounds_use_the_input_dimension(tmp_path, capsys, d_in, d_out):
     # the purifying reference has dimension rank(rho) <= d_in, whichever side is larger

@@ -176,6 +176,39 @@ def test_entries_too_large_to_symmetrize_are_a_value_error(big):
         assert not isinstance(err.value, np.linalg.LinAlgError)
 
 
+def test_eigen_layer_takes_eigenvalues_past_the_square_root_of_the_largest_float():
+    # the NaN test on the eigenvalues must not overflow (a RuntimeWarning, an
+    # error under this suite's filter) once their squares pass the largest float
+    from distcert import project_ppt
+
+    assert trace_norm(np.diag([1e200, 0.0])) == 1e200
+    assert np.array_equal(hermitian_eigen(np.diag([1e200, 0.0]))[0], [0.0, 1e200])
+    huge = np.diag([-1e300, 1e300])
+    assert np.array_equal(_eigvalsh(huge), np.linalg.eigvalsh(huge))
+    with pytest.raises(ValueError, match="too large to project onto density matrices"):
+        project_ppt(1e300 * np.eye(4), (2, 2))
+    # an empty spectrum has no NaN
+    assert _eigh(np.zeros((0, 0)))[0].shape == (0,) and _eigvalsh(np.zeros((3, 0, 0))).shape == (3, 0)
+
+
+@pytest.mark.parametrize("name", ["_eigh_lo", "_eigvalsh_lo"])
+def test_one_nan_eigenvalue_among_huge_ones_is_a_lapack_failure(monkeypatch, name):
+    # one NaN in the middle of a stack's spectra, among values whose squares overflow
+    gufunc = getattr(linalg, name)
+
+    def one_nan(a, signature):
+        out = gufunc(a, signature=signature)
+        w = out[0] if isinstance(out, tuple) else out
+        w.reshape(-1)[w.size // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(linalg, name, one_nan)
+    entry = linalg._eigh if name == "_eigh_lo" else linalg._eigvalsh
+    for a in (np.diag([1e300, -1e300, 1e200]), np.stack([np.diag([1e300, -1e300, 1e200])] * 3)):
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            entry(a)
+
+
 def test_hermitian_eigen_is_eigh_of_the_hermitized_input():
     rng = np.random.default_rng(33)
     h = _random_complex(rng, (4, 5, 5))

@@ -712,26 +712,27 @@ def test_reverse_ascent_takes_each_log_of_rho_once(monkeypatch):
 
 @pytest.mark.parametrize(
     "search, channels",
-    [(maximize_coherent_information, ("phi", "comp")), (maximize_reverse_coherent_information, ("comp",))],
+    [(maximize_coherent_information, ("phi",)), (maximize_reverse_coherent_information, ("comp",))],
     ids=["max_ic", "max_rci"],
 )
 def test_ascent_applies_each_channel_once_per_scored_stack(monkeypatch, search, channels):
-    # the gradient reads the outputs its seed carries from the stack that scored its rho
-    phi = random_channel(2, 3, 2, np.random.default_rng(6))  # d_out 3 tells phi from comp (d_out 2)
-    name_of = {phi.d_out: "phi", phi.d_env: "comp"}
+    # the gradient reads the outputs its seed carries from the stack that scored
+    # its rho, and Ic reads Phi(rho) and comp(rho) from one Stinespring product
+    phi = random_channel(2, 3, 2, np.random.default_rng(6))  # d_out and d_env both above 1
+    name_of = {phi.kraus.tobytes(): "phi", complement(phi).kraus.tobytes(): "comp"}
     applied, trials = [], []
-    apply, step = channels_module.apply_mat, optimize._mirror_step
+    products, step = channels_module._stinespring_products, optimize._mirror_step
 
-    def counted_apply(chan, m):
-        applied.append((name_of[chan.d_out], len(m)))
-        return apply(chan, m)
+    def counted_products(k, m):
+        if (name := name_of.get(k.tobytes())) is not None:  # the adjoint's K^dag stacks are not counted
+            applied.append((name, len(m)))
+        return products(k, m)
 
     def counted_step(*args):
         trials.append(len(out := step(*args)))
         return out
 
-    monkeypatch.setattr(channels_module, "apply_mat", counted_apply)
-    monkeypatch.setattr(optimize, "apply_mat", counted_apply)
+    monkeypatch.setattr(channels_module, "_stinespring_products", counted_products)
     monkeypatch.setattr(optimize, "_mirror_step", counted_step)
     cert = search(phi, OptimizerConfig(restarts=2, max_iters=30))
     assert len(cert.history) > 1 and trials  # steps were accepted, so gradients were taken
