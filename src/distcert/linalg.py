@@ -10,7 +10,8 @@ Every eigendecomposition in the package goes through ``_eigh`` or
 Python wrapper, which takes about half of a 4x4 or 6x6 call; a state analysis
 makes tens of thousands of them in the PPT projection. The convergence check
 stays: LAPACK failure leaves NaN in the output, and a NaN eigenvalue raises
-``LinAlgError``.
+``LinAlgError``. A NaN in the input need not give one, so finiteness of the
+input is checked by the public callers, not on this path.
 """
 from __future__ import annotations
 
@@ -86,7 +87,10 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.linalg.eigh(a)`` of a float64 or complex128 matrix or stack, bit
     for bit (other dtypes come back in double precision). A NaN eigenvalue is
     a LinAlgError: a LAPACK failure, as in numpy (it also sets numpy's invalid
-    flag, a RuntimeWarning in the default error state), and NaN input too."""
+    flag, a RuntimeWarning in the default error state). Only a NaN eigenvalue
+    is caught, not NaN input: ``_eigvalsh([[nan, 0], [0, 1]])`` returns
+    [0, -0], as numpy's ``eigvalsh`` does. The public callers check their
+    input for finite entries first."""
     w, u = _eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
     x = w.ravel()
     if x.size and (s := x[x.argmax()]) != s:  # argmax stops at the first NaN, and cannot overflow

@@ -381,17 +381,22 @@ def partial_transpose(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     return a.take(_pt_index(a, dims))
 
 
-def _project_density(a: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+def _project_density(a: np.ndarray) -> np.ndarray:
     """Nearest density matrix to hermitize(``a``): its spectrum projected onto
-    the probability simplex; ``ranks`` is 1.0, 2.0, ..., n."""
+    the probability simplex. The threshold is one pass over the spectrum,
+    largest first, in Python floats: the same IEEE operations in the same
+    order as a numpy running sum, without numpy's per-call cost on a short
+    vector, and a sum past the largest float is inf without a warning."""
     w, u = _eigh(hermitize(a))
-    wr = w[::-1]  # eigh sorts ascending: wr is descending
-    css = wr.cumsum() - 1.0
-    try:
-        k = (wr - css / ranks > 0).nonzero()[0][-1]  # the last index where the test is positive
-    except IndexError:  # none is: near 1e16, w_max - (w_max - 1) rounds to 0
-        raise ValueError(f"spectrum up to {w[-1]:.3g} too large to project onto density matrices") from None
-    return (u * np.maximum(w - css[k] / (k + 1), 0.0)) @ u.conj().T
+    acc, theta = 0.0, None
+    for j, v in enumerate(reversed(w.tolist())):  # eigh sorts ascending
+        acc += v
+        t = (acc - 1.0) / (j + 1.0)
+        if v - t > 0:  # theta is t at the last index where this holds
+            theta = t
+    if theta is None:  # near 1e16, w_max - (w_max - 1) rounds to 0
+        raise ValueError(f"spectrum up to {w[-1]:.3g} too large to project onto density matrices")
+    return (u * np.maximum(w - theta, 0.0)) @ u.conj().T
 
 
 def project_ppt(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -413,10 +418,9 @@ def project_ppt(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     x = hermitize(a)
     p = q = np.zeros_like(x)
     y = x
-    ranks = np.arange(1.0, len(x) + 1)
     for _ in range(_DYKSTRA_MAX_ITERS):
         s = x + p
-        y = _project_density(s, ranks)
+        y = _project_density(s)
         p = s - y
         s = y + q
         w, u = _eigh(hermitize(s.take(perm)))

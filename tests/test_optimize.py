@@ -9,9 +9,12 @@ keeping must beat.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from distcert import (
     Certificate,
@@ -449,6 +452,62 @@ def test_project_ppt_rejects_a_spectrum_beyond_double_precision():
     with pytest.raises(ValueError, match="too large to project onto density matrices"):
         project_ppt(1e16 * np.eye(4), (2, 2))
     assert np.allclose(project_ppt(1e15 * np.eye(4), (2, 2)), np.eye(4) / 4, atol=1e-12)
+    # at 5e307 the running sum passes the largest float: the caller gets the
+    # ValueError alone, no overflow warning before it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=re.escape("spectrum up to 5e+307 too large to project")):
+            project_ppt(5e307 * np.eye(4), (2, 2))
+    assert caught == []
+
+
+def _numpy_threshold_projection(a):
+    """``_project_density`` with the simplex threshold in numpy, as it was
+    before the float loop: reverse, running sum, test, last index from
+    ``nonzero``. (spectrum, projection), the projection None where no index
+    passes the test."""
+    w, u = optimize._eigh(hermitize(a))
+    wr = w[::-1]
+    css = wr.cumsum() - 1.0
+    passing = (wr - css / np.arange(1.0, len(w) + 1) > 0).nonzero()[0]
+    if not passing.size:
+        return w, None
+    k = passing[-1]
+    return w, (u * np.maximum(w - css[k] / (k + 1), 0.0)) @ u.conj().T
+
+
+_EIGENVALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 0.5, 1.0, -1.0, 1e15, -1e15]),
+    st.floats(min_value=-1e15, max_value=1e15),
+)
+_SPECTRA = st.one_of(
+    st.lists(_EIGENVALUES, min_size=1, max_size=36),
+    # ties: every eigenvalue one of a few values
+    st.lists(_EIGENVALUES, min_size=1, max_size=4).flatmap(
+        lambda values: st.lists(st.sampled_from(values), min_size=1, max_size=36)
+    ),
+    st.lists(st.floats(min_value=-1e15, max_value=0.0, exclude_max=True), min_size=1, max_size=36),
+    st.lists(st.floats(min_value=-1e-300, max_value=1e-300), min_size=1, max_size=36),  # subnormals
+)
+
+
+@given(_SPECTRA, st.booleans())
+@example([1e16], False)  # near 1e16, w_max - (w_max - 1) rounds to 0: no index passes
+@example([1e16] * 4, True)
+@example([1e16] * 36, False)
+@settings(max_examples=400, deadline=None)
+def test_project_density_matches_the_numpy_threshold_bit_for_bit(spectrum, rotate):
+    a = np.diag(np.array(spectrum, dtype=complex))
+    if rotate:  # the same spectrum in another basis, where eigh no longer returns the diagonal
+        q = np.linalg.qr(np.arange(1.0, a.size + 1).reshape(a.shape) + 1j * np.eye(len(a)))[0]
+        a = q @ a @ q.conj().T
+    w, want = _numpy_threshold_projection(a)
+    if want is None:
+        message = f"spectrum up to {w[-1]:.3g} too large to project onto density matrices"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            optimize._project_density(a)
+    else:
+        assert optimize._project_density(a).tobytes() == want.tobytes()
 
 
 def test_project_ppt_rejects_non_finite_input_once():

@@ -51,6 +51,27 @@ def test_bench_trace_groups_match_module_functions():
     assert spans.missing_groups(names) == []
 
 
+def test_bench_hooks_name_functions_of_optimize():
+    # read, not imported: the benchmark wraps the searches and two layer
+    # functions by name, and a name a refactor removes leaves its metric
+    # group reading 0 without any error
+    source = SPANS.read_text()
+    searches = next(
+        node.value
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["SEARCHES"]
+    )
+    hooked = [*ast.literal_eval(searches), "_project_density", "_single_ascent"]
+    assert all(name in source for name in hooked)
+    optimize = importlib.import_module("distcert.optimize")
+    not_functions = [
+        name
+        for name in hooked
+        if not (inspect.isfunction(fn := getattr(optimize, name, None)) and fn.__module__ == optimize.__name__)
+    ]
+    assert len(hooked) == 7 and not_functions == []
+
+
 def _private_definitions(tree: ast.Module) -> list[str]:
     """Names ``_x`` (not dunders) bound at module level by def, class or assignment."""
     names = []
