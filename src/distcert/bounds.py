@@ -297,8 +297,8 @@ _STATE_SOURCES = (
 def _entry(report: BoundReport, sources, certs: dict, d: int, base: float, witnesses) -> BoundReport:
     """Add to ``report`` the entries, or the skip note, of every certificate
     given in ``certs``, in the order of ``sources``. A non-finite certificate
-    is a ValueError; an accepted gap takes the public bound functions' path
-    (``_formula_distance_lower``) to its raw distance."""
+    is a ValueError; an accepted gap, floored at zero, goes to each formula's
+    row kernel for its raw distance."""
     wit = witnesses or {}
     for src in sources:
         value = certs[src.arg]
@@ -312,7 +312,7 @@ def _entry(report: BoundReport, sources, certs: dict, d: int, base: float, witne
             continue
         inputs, witness = {src.input_key: value, "dim": d}, wit.get(src.witness_key, "")
         for formula in src.formulas:
-            raw = _formula_distance_lower(formula, max(gap, 0.0), d, base, clamped=False)
+            raw = FORMULAS[formula].kernel(max(gap, 0.0), d, base)
             report.entries.append(BoundEntry(formula, _clamp(raw), raw, witness, inputs))
     return report
 

@@ -6,12 +6,12 @@ output space (``d_out``). Its Kraus operators are stored as one tensor K of
 shape (d_env, d_out, d_in). The Stinespring isometry is V = sum_k K_k (x)
 |k>_E, so the environment dimension equals the number of Kraus operators, and
 the complementary channel has the Kraus tensor K with its first two axes
-swapped. Apply takes every first product K_k M as one product with V's rows
-(K read as a (d_env * d_out, d_in) matrix), adjoint every K_k^dag M likewise,
-and both add the second products into one output in k order, bit for bit the
-per-operator sum: a one-row product goes through numpy's matrix-vector route,
-which rounds differently from a row of a larger product, so a side of
-dimension 1 keeps per-operator first products.
+swapped. Apply (A = K) and adjoint (A = K^dag) are one contraction: every
+first product A_k M as one product with A read as a (d_env * rows, cols)
+matrix, then the second products added into one output in k order, the
+per-operator sum's bits. A one-row product goes through numpy's
+matrix-vector route, which rounds differently from a row of a larger
+product, so a side of dimension 1 keeps per-operator first products.
 """
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ class KrausChannel:
         kraus = np.array(ops)
         if not np.isfinite(kraus).all():  # NaN would pass the completeness check
             raise ValueError("Kraus operators have a non-finite entry")
-        s = (kraus.conj().transpose(0, 2, 1) @ kraus).sum(0)
+        s = (_dagger(kraus) @ kraus).sum(0)
         if np.max(np.abs(s - np.eye(self.d_in))) > COMPLETENESS_TOL:
             raise ValueError("Kraus operators do not satisfy completeness within 1e-9")
         kraus.setflags(write=False)
@@ -63,6 +63,11 @@ class KrausChannel:
     @property
     def d_env(self) -> int:
         return self.kraus.shape[0]
+
+
+def _dagger(k: np.ndarray) -> np.ndarray:
+    """K_j^dag of every operator of ``k``; entry j is ``k[j].conj().T`` in values and layout."""
+    return k.conj().transpose(0, 2, 1)
 
 
 def _stinespring_products(k: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -74,27 +79,22 @@ def _stinespring_products(k: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (k.reshape(-1, d_in) @ m).reshape(*m.shape[:-2], d_env, d_out, d_in)
 
 
-def _kraus_sum(w: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """sum_j W_j K_j^dag over the first products W of ``_stinespring_products``, in j order."""
-    acc = w[..., 0, :, :] @ k[0].conj().T
-    for j in range(1, len(k)):
-        acc += w[..., j, :, :] @ k[j].conj().T
+def _kraus_sum(w: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_j W_j R_j over the first products W of ``_stinespring_products``, in j order."""
+    acc = w[..., 0, :, :] @ right[0]
+    for j in range(1, len(right)):
+        acc += w[..., j, :, :] @ right[j]
     return acc
 
 
 def apply_mat(phi: KrausChannel, m: np.ndarray) -> np.ndarray:
     """Channel action on a raw matrix or a stack of them (no state validation)."""
-    return _kraus_sum(_stinespring_products(phi.kraus, m), phi.kraus)
+    return _kraus_sum(_stinespring_products(phi.kraus, m), _dagger(phi.kraus))
 
 
 def adjoint_apply_mat(phi: KrausChannel, m: np.ndarray) -> np.ndarray:
     """Heisenberg-picture action sum_k K^dag M K, on a matrix or a stack."""
-    k = phi.kraus
-    w = _stinespring_products(k.conj().transpose(0, 2, 1), m)
-    acc = w[..., 0, :, :] @ k[0]
-    for j in range(1, len(k)):
-        acc += w[..., j, :, :] @ k[j]
-    return acc
+    return _kraus_sum(_stinespring_products(_dagger(phi.kraus), m), phi.kraus)
 
 
 def _check_input(phi: KrausChannel, rho: DensityMatrix) -> None:
@@ -132,7 +132,7 @@ def _coherent_information_mat(phi: KrausChannel, comp: KrausChannel, m: np.ndarr
     products are Phi's grouped by output index, one stack for both bar a one-row side."""
     w = _stinespring_products(phi.kraus, m)
     w_env = w.swapaxes(-3, -2) if min(phi.d_out, phi.d_env) > 1 else _stinespring_products(comp.kraus, m)
-    out, env = _kraus_sum(w, phi.kraus), _kraus_sum(w_env, comp.kraus)
+    out, env = _kraus_sum(w, _dagger(phi.kraus)), _kraus_sum(w_env, _dagger(comp.kraus))
     return _entropy_mat(out, base) - _entropy_mat(env, base), (out, env)
 
 

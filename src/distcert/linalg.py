@@ -117,10 +117,9 @@ def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     """
     a = _as_matrix(m)
     _check_symmetrizable(a)
-    ah = a.conj().T
-    if not abs(a - ah).max(initial=0.0) <= INPUT_HERMITIAN_TOL:
+    if herm_defect(a) > INPUT_HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within 1e-8")
-    return _eigh(0.5 * (a + ah))
+    return _eigh(hermitize(a))
 
 
 def _check_state(a: np.ndarray, dims) -> tuple[int, int] | None:

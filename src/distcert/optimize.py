@@ -340,8 +340,7 @@ def seesaw_diamond_lower(
     ext_phi, ext_psi = (tensor_with_identity(c, d_a) for c in (phi, psi))
 
     vs = _seesaw_seeds(d_a, cfg)
-    vals = [trace_norm(_output_gap(ext_phi, ext_psi, v)) for v in vs]
-    history = [[val] for val in vals]
+    history = [[trace_norm(_output_gap(ext_phi, ext_psi, v))] for v in vs]
 
     def step(running):
         gains = {}
@@ -350,15 +349,15 @@ def seesaw_diamond_lower(
             m = adjoint_apply_mat(ext_phi, sign) - adjoint_apply_mat(ext_psi, sign)
             v = hermitian_eigen(m)[1][:, -1]
             val = trace_norm(_output_gap(ext_phi, ext_psi, v))
-            if val < vals[s]:
+            if val < (cur := history[s][-1]):
                 gains[s] = None
             else:
-                gains[s], vs[s], vals[s] = val - vals[s], v, val
+                gains[s], vs[s] = val - cur, v
                 history[s].append(val)
         return gains
 
     stops = _drive(step, len(vs), cfg.max_iters)
-    runs = [(vs[s], vals[s], history[s], *stops[s]) for s in range(len(vs))]
+    runs = [(vs[s], history[s][-1], history[s], *stops[s]) for s in range(len(vs))]
     return _best_certificate("Diamond_lower", runs, lambda v: PureState(v, dims=(d_a, d_a)))
 
 
@@ -439,7 +438,7 @@ def _ree_objective(rho_t: np.ndarray, tr_rho_log_rho: float, sigma: np.ndarray, 
     """The objective f at the floored sig (see ``_ree_terms``) and the (sig, ws, us, rho_e) it reads."""
     n = sigma.shape[0]
     sig = (1.0 - _SIGMA_FLOOR) * hermitize(sigma) + _SIGMA_FLOOR * np.eye(n) / n
-    ws, us = hermitian_eigen(sig)
+    ws, us = _eigh(sig)  # bare: hermitize(.) times a real scalar plus a real diagonal is exactly Hermitian
     ws = np.maximum(ws, _LOG_FLOOR)
     rho_e = us.conj().T @ rho_t @ us
     return (tr_rho_log_rho - float(np.real(np.log(ws) @ np.diag(rho_e).real))) / lb, (sig, ws, us, rho_e)
@@ -564,14 +563,13 @@ def trace_dist_to_ppt(rho: DensityMatrix, cfg: OptimizerConfig | None = None) ->
     cfg = cfg or OptimizerConfig()
     dims = _require_dims(rho)
     sigma = project_ppt(rho.mat, dims)
-    val = trace_norm(rho.mat - sigma)
+    val = trace_norm(gap := rho.mat - sigma)
     best_val, best_sigma = val, sigma
     history = [val]
     last_improvement = 0
     for it in range(1, cfg.max_iters + 1):
-        sign = _sign_matrix(rho.mat - sigma)
-        sigma = project_ppt(sigma + (_STEP / math.sqrt(it)) * sign, dims)
-        val = trace_norm(rho.mat - sigma)
+        sigma = project_ppt(sigma + (_STEP / math.sqrt(it)) * _sign_matrix(gap), dims)
+        val = trace_norm(gap := rho.mat - sigma)
         history.append(val)
         if val < best_val - _TOL:
             last_improvement = it

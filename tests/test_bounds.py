@@ -8,6 +8,8 @@ bounded below by 2 - 4/log2(d), which is exactly 1 at d = 16.
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -471,3 +473,41 @@ def test_report_json_keys_are_the_dataclass_fields_in_order():
     assert data["entries"]
     for e in data["entries"]:
         assert list(e) == [f.name for f in dataclasses.fields(BoundEntry)]
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_formula_rows(text: str) -> dict[str, tuple]:
+    """Each tag's (target, inequality, a, c) as README's "Formula tags" table lists them."""
+    rows = {}
+    for line in text.split("### Formula tags", 1)[1].splitlines():
+        if not line.startswith("| `"):
+            if rows:
+                break  # the line after the table
+            continue
+        tag, target, _, inequality, ac = (cell.strip() for cell in line.strip("| ").split(" | "))
+        a, c = map(int, re.fullmatch(r"\((\d+), (\d+)\)", ac).groups())
+        rows[tag.strip("`")] = (target.replace(" ", "_"), inequality.strip("`"), a, c)
+    return rows
+
+
+def _formula_rows() -> dict[str, tuple]:
+    def coef(x):
+        return "" if x == 1 else f"{x} "
+
+    return {
+        tag.value: (row.target, f"Delta <= {coef(row.a)}eps log d + {coef(row.c)}g(eps)", row.a, row.c)
+        for tag, row in FORMULAS.items()
+    }
+
+
+def test_readme_formula_table_matches_the_formula_rows():
+    assert _readme_formula_rows(_README.read_text()) == _formula_rows()
+
+
+def test_readme_formula_check_sees_a_changed_row():
+    text = _README.read_text()
+    row = next(line for line in text.splitlines() if line.startswith("| `Eq9`"))
+    stale = text.replace(row, row.replace("(2, 1)", "(1, 1)"))
+    assert _readme_formula_rows(stale)["Eq9"][2:] == (1, 1) != _formula_rows()["Eq9"][2:]

@@ -47,7 +47,7 @@ from distcert import channels as channels_module
 from distcert import optimize
 from distcert.channels import adjoint_apply_mat, apply_mat, complement
 from distcert.entropy import _entropy_mat
-from distcert.linalg import herm_defect, hermitian_log, hermitize
+from distcert.linalg import _LOG_FLOOR, herm_defect, hermitian_eigen, hermitian_log, hermitize
 from distcert.optimize import (
     _STALL_LIMIT,
     _STEP,
@@ -637,6 +637,30 @@ def test_ree_scores_trials_by_the_objective_alone_bit_for_bit(dims, seed, max_it
     cert = ree_ppt_lower(rho, OptimizerConfig(max_iters=max_iters))
     assert [cert.value, cert.objective, cert.history, cert.iterations, cert.converged] == expected
     assert np.array_equal(cert.witness.mat, witness)
+
+
+def test_ree_candidate_is_exactly_hermitian_and_decomposes_as_the_gate_would():
+    # _ree_objective decomposes its floored candidate with the bare _eigh, not
+    # through hermitian_eigen: the candidate, hermitize(sigma) times a real
+    # scalar plus a real diagonal, is Hermitian entry for entry, so the gate
+    # would pass it and decompose the same bits
+    rng = np.random.default_rng(26)
+    lb = math.log(2.0)
+    for dims in ((2, 2), (2, 3), (3, 3)):
+        n = dims[0] * dims[1]
+        rho_t, tr_log, _ = optimize._regularized(random_density_matrix(n, rng, rank=2, dims=dims))
+        signed_zeros = np.full((n, n), complex(-0.0, -0.0))  # a diagonal candidate with -0 parts elsewhere
+        signed_zeros[np.diag_indices(n)] = rng.random(n)
+        candidates = [signed_zeros]
+        for _ in range(20):
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            candidates += [project_ppt(g, dims), hermitize(g), g]
+        for sigma in candidates:
+            _, (sig, ws, us, _) = optimize._ree_objective(rho_t, tr_log, sigma, lb)
+            assert np.array_equal(sig, sig.conj().T)
+            w, u = hermitian_eigen(sig)
+            assert np.maximum(w, _LOG_FLOOR).tobytes() == ws.tobytes()
+            assert u.tobytes() == us.tobytes()
 
 
 def test_ree_needs_dims():
