@@ -246,17 +246,17 @@ def base_label(base: float) -> str:
 class _Source(NamedTuple):
     """One certificate an ``assemble_*`` function accepts, and what it feeds.
 
-    The certificate times ``sign`` is the entropic gap. A gap that fails
-    ``accept`` adds ``skip_note`` instead of entries; an accepted one is
-    floored at zero and fed to every formula in ``formulas``. The entries
-    record the certificate itself under ``input_key``.
+    ``arg`` names the certificate: it is the builder's keyword and the key of
+    its witness note. The certificate times ``sign`` is the entropic gap. A gap
+    that fails ``accept`` adds ``skip_note`` instead of entries; an accepted
+    one is floored at zero and fed to every formula in ``formulas``. The
+    entries record the certificate itself under ``input_key``.
     """
 
     arg: str
     accept: Callable[[float], bool]
     sign: float
     input_key: str
-    witness_key: str
     formulas: tuple[Formula, ...]
     skip_note: str | None
 
@@ -266,40 +266,45 @@ def _positive(gap: float) -> bool:
 
 
 _CHANNEL_SOURCES = (
-    _Source("ic", _positive, 1.0, "coherent_information", "ic",
+    _Source("ic", _positive, 1.0, "coherent_information",
             (Formula.DA_FROM_CI, Formula.DEB_FROM_CI),
             "no antidegradability certificate (max coherent information <= 0)"),
-    _Source("min_ic", _positive, -1.0, "min_coherent_information", "min_ic",
+    _Source("min_ic", _positive, -1.0, "min_coherent_information",
             (Formula.DD_FROM_CI,),
             "no degradability certificate (min coherent information >= 0)"),
-    _Source("rci", _positive, 1.0, "reverse_coherent_information", "rci",
+    _Source("rci", _positive, 1.0, "reverse_coherent_information",
             (Formula.DEB_FROM_RCI,),
             "no entanglement-breaking certificate from reverse coherent information (<= 0)"),
-    _Source("er_lower", _positive, 1.0, "rel_entropy_entanglement_lower", "er",
+    _Source("er_lower", _positive, 1.0, "rel_entropy_entanglement_lower",
             (Formula.DEB_FROM_REE,),
             "no entanglement-breaking certificate from relative entropy (<= 0)"),
 )
 
 _STATE_SOURCES = (
-    _Source("ic", _positive, 1.0, "max_coherent_information", "ic",
+    _Source("ic", _positive, 1.0, "max_coherent_information",
             (Formula.DS_FROM_CI,),
             "no separability certificate from coherent information (<= 0)"),
-    _Source("er_lower", lambda gap: gap >= 0.0, 1.0, "rel_entropy_entanglement_lower", "er",
+    _Source("er_lower", lambda gap: gap >= 0.0, 1.0, "rel_entropy_entanglement_lower",
             (Formula.DS_FROM_REE,),
             "relative entropy certificate was negative; skipped"),
     # mutual information is a certificate whatever its sign: a negative
     # evaluation is float dust below zero and is read as zero
-    _Source("mi", lambda gap: True, 1.0, "mutual_information", "mi",
+    _Source("mi", lambda gap: True, 1.0, "mutual_information",
             (Formula.PROD_FROM_MI,), None),
 )
 
 
-def _entry(report: BoundReport, sources, certs: dict, d: int, base: float, witnesses) -> BoundReport:
-    """Add to ``report`` the entries, or the skip note, of every certificate
-    given in ``certs``, in the order of ``sources``. A non-finite certificate
-    is a ValueError; an accepted gap, floored at zero, goes to each formula's
-    row kernel for its raw distance."""
-    wit = witnesses or {}
+def _entry(subject: str, seed, sources, certs: dict, d: int, base: float, witnesses) -> BoundReport:
+    """The report on ``subject``: the entries, or the skip note, of every
+    certificate given in ``certs``, in the order of ``sources``, each entry
+    with the witness note keyed by its source's ``arg``. A non-finite
+    certificate, or a witness note keyed by no source, is a ValueError; an
+    accepted gap, floored at zero, goes to each formula's row kernel for its
+    raw distance."""
+    base, wit, args = _check_base(base), witnesses or {}, [src.arg for src in sources]
+    if unknown := [key for key in wit if key not in args]:
+        raise ValueError(f"witness notes for no certificate of this report: {', '.join(map(repr, unknown))}")
+    report = BoundReport(subject, base_label(base), seed=seed)
     for src in sources:
         value = certs[src.arg]
         if value is None:
@@ -310,7 +315,7 @@ def _entry(report: BoundReport, sources, certs: dict, d: int, base: float, witne
         if not src.accept(gap):
             report.notes.append(src.skip_note)
             continue
-        inputs, witness = {src.input_key: value, "dim": d}, wit.get(src.witness_key, "")
+        inputs, witness = {src.input_key: value, "dim": d}, wit.get(src.arg, "")
         for formula in src.formulas:
             raw = FORMULAS[formula].kernel(max(gap, 0.0), d, base)
             report.entries.append(BoundEntry(formula, _clamp(raw), raw, witness, inputs))
@@ -336,11 +341,12 @@ def assemble_report(
     a certified lower bound on the relative entropy of entanglement of the
     channel's image of a maximally entangled input. Certificates with the
     wrong sign are skipped with a note rather than recorded as zero bounds.
+    ``witnesses`` maps a certificate's keyword (``ic``, ``min_ic``, ``rci``,
+    ``er_lower``) to the note its entries carry; any other key is a
+    ValueError.
     """
-    base = _check_base(base)
-    report = BoundReport(subject, base_label(base), seed=seed)
     certs = {"ic": ic, "min_ic": min_ic, "rci": rci, "er_lower": er_lower}
-    return _entry(report, _CHANNEL_SOURCES, certs, d, base, witnesses)
+    return _entry(subject, seed, _CHANNEL_SOURCES, certs, d, base, witnesses)
 
 
 def assemble_state_report(
@@ -355,10 +361,10 @@ def assemble_state_report(
     witnesses: dict[str, str] | None = None,
 ) -> BoundReport:
     """State-side report: distance to separable and to product states. Its
-    ``seed`` stays None: no state-side search draws a random start point."""
-    base = _check_base(base)
-    report = BoundReport(subject, base_label(base))
-    _entry(report, _STATE_SOURCES, {"ic": ic, "er_lower": er_lower, "mi": mi}, d, base, witnesses)
+    ``seed`` stays None: no state-side search draws a random start point.
+    ``witnesses`` maps a certificate's keyword (``ic``, ``er_lower``, ``mi``)
+    to the note its entries carry; any other key is a ValueError."""
+    report = _entry(subject, None, _STATE_SOURCES, {"ic": ic, "er_lower": er_lower, "mi": mi}, d, base, witnesses)
     if oracle is not None:
         report.notes.append(f"trace distance to the PPT set, search estimate: {oracle!r}")
     return report

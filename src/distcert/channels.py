@@ -22,7 +22,7 @@ from itertools import chain
 import numpy as np
 
 from .entropy import _check_base, _entropy_mat
-from .linalg import DensityMatrix, _as_int, _require_dims
+from .linalg import MAX_DIM, DensityMatrix, _as_int, _require_dims
 
 COMPLETENESS_TOL = 1e-9
 
@@ -167,11 +167,18 @@ def tensor_with_identity(phi: KrausChannel, d_ref: int) -> KrausChannel:
 # ----- channel zoo -----
 
 
+def _check_kraus_size(d_env: int, d_out: int, d_in: int) -> None:
+    """Refuse, before it is allocated, a Kraus tensor of more entries than the largest DensityMatrix holds."""
+    if d_env * d_out * d_in > MAX_DIM**2:
+        raise ValueError(f"Kraus tensor of shape ({d_env}, {d_out}, {d_in}) exceeds the cap, {MAX_DIM**2} entries")
+
+
 def identity_embedding(d_in: int, d_out: int) -> KrausChannel:
     """Identity channel, embedded into a possibly larger output space."""
     d_in, d_out = _as_int(d_in, "d_in"), _as_int(d_out, "d_out")
     if d_in < 1 or d_out < d_in:
         raise ValueError("identity embedding needs 1 <= d_in <= d_out")
+    _check_kraus_size(1, d_out, d_in)
     return KrausChannel([np.eye(d_out, d_in, dtype=complex)], d_in, d_out)
 
 
@@ -186,6 +193,7 @@ def erasure(d: int, p: float) -> KrausChannel:
         raise ValueError("erasure needs d >= 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError("erasure probability must lie in [0, 1]")
+    _check_kraus_size(d + 1, d + 1, d)
     ops = np.zeros((d + 1, d + 1, d), dtype=complex)
     ops[0, :d, :] = np.sqrt(1.0 - p) * np.eye(d)
     ops[1:, d, :] = np.sqrt(p) * np.eye(d)
@@ -198,6 +206,7 @@ def depolarizing(d: int, lam: float) -> KrausChannel:
         raise ValueError("depolarizing needs d >= 2")
     if not 0.0 <= lam <= 1.0:
         raise ValueError("depolarizing strength must lie in [0, 1]")
+    _check_kraus_size(d * d + (lam < 1.0), d, d)
     # the unit operators E_ij, scaled, in row-major (i, j) order
     ops = np.sqrt(lam / d) * np.eye(d * d, dtype=complex).reshape(d * d, d, d)
     if lam < 1.0:

@@ -65,12 +65,13 @@ def _base_of(args) -> float:
     return 2.0 if args.log_base == "2" else math.e
 
 
-def _search(cfg, base, certs: list, witnesses: dict, key: str, what: str, search, subject) -> float:
-    """One search with the command's config and log base; keeps its Certificate and witness note."""
+def _search(cfg, base, certs: list, values: dict, witnesses: dict, key: str, what: str, search, subject) -> None:
+    """One search with the command's config and log base; keeps its Certificate, and its snapped value
+    and witness note under ``key``, the report builder's keyword for it."""
     cert = search(subject, cfg, base)
     certs.append(cert)
+    values[key] = _snap(cert.value)
     witnesses[key] = f"{what} ({cert.iterations} iterations, converged={cert.converged})"
-    return _snap(cert.value)
 
 
 def _emit_report(report, args, certs) -> int:
@@ -87,27 +88,16 @@ def _emit_report(report, args, certs) -> int:
 
 def _cmd_analyze_channel(args) -> int:
     phi = load_channel(args.path)
+    base = _base_of(args)
     cfg = OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
-    certs = []
-    witnesses = {}
-    run = partial(_search, cfg, _base_of(args), certs, witnesses)
-    ic = run("ic", "mirror-ascent input state", maximize_coherent_information, phi)
-    min_ic = run("min_ic", "mirror-descent input state", minimize_coherent_information, phi)
-    rci = run("rci", "mirror-ascent input state", maximize_reverse_coherent_information, phi)
-    er_lower = None
+    certs, values, witnesses = [], {}, {}
+    run = partial(_search, cfg, base, certs, values, witnesses)
+    run("ic", "mirror-ascent input state", maximize_coherent_information, phi)
+    run("min_ic", "mirror-descent input state", minimize_coherent_information, phi)
+    run("rci", "mirror-ascent input state", maximize_reverse_coherent_information, phi)
     if args.ree:
-        er_lower = run("er", "PPT descent candidate", ree_ppt_lower, choi(phi))
-    report = assemble_report(
-        args.path,
-        d=phi.d_in,
-        base=_base_of(args),
-        ic=ic,
-        min_ic=min_ic,
-        rci=rci,
-        er_lower=er_lower,
-        witnesses=witnesses,
-        seed=args.seed,
-    )
+        run("er_lower", "PPT descent candidate", ree_ppt_lower, choi(phi))
+    report = assemble_report(args.path, d=phi.d_in, base=base, witnesses=witnesses, seed=args.seed, **values)
     report.notes.append(f"channel: d_in={phi.d_in}, d_out={phi.d_out}, kraus={phi.d_env}")
     if not args.ree:
         report.notes.append("relative entropy certificate not computed; pass --ree to enable it")
@@ -124,30 +114,18 @@ def _cmd_analyze_state(args) -> int:
     if d < 2:
         raise ValueError(f"state dims ({da}, {db}) have a trivial factor; both must be >= 2")
     n = rho.dim
-    ic = max_coherent_information(rho, base)
-    mi = mutual_information(rho, base)
     certs = []
+    values = {"ic": _snap(max_coherent_information(rho, base)), "mi": mutual_information(rho, base)}
     exact = "the state itself (exact evaluation)"
     witnesses = {"ic": exact, "mi": exact}
-    er_lower = None
     if args.ree or n <= _REE_AUTO_DIM:
-        er_lower = _search(cfg, base, certs, witnesses, "er", "PPT descent candidate", ree_ppt_lower, rho)
-    oracle_val = None
+        _search(cfg, base, certs, values, witnesses, "er_lower", "PPT descent candidate", ree_ppt_lower, rho)
+    oracle = None
     if n <= _ORACLE_AUTO_DIM:
-        o_cert = trace_dist_to_ppt(rho, cfg)
-        certs.append(o_cert)
-        oracle_val = o_cert.value
-    report = assemble_state_report(
-        args.path,
-        d=d,
-        base=base,
-        ic=_snap(ic),
-        er_lower=er_lower,
-        mi=mi,
-        oracle=oracle_val,
-        witnesses=witnesses,
-    )
-    if er_lower is None:
+        certs.append(cert := trace_dist_to_ppt(rho, cfg))
+        oracle = cert.value
+    report = assemble_state_report(args.path, d=d, base=base, oracle=oracle, witnesses=witnesses, **values)
+    if "er_lower" not in values:
         skipped = f"relative entropy certificate skipped (dimension {n} exceeds {_REE_AUTO_DIM})"
         report.notes.append(skipped + "; pass --ree to force it")
     report.notes.append(f"state: dims=({da}, {db})")

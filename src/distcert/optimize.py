@@ -340,19 +340,20 @@ def seesaw_diamond_lower(
     ext_phi, ext_psi = (tensor_with_identity(c, d_a) for c in (phi, psi))
 
     vs = _seesaw_seeds(d_a, cfg)
-    history = [[trace_norm(_output_gap(ext_phi, ext_psi, v))] for v in vs]
+    gaps = [_output_gap(ext_phi, ext_psi, v) for v in vs]  # each input's output difference, scored once
+    history = [[trace_norm(gap)] for gap in gaps]
 
     def step(running):
         gains = {}
         for s in running:
-            sign = _sign_matrix(_output_gap(ext_phi, ext_psi, vs[s]))
+            sign = _sign_matrix(gaps[s])
             m = adjoint_apply_mat(ext_phi, sign) - adjoint_apply_mat(ext_psi, sign)
             v = hermitian_eigen(m)[1][:, -1]
-            val = trace_norm(_output_gap(ext_phi, ext_psi, v))
+            val = trace_norm(gap := _output_gap(ext_phi, ext_psi, v))
             if val < (cur := history[s][-1]):
                 gains[s] = None
             else:
-                gains[s], vs[s] = val - cur, v
+                gains[s], vs[s], gaps[s] = val - cur, v, gap
                 history[s].append(val)
         return gains
 

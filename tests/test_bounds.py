@@ -448,6 +448,29 @@ def test_assemble_state_report_zero_er_still_recorded():
     assert prod.value == 0.0
 
 
+def test_witness_notes_are_keyed_by_the_certificate_keyword():
+    report = assemble_report("chan", d=4, ic=1.5, er_lower=1.2, witnesses={"ic": "w-ic", "er_lower": "w-er"})
+    assert {e.formula: e.witness for e in report.entries} == {
+        Formula.DA_FROM_CI: "w-ic",
+        Formula.DEB_FROM_CI: "w-ic",
+        Formula.DEB_FROM_REE: "w-er",
+    }
+    state = assemble_state_report("state", d=2, er_lower=0.5, mi=1.0, witnesses={"er_lower": "w-er"})
+    assert [e.witness for e in state.entries] == ["w-er", ""]
+
+
+@pytest.mark.parametrize(
+    "assemble,key",
+    [(assemble_report, "er"), (assemble_report, "mi")]
+    + [(assemble_state_report, "er"), (assemble_state_report, "min_ic")],
+)
+def test_witness_note_naming_no_certificate_is_a_value_error(assemble, key):
+    # a certificate absent from the call may still carry a note; a key no certificate has may not
+    assert assemble("subject", d=4, witnesses={"ic": "w-ic"}).entries == []
+    with pytest.raises(ValueError, match=f"no certificate of this report: '{key}'"):
+        assemble("subject", d=4, ic=1.0, witnesses={"ic": "w-ic", key: "w"})
+
+
 def test_report_serialization_round_trip():
     report = assemble_report("chan", d=4, ic=1.5, min_ic=-0.2, rci=0.3, er_lower=1.2, seed=7)
     data = json.loads(report.to_json())

@@ -111,6 +111,8 @@ def test_zoo_parameter_validation(capsys):
         ["zoo", "erasure", "inf", "0.1"],
         ["zoo", "identity", "2", "inf"],
         ["zoo", "depolarizing", "nan", "0.2"],
+        ["zoo", "depolarizing", "1025", "0.5"],
+        ["zoo", "erasure", "20000", "0.1"],
     ):
         code, _ = _run(capsys, argv)
         assert code == 2, argv

@@ -883,6 +883,24 @@ _SEESAW_PAIRS = {
 }
 
 
+@pytest.mark.parametrize("pair", list(_SEESAW_PAIRS))
+def test_seesaw_scores_each_input_once(monkeypatch, pair):
+    """One output difference per seed, then one per candidate input: the sign
+    matrix of an input reuses the difference that scored it."""
+    phi, psi = _SEESAW_PAIRS[pair]()
+    cfg = OptimizerConfig(restarts=3, max_iters=40, seed=0)
+    calls = {"_output_gap": 0, "_sign_matrix": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(optimize, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(optimize, name, counted)
+    seesaw_diamond_lower(phi, psi, cfg)
+    assert calls["_sign_matrix"] > 0
+    assert calls["_output_gap"] == len(optimize._seesaw_seeds(phi.d_in, cfg)) + calls["_sign_matrix"]
+
+
 @pytest.mark.parametrize("max_iters", [0, 5, 40])
 @pytest.mark.parametrize("pair", list(_SEESAW_PAIRS))
 def test_seesaw_seeds_follow_their_single_seed_paths(monkeypatch, pair, max_iters):

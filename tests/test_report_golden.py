@@ -31,7 +31,7 @@ CHANNEL_CASES = {
         rci=0.3,
         er_lower=1.2,
         seed=7,
-        witnesses={"ic": "w-ic", "min_ic": "w-min", "rci": "w-rci", "er": "w-er"},
+        witnesses={"ic": "w-ic", "min_ic": "w-min", "rci": "w-rci", "er_lower": "w-er"},
     ),
     "mixed": dict(d=16, ic=2.0, rci=0.0, er_lower=3.1, witnesses={"ic": "w-ic, with comma"}),
 }
@@ -45,7 +45,7 @@ STATE_CASES = {
         er_lower=4.0,
         mi=8.0,
         oracle=1.0,
-        witnesses={"ic": "w-ic", "er": "w-er", "mi": "w-mi"},
+        witnesses={"ic": "w-ic", "er_lower": "w-er", "mi": "w-mi"},
     ),
 }
 CASES = [("channel", name, assemble_report, kw) for name, kw in CHANNEL_CASES.items()] + [
