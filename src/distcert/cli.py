@@ -27,6 +27,7 @@ from .channels import (
     load_state,
 )
 from .entropy import _log, binary_entropy, max_coherent_information, mutual_information
+from .linalg import MAX_DIM
 from .optimize import (
     OptimizerConfig,
     maximize_coherent_information,
@@ -159,46 +160,50 @@ def _parse_d_range(text: str) -> list[int]:
 
 
 def _parse_p_grid(text: str) -> list[float]:
-    """'start:stop:count' linear grid."""
+    """'start:stop:count' linear grid of at most MAX_DIM**2 points, refused before it is allocated."""
     try:
         start_s, stop_s, count_s = text.split(":")
         start, stop, count = float(start_s), float(stop_s), int(count_s)
-        if count < 1 or not 0.0 <= start <= stop <= 1.0:
+        if not 1 <= count <= MAX_DIM**2 or not 0.0 <= start <= stop <= 1.0:
             raise ValueError
     except ValueError:
         raise ValueError(f"bad probability grid {text!r}") from None
     return [float(p) for p in np.linspace(start, stop, count)]
 
 
-def _table_ex1(ds: list[int], base: float) -> tuple[list[str], list[list]]:
+# A table is its column names and a list of blocks: a block is a tuple of equal-length columns, and the
+# table's rows are the blocks' rows in order. Blocks may share a column object.
+
+
+def _table_ex1(ds: list[int], base: float) -> tuple[list[str], list[tuple]]:
     eq9, eq10 = FORMULAS[Formula.DA_FROM_CI].kernel, FORMULAS[Formula.DEB_FROM_CI].kernel
     rows = []
     for d in ds:
         gap = _log(float(d), base)
-        rows.append([d, eq9(gap, d, base), eq10(gap, d, base)])
-    return ["d", "Eq9", "Eq10"], rows
+        rows.append((d, eq9(gap, d, base), eq10(gap, d, base)))
+    return ["d", "Eq9", "Eq10"], [tuple(zip(*rows))]
 
 
-def _table_ex2(ds: list[int], ps: list[float], base: float) -> tuple[list[str], list[list]]:
+def _table_ex2(ds: list[int], ps: list[float], base: float) -> tuple[list[str], list[tuple]]:
     eq10, eq11, eq12 = (
         FORMULAS[f].kernel for f in (Formula.DEB_FROM_CI, Formula.DEB_FROM_RCI, Formula.DEB_FROM_REE)
     )
-    # each column is one kernel call over the whole p-grid
+    # each column is one kernel call over the whole p-grid; one block per d, all sharing the p and upper columns
     p = np.array(ps)
     h = binary_entropy(p, base)
     upper = (2.0 * (1.0 - p)).tolist()
-    rows = []
+    blocks = []
     for d in ds:
         log_d = _log(float(d), base)
         gap_ic = (1.0 - 2.0 * p) * log_d
         gap_l = (1.0 - p) * log_d - h
         gap_er = (1.0 - p) * log_d
         cols = (eq10(gap_ic, d, base), eq11(gap_l, d, base), eq12(gap_er, d, base))
-        rows.extend([d, *cells] for cells in zip(ps, *(c.tolist() for c in cols), upper))
-    return ["d", "p", "Eq10", "Eq11", "Eq12", "upper"], rows
+        blocks.append(([d] * len(ps), ps, *(c.tolist() for c in cols), upper))
+    return ["d", "p", "Eq10", "Eq11", "Eq12", "upper"], blocks
 
 
-def _table_tightness(ds: list[int], x: float, base: float) -> tuple[list[str], list[list]]:
+def _table_tightness(ds: list[int], x: float, base: float) -> tuple[list[str], list[tuple]]:
     if not 0.0 < x < 0.5:
         raise ValueError(f"x must lie strictly between 0 and 0.5, got {x}")
     p = 0.5 - x
@@ -210,23 +215,38 @@ def _table_tightness(ds: list[int], x: float, base: float) -> tuple[list[str], l
         eq9_upper = 2.0 * x
         eq12 = eq12_kernel((1.0 - p) * log_d, d, base)
         eq12_upper = 2.0 * (1.0 - p)
-        rows.append([d, eq9, eq9_upper, eq9 / eq9_upper, eq12, eq12_upper, eq12 / eq12_upper])
-    return ["d", "Eq9", "Eq9_upper", "Eq9_ratio", "Eq12", "Eq12_upper", "Eq12_ratio"], rows
+        rows.append((d, eq9, eq9_upper, eq9 / eq9_upper, eq12, eq12_upper, eq12 / eq12_upper))
+    return ["d", "Eq9", "Eq9_upper", "Eq9_ratio", "Eq12", "Eq12_upper", "Eq12_ratio"], [tuple(zip(*rows))]
 
 
-def _table_text(name, columns, rows, base, fmt) -> str:
-    """CSV, or exactly ``json.dumps(table, indent=2)``. ``indent`` turns off CPython's C encoder, so only the
-    head takes it: the rows (lists of numbers) take the C encoder, one number per line at that indent."""
+def _table_text(name, columns, blocks, base, fmt) -> str:
+    """CSV, or exactly ``json.dumps(table, indent=2)`` with the blocks' rows as ``table["rows"]``.
+
+    ``indent`` turns off CPython's C encoder, so only the head takes it. Each distinct column object takes the
+    C encoder once, with its default ", " separator, which no JSON number contains; each block splits its
+    columns' text into cells there and lays them out row by row at the rows' indent."""
     if fmt == "csv":
-        return _csv_text(columns, rows)
+        return _csv_text(columns, (row for block in blocks for row in zip(*block)))
     head = json.dumps({"table": name, "log_base": base_label(base), "columns": columns, "rows": []}, indent=2)
-    parts = json.dumps(rows, separators=(",\n      ", ": ")).split("],\n      [")  # one part per row
-    parts[0] = head[:-4] + "[\n    [\n      " + parts[0][2:]
-    parts[-1] = parts[-1][:-2] + "\n    ]\n  ]\n}"
-    return "\n    ],\n    [\n      ".join(parts) if rows else head
+    between_rows = "\n    ],\n    [\n      "
+    encoded = {}  # id(column) -> the column's JSON without its brackets
+    texts = []  # one per block that has rows
+    for block in blocks:
+        for col in block:
+            if id(col) not in encoded:
+                encoded[id(col)] = json.dumps(col)[1:-1]
+        cells = (encoded[id(col)].split(", ") if encoded[id(col)] else [] for col in block)
+        if rows := between_rows.join(map(",\n      ".join, zip(*cells))):
+            texts.append(rows)
+    if not texts:
+        return head
+    # one join writes the whole table: concatenating around the joined rows would copy them twice more
+    texts[0] = head[:-4] + "[\n    [\n      " + texts[0]
+    texts[-1] += "\n    ]\n  ]\n}"
+    return between_rows.join(texts)
 
 
-# table name -> (default --d-range, build(ds, args, base) -> (columns, rows))
+# table name -> (default --d-range, build(ds, args, base) -> (columns, blocks))
 _TABLES = {
     "ex1": ("2..64", lambda ds, args, base: _table_ex1(ds, base)),
     "ex2": ("16", lambda ds, args, base: _table_ex2(ds, _parse_p_grid(args.p_grid), base)),
@@ -237,8 +257,8 @@ _TABLES = {
 def _cmd_reproduce(args) -> int:
     base = _base_of(args)
     _, build = _TABLES[args.table]
-    columns, rows = build(_parse_d_range(args.d_range), args, base)
-    _emit(_table_text(args.table, columns, rows, base, args.format), args.out)
+    columns, blocks = build(_parse_d_range(args.d_range), args, base)
+    _emit(_table_text(args.table, columns, blocks, base, args.format), args.out)
     return 0
 
 

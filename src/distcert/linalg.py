@@ -39,7 +39,7 @@ def _as_int(value, name: str) -> int:
             return i
     except (OverflowError, TypeError, ValueError):
         pass
-    raise ValueError(f"{name} must be an integer, got {value}")
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _as_matrix(m) -> np.ndarray:

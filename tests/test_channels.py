@@ -6,6 +6,7 @@ forms that the generic machinery must reproduce.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -259,9 +260,9 @@ def test_kraus_completeness_enforced():
 
 @pytest.mark.parametrize("d_in", [2.5, True, "2"], ids=["float", "bool", "str"])
 def test_kraus_channel_rejects_non_integer_dimensions(d_in):
-    with pytest.raises(ValueError, match=f"d_in must be an integer, got {d_in}"):
+    with pytest.raises(ValueError, match=re.escape(f"d_in must be an integer, got {d_in!r}")):
         KrausChannel(np.eye(2)[None], d_in, 2)
-    with pytest.raises(ValueError, match=f"d_out must be an integer, got {d_in}"):
+    with pytest.raises(ValueError, match=re.escape(f"d_out must be an integer, got {d_in!r}")):
         KrausChannel(np.eye(2)[None], 2, d_in)
 
 

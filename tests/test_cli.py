@@ -6,6 +6,7 @@ on the tree under test as a subprocess smoke check.
 """
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -777,28 +778,71 @@ def test_reproduce_csv_format(capsys):
     float(lines[1].split(",")[1])
 
 
-@pytest.mark.parametrize(
-    "table_argv",
-    [
-        ["ex1"], ["ex2"], ["tightness"],
-        # the benchmark's tables
-        ["ex2", "--d-range", "2..4096", "--p-grid", "0:1:1001"],
-        ["tightness", "--d-range", "2..65536", "--x", "0.2871"],
-        ["ex1", "--d-range", "2..65536"],
-        ["ex1", "--log-base", "e"], ["ex2", "--log-base", "e"], ["tightness", "--log-base", "e"],
-        ["ex2", "--d-range", "2", "--p-grid", "0:0:1"],
-    ],
-)
+_TABLE_ARGVS = [
+    ["ex1"], ["ex2"], ["tightness"],
+    # the benchmark's tables
+    ["ex2", "--d-range", "2..4096", "--p-grid", "0:1:1001"],
+    ["tightness", "--d-range", "2..65536", "--x", "0.2871"],
+    ["ex1", "--d-range", "2..65536"],
+    ["ex1", "--log-base", "e"], ["ex2", "--log-base", "e"], ["tightness", "--log-base", "e"],
+    ["ex2", "--d-range", "2", "--p-grid", "0:0:1"],
+]
+
+
+def _block_rows(blocks):
+    """The table's rows: each block's columns zipped, block after block."""
+    return [list(row) for block in blocks for row in zip(*block)]
+
+
+@pytest.mark.parametrize("table_argv", _TABLE_ARGVS)
 def test_reproduce_json_is_json_dumps_indent_2_byte_for_byte(capsys, table_argv):
     argv = ["reproduce", *table_argv]
     args = build_parser().parse_args(argv)
     base = cli._base_of(args)
-    columns, rows = cli._TABLES[args.table][1](cli._parse_d_range(args.d_range), args, base)
+    columns, blocks = cli._TABLES[args.table][1](cli._parse_d_range(args.d_range), args, base)
+    rows = _block_rows(blocks)
     table = {"table": args.table, "log_base": bounds.base_label(base), "columns": columns, "rows": rows}
     code, out = _run(capsys, argv)
     assert code == 0
     # line lists, not strings: pytest would diff a failing 96,110-line string for minutes
     assert out.splitlines(True) == (json.dumps(table, indent=2) + "\n").splitlines(True)
+
+
+@pytest.mark.parametrize("table_argv", [*_TABLE_ARGVS, ["ex1", "--d-range", str(2**1023)]])
+def test_reproduce_csv_holds_the_json_rows_numbers(capsys, table_argv):
+    argv = ["reproduce", *table_argv]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    table = json.loads(out)
+    code, out = _run(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    header, *rows = csv.reader(out.splitlines())
+    assert header == table["columns"]
+    # d is an int (exact past 2**53), every other cell a float; repr makes NaN equal to itself
+    want = [[repr(row[0]), *map(repr, map(float, row[1:]))] for row in table["rows"]]
+    assert [[repr(int(row[0])), *(repr(float(c)) for c in row[1:])] for row in rows] == want
+
+
+def test_table_text_encodes_each_distinct_column_once(monkeypatch):
+    columns, blocks = cli._table_ex2([2, 4, 8], [0.0, 0.5, 1.0], 2.0)
+    # one block per d, all holding the same p and upper lists
+    assert [block[0] for block in blocks] == [[2] * 3, [4] * 3, [8] * 3]
+    assert all(block[1] is blocks[0][1] and block[5] is blocks[0][5] for block in blocks)
+    encoded = []
+    dumps = json.dumps
+
+    def recording(obj, **kwargs):
+        if isinstance(obj, (list, tuple)):
+            encoded.append(id(obj))
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", recording)
+    text = cli._table_text("ex2", columns, blocks, 2.0, "json")
+    monkeypatch.undo()
+    assert sorted(encoded) == sorted({id(col) for block in blocks for col in block})
+    assert len(encoded) == 2 + 4 * len(blocks)
+    table = {"table": "ex2", "log_base": "2", "columns": columns, "rows": _block_rows(blocks)}
+    assert text == json.dumps(table, indent=2)
 
 
 @pytest.mark.parametrize(
@@ -815,7 +859,26 @@ def test_reproduce_json_is_json_dumps_indent_2_byte_for_byte(capsys, table_argv)
 @pytest.mark.parametrize("base, label", [(2.0, "2"), (math.e, "e")])
 def test_table_text_is_json_dumps_indent_2_byte_for_byte(columns, rows, base, label):
     table = {"table": "t", "log_base": label, "columns": columns, "rows": rows}
-    assert cli._table_text("t", columns, rows, base, "json") == json.dumps(table, indent=2)
+    blocks = [tuple(zip(*rows))] if rows else []
+    assert cli._table_text("t", columns, blocks, base, "json") == json.dumps(table, indent=2)
+
+
+_SHARED = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2**53 + 1]
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [([2] * 6, _SHARED), ([4] * 6, _SHARED)],
+        # tuple columns, and a block of empty columns, which adds no rows
+        [((2, 3), (0.5, -0.0)), ([], []), ((4,), (math.inf,))],
+    ],
+    ids=["shared-column", "tuples-and-empty-block"],
+)
+@pytest.mark.parametrize("base, label", [(2.0, "2"), (math.e, "e")])
+def test_table_text_of_several_blocks_is_json_dumps_indent_2_byte_for_byte(blocks, base, label):
+    table = {"table": "t", "log_base": label, "columns": ["d", "x"], "rows": _block_rows(blocks)}
+    assert cli._table_text("t", ["d", "x"], blocks, base, "json") == json.dumps(table, indent=2)
 
 
 def test_reproduce_parameter_errors(capsys):
@@ -825,6 +888,8 @@ def test_reproduce_parameter_errors(capsys):
         ["reproduce", "ex1", "--d-range", "1,4"],
         ["reproduce", "ex2", "--p-grid", "0.9:0.1:5"],
         ["reproduce", "ex2", "--p-grid", "0.1-0.9-5"],
+        # past MAX_DIM**2 points: refused before the grid is allocated
+        ["reproduce", "ex2", "--d-range", "2", "--p-grid", "0:1:100000000000000"],
         ["reproduce", "tightness", "--x", "0.7"],
     ):
         code, _ = _run(capsys, argv)

@@ -7,10 +7,12 @@ Imports ``CHECKOUT/src`` (the package) and ``CHECKOUT/bench/workloads.py``
 and 31 and every benchmark workload it writes the workload's input files to
 a temporary directory, runs each invocation through ``distcert.cli.main``
 in this process, and prints one tab-separated line: seed, workload, argv,
-exit code, md5 of stdout, md5 of stderr. Each ``analyze-*`` invocation runs
-once more with ``--format csv``. The temporary directory's path reads
-``<tmp>`` in argv and is replaced by it in the output before hashing, so
-two checkouts that print the same bytes give the same lines:
+exit code, md5 of stdout, md5 of stderr. Each invocation runs once more
+with ``--format csv``, and each ``reproduce`` invocation also with
+``--log-base e``, so both writers and both bases are covered. The temporary
+directory's path reads ``<tmp>`` in argv and is replaced by it in the output
+before hashing, so two checkouts that print the same bytes give the same
+lines:
 
     diff <(python3 tools/output_digests.py OLD) <(python3 tools/output_digests.py NEW)
 """
@@ -53,8 +55,10 @@ def main(checkout: Path) -> None:
         for seed in SEEDS:
             for workload in WORKLOADS:
                 for inv in make_invocations(workload, seed, tmp):
-                    analyze = inv.argv[0].startswith("analyze-")
-                    for argv in [inv.argv, inv.argv + ["--format", "csv"]] if analyze else [inv.argv]:
+                    extras = [[], ["--format", "csv"]]
+                    if inv.argv[0] == "reproduce":
+                        extras.append(["--log-base", "e"])
+                    for argv in (inv.argv + extra for extra in extras):
                         code, out, err = _run(cli, argv)
                         shown = shlex.join(argv).replace(tmp, "<tmp>")
                         digests = (_md5(text.replace(tmp, "<tmp>")) for text in (out, err))
