@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .linalg import DensityMatrix, _eigvalsh, clip_eigenvalues, partial_trace
+from .linalg import DensityMatrix, _check_psd, _eigvalsh, partial_trace
 
 NAT = math.e
 
@@ -29,12 +29,9 @@ def _log(x, base: float):
 
 
 def _eta(p: np.ndarray, base: float) -> np.ndarray:
-    # -p log p with the 0 log 0 = 0 convention
-    p = np.asarray(p, dtype=float)
-    out = np.zeros_like(p)
+    # -p log p of a float array with the 0 log 0 = 0 convention; every p <= 0 (and NaN) gives +0.0
     pos = p > 0.0
-    out[pos] = -p[pos] * _log(p[pos], base)
-    return out
+    return np.where(pos, -p * _log(np.where(pos, p, 1.0), base), 0.0)
 
 
 def binary_entropy(x, base: float = 2.0):
@@ -64,16 +61,15 @@ def g_correction(x, base: float = 2.0):
     bad = ~(x < math.inf)
     if bad.any():
         raise ValueError(f"correction argument {x[bad][0]} is not below +inf")
-    out = np.zeros_like(x)
     pos = x > 0.0
-    xp = x[pos]
-    out[pos] = (1.0 + xp) * binary_entropy(xp / (1.0 + xp), base)
+    xp = np.where(pos, x, 0.0)
+    out = np.where(pos, (1.0 + xp) * binary_entropy(xp / (1.0 + xp), base), 0.0)
     return out if out.ndim else float(out)
 
 
 def _entropy_mat(m: np.ndarray, base: float):
     """Entropy of a PSD matrix; an array of them for a stack of matrices."""
-    h = _eta(clip_eigenvalues(_eigvalsh(m)), base).sum(-1)
+    h = _eta(_check_psd(_eigvalsh(m)), base).sum(-1)
     return h if h.ndim else float(h)
 
 

@@ -69,18 +69,13 @@ def herm_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0))
 
 
-def clip_eigenvalues(w: np.ndarray) -> np.ndarray:
-    """Zero out eigenvalues in [-EIG_CLIP_TOL, 0); anything more negative is an error.
-
-    Negative dust of magnitude <= 1e-10 is numerical noise from eigh and is
-    silently clipped. Larger negative mass means the input was not positive
-    semidefinite and must not be glossed over.
-    """
-    w = np.asarray(w, dtype=float)
+def _check_psd(w: np.ndarray) -> np.ndarray:
+    """The eigenvalues ``w``, unchanged; one below -EIG_CLIP_TOL means the matrix is not
+    PSD, a ValueError. Smaller negative dust is eigh's noise, which entropies count as 0."""
     low = float(w.min(initial=0.0))
     if low < -EIG_CLIP_TOL:
         raise ValueError(f"eigenvalue {low:.3e} below -{EIG_CLIP_TOL:.0e}; matrix is not PSD")
-    return np.where(w < 0.0, 0.0, w)
+    return w
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -163,7 +158,7 @@ class DensityMatrix:
         if abs(tr - 1.0) > STATE_TRACE_TOL:
             raise ValueError(f"trace {tr:.12g} differs from 1 by more than 1e-10")
         a = hermitize(a)
-        clip_eigenvalues(_eigvalsh(a))
+        _check_psd(_eigvalsh(a))
         a.setflags(write=False)
         object.__setattr__(self, "mat", a)
 

@@ -42,6 +42,7 @@ from .channels import (
 from .entropy import _check_base, _entropy_mat
 from .linalg import (
     _LOG_FLOOR,
+    MAX_DIM,
     DensityMatrix,
     _as_int,
     PureState,
@@ -91,6 +92,8 @@ class OptimizerConfig:
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
             object.__setattr__(self, name, value)
+        if self.restarts > MAX_DIM:  # every start state is drawn before the search runs
+            raise ValueError(f"restarts must be <= {MAX_DIM}, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -470,10 +473,8 @@ def _ree_terms(scored, dims, lb):
     f, (sig, ws, us, rho_e) = scored
     wa, wb = ws[:, None], ws[None, :]
     diff = wa - wb
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = (np.log(wa) - np.log(wb)) / diff
     near = np.abs(diff) <= _EIG_PAIR_GUARD
-    kernel[near] = (2.0 / (wa + wb))[near]
+    kernel = np.where(near, 2.0 / (wa + wb), (np.log(wa) - np.log(wb)) / np.where(near, 1.0, diff))
     grad = hermitize(us @ (-kernel * rho_e) @ us.conj().T) / lb
     lam = float(_eigvalsh(grad)[0])
     lam_pt = float(_eigvalsh(partial_transpose(grad, dims))[0])

@@ -366,6 +366,22 @@ def test_analyze_rejects_negative_search_limits(tmp_path, capsys, verb, flag):
         assert captured.err.startswith(f"error: {flag[2:].replace('-', '_')} must be >= 0")
 
 
+def test_analyze_channel_refuses_restarts_past_1024_before_any_search(tmp_path, capsys, monkeypatch):
+    path = _analyze_input("analyze-channel", tmp_path, capsys)
+    seen = []
+
+    def stub(phi, cfg, base):  # stands in for the first search: records the count it was handed
+        seen.append(cfg.restarts)
+        raise ValueError("stub search")
+
+    monkeypatch.setattr(cli, "maximize_coherent_information", stub)
+    assert main(["analyze-channel", path, "--restarts", "1025"]) == 2
+    assert capsys.readouterr() == ("", "error: restarts must be <= 1024, got 1025\n")
+    assert seen == []
+    assert main(["analyze-channel", path, "--restarts", "1024"]) == 2
+    assert capsys.readouterr().err == "error: stub search\n" and seen == [1024]
+
+
 def _options(parser) -> set[str]:
     return {s for action in parser._actions for s in action.option_strings} - {"-h", "--help"}
 

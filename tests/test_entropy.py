@@ -25,7 +25,8 @@ from distcert import (
     tensor,
     von_neumann_entropy,
 )
-from distcert.linalg import hermitian_log
+from distcert.entropy import _entropy_mat, _eta
+from distcert.linalg import _eigvalsh, hermitian_log
 
 
 def test_binary_entropy_reference_values():
@@ -57,14 +58,20 @@ def test_nan_and_infinite_arguments_are_refused():
     assert g_correction(-math.inf) == 0.0
 
 
+def _eta_scatter(p, base):
+    """-p log p the way ``_eta`` once wrote it, the reference for its bits: a
+    zero array with the positive entries gathered, mapped and scattered back."""
+    p = np.asarray(p, dtype=float)
+    out = np.zeros_like(p)
+    pos = p > 0.0
+    out[pos] = -p[pos] * (np.log2(p[pos]) if base == 2.0 else np.log(p[pos]))
+    return out
+
+
 def _h_reference(x, base):
     """h(x) as a scalar: clamp, then sum -p log p over the pair (x, 1-x)."""
     x = min(max(x, 0.0), 1.0)
-    p = np.array([x, 1.0 - x])
-    eta = np.zeros(2)
-    pos = p > 0.0
-    eta[pos] = -p[pos] * (np.log2(p[pos]) if base == 2.0 else np.log(p[pos]))
-    return float(eta.sum())
+    return float(_eta_scatter(np.array([x, 1.0 - x]), base).sum())
 
 
 def _g_reference(x, base):
@@ -92,6 +99,52 @@ def test_array_argument_gives_the_scalar_results_bit_for_bit(fn, reference, grid
     assert np.signbit(got).tolist() == np.signbit(scalars).tolist()
     one = fn(np.array(grid[-1:]), base)
     assert one.shape == (1,) and one[0] == scalars[-1]
+
+
+def _g_scatter(x, base):
+    """g the way ``g_correction`` once wrote it, with h built from ``_eta_scatter``."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    xp = x[pos]
+    q = np.clip(xp / (1.0 + xp), 0.0, 1.0)
+    out[pos] = (1.0 + xp) * (_eta_scatter(q, base) + _eta_scatter(1.0 - q, base))
+    return out if out.ndim else float(out)
+
+
+def _bits(a):
+    """IEEE bit patterns: unlike ==, they tell -0.0 from +0.0."""
+    return np.asarray(a, dtype=float).view(np.uint64).tolist()
+
+
+_ETA_GRID = [0.0, -0.0, -5e-11, 5e-324, 1e-300, 0.5, 1.0, 1.0 + 1e-12]
+_G_GRID = [0.0, -0.0, -1.0, 5e-324, 1e-300, 0.3, 1e300, 1.7e308]
+
+
+@pytest.mark.parametrize("base", [2.0, math.e])
+@pytest.mark.parametrize(
+    "fn, reference, grid",
+    [(_eta, _eta_scatter, _ETA_GRID), (g_correction, _g_scatter, _G_GRID)],
+    ids=["eta", "g_correction"],
+)
+def test_masked_maps_give_the_scatter_forms_bits(fn, reference, grid, base):
+    # each entry as a float, the grid as a 1-D array, and an (S, n) stack of it
+    for arg in [*grid, np.array(grid), np.array([grid, grid[::-1], grid])]:
+        assert _bits(fn(arg, base)) == _bits(reference(arg, base)), arg
+
+
+def test_entropy_mat_counts_negative_dust_as_zero_bit_for_bit():
+    # eigh's dust down to -1e-10 reaches _eta unclipped and adds +0.0, as a clipped 0 does
+    dusty = np.diag([-5e-11, 0.25, 0.75 + 5e-11])
+    clipped = np.diag([0.0, 0.25, 0.75 + 5e-11])
+    assert _eigvalsh(dusty).tolist() == np.diag(dusty).tolist()
+    for base in (2.0, math.e):
+        want = _entropy_mat(clipped, base)
+        assert _bits(want) == _bits(_eta_scatter(np.diag(clipped), base).sum())
+        assert _bits(_entropy_mat(dusty, base)) == _bits(want)
+        assert _bits(_entropy_mat(np.array([dusty, clipped]), base)) == _bits([want, want])
+    with pytest.raises(ValueError, match="not PSD"):
+        _entropy_mat(np.diag([-2e-6, 1.0]), 2.0)
 
 
 def test_binary_entropy_base_e():

@@ -21,9 +21,9 @@ from distcert import (
 )
 from distcert import cli, linalg
 from distcert.linalg import (
+    _check_psd,
     _eigh,
     _eigvalsh,
-    clip_eigenvalues,
     hermitian_eigen,
     hermitian_log,
     hermitize,
@@ -286,15 +286,13 @@ def test_hermitian_exp_log_invert_each_other():
     assert np.allclose((v * np.exp(w)) @ v.conj().T, rho.mat, atol=1e-10)
 
 
-def test_clip_eigenvalues_zeroes_small_negatives():
-    w = clip_eigenvalues(np.array([1.0, -5e-11]))
-    assert w.min() >= 0.0
-    assert np.isclose(w[0], 1.0)
-
-
-def test_clip_eigenvalues_rejects_large_negatives():
+def test_check_psd_rejects_large_negatives_and_returns_its_input():
     with pytest.raises(ValueError, match="not PSD"):
-        clip_eigenvalues(np.array([1.0, -2e-6]))
+        _check_psd(np.array([1.0, -2e-6]))
+    # dust down to -EIG_CLIP_TOL passes unclipped: the entropies count it as 0
+    w = np.array([1.0, -1e-10, -5e-11, -0.0])
+    assert _check_psd(w) is w
+    assert w.tolist() == [1.0, -1e-10, -5e-11, -0.0] and np.signbit(w[-1])
 
 
 def test_density_matrix_validation():

@@ -756,6 +756,14 @@ def test_config_rejects_negative_limits(field):
     assert type(getattr(OptimizerConfig(**{field: 2.0}), field)) is int
 
 
+def test_config_caps_restarts_at_max_dim():
+    # every start state is drawn before a search runs, so the count is refused up front
+    assert OptimizerConfig(restarts=1024).restarts == 1024
+    for bad in (1025, 10**12):
+        with pytest.raises(ValueError, match=f"restarts must be <= 1024, got {bad}"):
+            OptimizerConfig(restarts=bad)
+
+
 def test_zero_iterations_evaluate_start_points_only():
     cert = maximize_coherent_information(erasure(3, 0.2), OptimizerConfig(restarts=0, max_iters=0))
     assert (cert.iterations, cert.converged, cert.history) == (0, False, (cert.value,))

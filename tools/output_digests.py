@@ -8,8 +8,9 @@ and 31 and every benchmark workload it writes the workload's input files to
 a temporary directory, runs each invocation through ``distcert.cli.main``
 in this process, and prints one tab-separated line: seed, workload, argv,
 exit code, md5 of stdout, md5 of stderr. Each invocation runs once more
-with ``--format csv``, and each ``reproduce`` invocation also with
-``--log-base e``, so both writers and both bases are covered. The temporary
+with ``--format csv`` and once more with ``--log-base e``, so both writers
+and both bases are covered, and ``analyze-channel`` on a channel with
+d_in * d_out <= 36 also with ``--ree``. The temporary
 directory's path reads ``<tmp>`` in argv and is replaced by it in the output
 before hashing, so two checkouts that print the same bytes give the same
 lines:
@@ -55,9 +56,9 @@ def main(checkout: Path) -> None:
         for seed in SEEDS:
             for workload in WORKLOADS:
                 for inv in make_invocations(workload, seed, tmp):
-                    extras = [[], ["--format", "csv"]]
-                    if inv.argv[0] == "reproduce":
-                        extras.append(["--log-base", "e"])
+                    extras = [[], ["--format", "csv"], ["--log-base", "e"]]
+                    if inv.kind == "channel" and inv.props["d_in"] * inv.props["d_out"] <= 36:
+                        extras.append(["--ree"])
                     for argv in (inv.argv + extra for extra in extras):
                         code, out, err = _run(cli, argv)
                         shown = shlex.join(argv).replace(tmp, "<tmp>")
