@@ -6,11 +6,11 @@ entropic quantity by at most a*eps*log(d) + c*g(eps), with g the
 ``g_correction`` term (Winter, arXiv:1507.07775). Reading it backwards, a
 certified gap Delta between the object and the nearest member of a structured
 class forces eps >= (Delta/c - g(Delta/(c*A)))/A with A = (a/c)*log(d).
-``FORMULAS`` has one row per formula tag, giving the target set and the pair
-(a, c); ``FormulaRow.kernel`` is the one evaluation of every row. The public
-bound functions validate, look up their row and clamp into [0, 2] (trivial
+Each ``Formula`` member is one row: its tag, target set and pair (a, c);
+``Formula.kernel`` is the one evaluation of every row. The public bound
+functions validate, call their formula's kernel and clamp into [0, 2] (trivial
 bounds are allowed, negative ones are not informative), and the report
-builders feed each certificate to its rows through one source table.
+builders feed each certificate to its formulas through one source table.
 """
 from __future__ import annotations
 
@@ -26,19 +26,6 @@ import numpy as np
 
 from .entropy import _check_base, _log, g_correction
 from .linalg import _as_int
-
-
-class Formula(str, Enum):
-    """Wire tags identifying each closed-form bound in reports and tables."""
-
-    DS_FROM_REE = "Eq5"
-    DS_FROM_CI = "Eq6"
-    DA_FROM_CI = "Eq9"
-    DEB_FROM_CI = "Eq10"
-    DEB_FROM_RCI = "Eq11"
-    DEB_FROM_REE = "Eq12"
-    DD_FROM_CI = "Eq13"
-    PROD_FROM_MI = "ProdMI"
 
 
 def _inversion_kernel(delta, scale: float, base: float):
@@ -65,14 +52,25 @@ def _clamp(raw: float) -> float:
     return min(2.0, max(0.0, raw))
 
 
-class FormulaRow(NamedTuple):
-    """What a formula tag stands for: the set it bounds the distance to, and
-    the constants of the continuity bound it inverts,
-    Delta <= a*eps*log(d) + c*g(eps)."""
+class Formula(str, Enum):
+    """A closed-form bound: its wire tag in reports and tables, the set it
+    bounds the distance to, and the constants of the continuity bound it
+    inverts, Delta <= a*eps*log(d) + c*g(eps). The tag is the member's value,
+    so rows with equal constants stay distinct members."""
 
-    target: str
-    a: int
-    c: int
+    DS_FROM_REE = "Eq5", "separable", 1, 1
+    DS_FROM_CI = "Eq6", "separable", 1, 1
+    DA_FROM_CI = "Eq9", "antidegradable", 2, 1
+    DEB_FROM_CI = "Eq10", "entanglement_breaking", 1, 1
+    DEB_FROM_RCI = "Eq11", "entanglement_breaking", 1, 1
+    DEB_FROM_REE = "Eq12", "entanglement_breaking", 1, 1
+    DD_FROM_CI = "Eq13", "degradable", 2, 1
+    PROD_FROM_MI = "ProdMI", "product", 2, 2
+
+    def __new__(cls, tag: str, target: str, a: int, c: int):
+        member = str.__new__(cls, tag)
+        member._value_, member.target, member.a, member.c = tag, target, a, c
+        return member
 
     def kernel(self, gap, d: int, base: float = 2.0):
         """The raw (unclamped, sign-preserving) distance 2*eps forced by a gap,
@@ -87,32 +85,20 @@ class FormulaRow(NamedTuple):
         return 2.0 * _inversion_kernel(gap / self.c, self.a / self.c * _log_dim(d, base), base)
 
 
-FORMULAS = {
-    Formula.DS_FROM_REE: FormulaRow("separable", 1, 1),
-    Formula.DS_FROM_CI: FormulaRow("separable", 1, 1),
-    Formula.DA_FROM_CI: FormulaRow("antidegradable", 2, 1),
-    Formula.DEB_FROM_CI: FormulaRow("entanglement_breaking", 1, 1),
-    Formula.DEB_FROM_RCI: FormulaRow("entanglement_breaking", 1, 1),
-    Formula.DEB_FROM_REE: FormulaRow("entanglement_breaking", 1, 1),
-    Formula.DD_FROM_CI: FormulaRow("degradable", 2, 1),
-    Formula.PROD_FROM_MI: FormulaRow("product", 2, 2),
-}
-
-
 def state_distance_kernel(gap, d: int, base: float = 2.0):
     """The state rows' kernel, (a, c) = (1, 1)."""
-    return FORMULAS[Formula.DS_FROM_REE].kernel(gap, d, base)
+    return Formula.DS_FROM_REE.kernel(gap, d, base)
 
 
 def channel_distance_kernel(gap, d: int, base: float = 2.0):
     """The channel rows' kernel, (a, c) = (2, 1)."""
-    return FORMULAS[Formula.DA_FROM_CI].kernel(gap, d, base)
+    return Formula.DA_FROM_CI.kernel(gap, d, base)
 
 
 def _formula_distance_lower(formula: Formula, gap: float, d: int, base: float, clamped: bool) -> float:
     if not math.isfinite(gap):
         raise ValueError(f"certificate must be finite, got {gap}")
-    raw = FORMULAS[formula].kernel(gap, d, base)
+    raw = formula.kernel(gap, d, base)
     return _clamp(raw) if clamped else raw
 
 
@@ -200,7 +186,7 @@ class BoundEntry:
 
     def __post_init__(self):
         self.formula = Formula(self.formula)
-        self.target = FORMULAS[self.formula].target
+        self.target = self.formula.target
         if not 0.0 <= self.value <= 2.0:
             raise ValueError(f"bound value {self.value} outside [0, 2]")
 
@@ -299,7 +285,7 @@ def _entry(subject: str, seed, sources, certs: dict, d: int, base: float, witnes
     certificate given in ``certs``, in the order of ``sources``, each entry
     with the witness note keyed by its source's ``arg``. A non-finite
     certificate, or a witness note keyed by no source, is a ValueError; an
-    accepted gap, floored at zero, goes to each formula's row kernel for its
+    accepted gap, floored at zero, goes to each formula's kernel for its
     raw distance."""
     base, wit, args = _check_base(base), witnesses or {}, [src.arg for src in sources]
     if unknown := [key for key in wit if key not in args]:
@@ -317,7 +303,7 @@ def _entry(subject: str, seed, sources, certs: dict, d: int, base: float, witnes
             continue
         inputs, witness = {src.input_key: value, "dim": d}, wit.get(src.arg, "")
         for formula in src.formulas:
-            raw = FORMULAS[formula].kernel(max(gap, 0.0), d, base)
+            raw = formula.kernel(max(gap, 0.0), d, base)
             report.entries.append(BoundEntry(formula, _clamp(raw), raw, witness, inputs))
     return report
 

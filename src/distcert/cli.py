@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import FORMULAS, Formula, _csv_text, assemble_report, assemble_state_report, base_label
+from .bounds import Formula, _csv_text, assemble_report, assemble_state_report, base_label
 from .channels import (
     channel_to_dict,
     choi,
@@ -176,7 +176,7 @@ def _parse_p_grid(text: str) -> list[float]:
 
 
 def _table_ex1(ds: list[int], base: float) -> tuple[list[str], list[tuple]]:
-    eq9, eq10 = FORMULAS[Formula.DA_FROM_CI].kernel, FORMULAS[Formula.DEB_FROM_CI].kernel
+    eq9, eq10 = Formula.DA_FROM_CI.kernel, Formula.DEB_FROM_CI.kernel
     rows = []
     for d in ds:
         gap = _log(float(d), base)
@@ -185,9 +185,9 @@ def _table_ex1(ds: list[int], base: float) -> tuple[list[str], list[tuple]]:
 
 
 def _table_ex2(ds: list[int], ps: list[float], base: float) -> tuple[list[str], list[tuple]]:
-    eq10, eq11, eq12 = (
-        FORMULAS[f].kernel for f in (Formula.DEB_FROM_CI, Formula.DEB_FROM_RCI, Formula.DEB_FROM_REE)
-    )
+    if len(ds) * len(ps) > MAX_DIM**2:  # refused before any column is built
+        raise ValueError(f"ex2 table of {len(ds)} x {len(ps)} rows exceeds the cap, {MAX_DIM**2} rows")
+    eq10, eq11, eq12 = Formula.DEB_FROM_CI.kernel, Formula.DEB_FROM_RCI.kernel, Formula.DEB_FROM_REE.kernel
     # each column is one kernel call over the whole p-grid; one block per d, all sharing the p and upper columns
     p = np.array(ps)
     h = binary_entropy(p, base)
@@ -207,7 +207,7 @@ def _table_tightness(ds: list[int], x: float, base: float) -> tuple[list[str], l
     if not 0.0 < x < 0.5:
         raise ValueError(f"x must lie strictly between 0 and 0.5, got {x}")
     p = 0.5 - x
-    eq9_kernel, eq12_kernel = FORMULAS[Formula.DA_FROM_CI].kernel, FORMULAS[Formula.DEB_FROM_REE].kernel
+    eq9_kernel, eq12_kernel = Formula.DA_FROM_CI.kernel, Formula.DEB_FROM_REE.kernel
     rows = []
     for d in ds:
         log_d = _log(float(d), base)

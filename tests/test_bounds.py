@@ -32,10 +32,10 @@ from distcert import (
     separable_distance_lower,
     state_distance_kernel,
 )
-from distcert.bounds import FORMULAS, BoundEntry, BoundReport, Formula, _inversion_kernel, _log_dim
+from distcert.bounds import BoundEntry, BoundReport, Formula, _inversion_kernel, _log_dim
 
 # the ProdMI row's kernel, (a, c) = (2, 2); unlike the state and channel rows it has no public wrapper
-product_distance_kernel = FORMULAS[Formula.PROD_FROM_MI].kernel
+product_distance_kernel = Formula.PROD_FROM_MI.kernel
 
 
 def _invert(scale, delta):
@@ -325,14 +325,13 @@ _ENGINE_GAPS = _KERNEL_GAPS + [-5e-324, 1e-310, -1e-310, 2.2250738585072014e-308
 @pytest.mark.parametrize("base", [2.0, math.e])
 @pytest.mark.parametrize("formula", list(Formula), ids=lambda f: f.value)
 def test_every_row_is_its_closed_form_bit_for_bit(formula, base):
-    row = FORMULAS[formula]
-    closed_form = _CLOSED_FORMS[row.a, row.c]
+    closed_form = _CLOSED_FORMS[formula.a, formula.c]
     for d in (2, 3, 16, 4096, 2**20):
         for gap in _ENGINE_GAPS:
-            got = row.kernel(gap, d, base)
+            got = formula.kernel(gap, d, base)
             assert type(got) is float
             assert np.float64(got).tobytes() == np.float64(closed_form(gap, d, base)).tobytes(), (gap, d)
-        got = row.kernel(np.array(_ENGINE_GAPS), d, base)
+        got = formula.kernel(np.array(_ENGINE_GAPS), d, base)
         assert got.tobytes() == closed_form(np.array(_ENGINE_GAPS), d, base).tobytes()
 
 
@@ -340,7 +339,7 @@ def test_rows_hold_the_constants_of_the_inequality_they_invert():
     # Delta <= a*eps*log(d) + c*g(eps): states and the entanglement-breaking rows
     # (conditional entropy, a = c = 1), channels (diamond norm doubles the log
     # term), mutual information (two entropies, each with its own g)
-    assert {f.value: (row.a, row.c) for f, row in FORMULAS.items()} == {
+    assert {f.value: (f.a, f.c) for f in Formula} == {
         "Eq5": (1, 1),
         "Eq6": (1, 1),
         "Eq9": (2, 1),
@@ -351,7 +350,7 @@ def test_rows_hold_the_constants_of_the_inequality_they_invert():
         "ProdMI": (2, 2),
     }
     # each row inverts its own inequality: the gap it makes at eps forces no more than eps
-    for row in FORMULAS.values():
+    for row in Formula:
         for d in (2, 5, 64):
             for eps in (0.01, 0.2, 0.7, 1.0):
                 gap = row.a * eps * math.log2(d) + row.c * g_correction(eps)
@@ -359,8 +358,7 @@ def test_rows_hold_the_constants_of_the_inequality_they_invert():
 
 
 def test_formula_table_covers_every_tag():
-    assert set(FORMULAS) == set(Formula)
-    targets = {f.value: row.target for f, row in FORMULAS.items()}
+    targets = {f.value: f.target for f in Formula}
     assert targets == {
         "Eq5": "separable",
         "Eq6": "separable",
@@ -386,8 +384,8 @@ def test_bound_entry_validation():
     with pytest.raises(ValueError, match="outside"):
         BoundEntry(Formula.DS_FROM_CI, 2.5, 2.5, "")
     # the target is the formula's, so an entry cannot name another
-    for formula, row in FORMULAS.items():
-        assert BoundEntry(formula, 0.5, 0.5, "").target == row.target
+    for formula in Formula:
+        assert BoundEntry(formula, 0.5, 0.5, "").target == formula.target
 
 
 def test_bound_entry_reads_a_tag_string_as_its_formula():
@@ -520,8 +518,7 @@ def _formula_rows() -> dict[str, tuple]:
         return "" if x == 1 else f"{x} "
 
     return {
-        tag.value: (row.target, f"Delta <= {coef(row.a)}eps log d + {coef(row.c)}g(eps)", row.a, row.c)
-        for tag, row in FORMULAS.items()
+        f.value: (f.target, f"Delta <= {coef(f.a)}eps log d + {coef(f.c)}g(eps)", f.a, f.c) for f in Formula
     }
 
 
@@ -529,8 +526,26 @@ def test_readme_formula_table_matches_the_formula_rows():
     assert _readme_formula_rows(_README.read_text()) == _formula_rows()
 
 
+def _one_cell_edits(line: str):
+    """README's formula row ``line`` with one checked cell changed, once per edit."""
+    cells = line.strip("| ").split(" | ")
+    tag, target, _, inequality, ac = cells
+    a, c = map(int, re.fullmatch(r"\((\d+), (\d+)\)", ac).groups())
+    edits = [
+        (0, f"`{tag.strip('`')}b`"),
+        (1, "product" if target != "product" else "separable"),
+        (3, inequality.replace("g(eps)", "3 g(eps)")),
+        (4, f"({a + 1}, {c})"),
+        (4, f"({a}, {c + 1})"),
+    ]
+    for i, cell in edits:
+        yield "| " + " | ".join(cells[:i] + [cell] + cells[i + 1 :]) + " |"
+
+
 def test_readme_formula_check_sees_a_changed_row():
     text = _README.read_text()
-    row = next(line for line in text.splitlines() if line.startswith("| `Eq9`"))
-    stale = text.replace(row, row.replace("(2, 1)", "(1, 1)"))
-    assert _readme_formula_rows(stale)["Eq9"][2:] == (1, 1) != _formula_rows()["Eq9"][2:]
+    for f in Formula:
+        row = next(line for line in text.splitlines() if line.startswith(f"| `{f.value}` |"))
+        assert _readme_formula_rows(text.replace(row + "\n", "")) != _formula_rows(), f
+        for stale in _one_cell_edits(row):
+            assert _readme_formula_rows(text.replace(row, stale)) != _formula_rows(), stale

@@ -897,7 +897,7 @@ def test_table_text_of_several_blocks_is_json_dumps_indent_2_byte_for_byte(block
     assert cli._table_text("t", ["d", "x"], blocks, base, "json") == json.dumps(table, indent=2)
 
 
-def test_reproduce_parameter_errors(capsys):
+def test_reproduce_parameter_errors(capsys, monkeypatch):
     for argv in (
         ["reproduce", "ex1", "--d-range", "banana"],
         ["reproduce", "ex1", "--d-range", "1..4"],
@@ -910,6 +910,14 @@ def test_reproduce_parameter_errors(capsys):
     ):
         code, _ = _run(capsys, argv)
         assert code == 2, argv
+    # each grid within the cap, but 12 x 2**20 rows past MAX_DIM**2: refused before any column is built
+    assert main(["reproduce", "ex2", "--d-range", "2..4096", "--p-grid", "0:1:1048576"]) == 2
+    assert capsys.readouterr().err == "error: ex2 table of 12 x 1048576 rows exceeds the cap, 1048576 rows\n"
+    # one row past the cap is refused before any column is computed
+    monkeypatch.setattr(cli, "binary_entropy", None)
+    with pytest.raises(ValueError, match=r"ex2 table of 2 x 524289 rows exceeds the cap"):
+        cli._table_ex2([2, 3], [0.5] * 524289, 2.0)
+    monkeypatch.undo()
     # a dimension past the largest float, where the tables' log(float(d)) overflows
     for d_range in (str(2**1024), f"2..{2**1024}"):
         for table in ("ex1", "ex2", "tightness"):

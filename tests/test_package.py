@@ -224,9 +224,9 @@ def _readers(name: str) -> set[str]:
 
 
 def test_one_inversion_engine():
-    # every bound inverts Delta <= a*eps*log(d) + c*g(eps) through its FORMULAS
-    # row: only the row's kernel inverts, and only the inversion expression
+    # every bound inverts Delta <= a*eps*log(d) + c*g(eps) through its Formula
+    # member: only the member's kernel inverts, and only the inversion expression
     # evaluates g, so a hand-written kernel beside them fails here
-    assert _readers("_inversion_kernel") == {"bounds:FormulaRow.kernel"}
+    assert _readers("_inversion_kernel") == {"bounds:Formula.kernel"}
     outside_entropy = {r for r in _readers("g_correction") if not r.startswith("entropy:")}
     assert outside_entropy == {"bounds:_inversion_kernel"}

@@ -10,7 +10,10 @@ in this process, and prints one tab-separated line: seed, workload, argv,
 exit code, md5 of stdout, md5 of stderr. Each invocation runs once more
 with ``--format csv`` and once more with ``--log-base e``, so both writers
 and both bases are covered, and ``analyze-channel`` on a channel with
-d_in * d_out <= 36 also with ``--ree``. The temporary
+d_in * d_out <= 36 also with ``--ree``. Then come the lines of seed ``-``:
+every ``zoo`` channel at two parameter sets, and a fixed list of invalid
+calls (refused inside the command with exit 2, or by argparse with its
+SystemExit code), whose stderr digests pin the error messages. The temporary
 directory's path reads ``<tmp>`` in argv and is replaced by it in the output
 before hashing, so two checkouts that print the same bytes give the same
 lines:
@@ -29,6 +32,49 @@ from pathlib import Path
 
 SEEDS = (1, 7, 31)
 
+# every zoo channel at two parameter sets
+ZOO = [
+    ["zoo", "erasure", "2", "0.1"],
+    ["zoo", "erasure", "3", "0.75"],
+    ["zoo", "identity", "2", "3"],
+    ["zoo", "identity", "3", "3"],
+    ["zoo", "depolarizing", "2", "0.2"],
+    ["zoo", "depolarizing", "4", "1.0"],
+    ["zoo", "completely-depolarizing", "2"],
+    ["zoo", "completely-depolarizing", "3"],
+]
+
+# input files of the invalid calls, written to <tmp> as given
+FILES = {
+    "trivial-factor.json": '{"dims": [1, 2], "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+    "malformed.json": '{"d_in": 2, "d_out"',
+    "qubit-identity.json": '{"d_in": 2, "d_out": 2, "kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}',
+    "unbalanced.json": '{"d_in": 2, "d_out": 2, "kraus": [[[[1, 0], [0, 0]], [[0, 0], [0.5, 0]]]]}',
+}
+
+# calls every checkout must refuse; none of them allocates more than a small table
+INVALID = [
+    ["reproduce", "tightness", "--x", "0.7"],
+    ["reproduce", "ex2", "--p-grid", "0:1:0"],
+    ["reproduce", "ex2", "--p-grid", "0.9:0.1:5"],
+    ["reproduce", "ex2", "--d-range", "2", "--p-grid", "0:1:100000000000000"],
+    ["reproduce", "ex1", "--d-range", "banana"],
+    ["reproduce", "tightness", "--d-range", "1..4"],
+    ["zoo", "erasure", "1", "0.1"],
+    ["zoo", "erasure", "2", "1.5"],
+    ["zoo", "depolarizing", "1025", "0.5"],
+    ["zoo", "identity", "3", "2"],
+    ["zoo", "erasure", "2"],
+    ["zoo", "teleporter", "2"],
+    ["analyze-state", "<tmp>/trivial-factor.json"],
+    ["analyze-channel", "<tmp>/malformed.json"],
+    ["analyze-channel", "<tmp>/unbalanced.json"],
+    ["analyze-channel", "<tmp>/missing.json"],
+    ["analyze-channel", "<tmp>/qubit-identity.json", "--restarts", "2000"],
+    ["reproduce", "ex1", "--format", "xml"],
+    ["reproduce", "ex3"],
+]
+
 
 def _md5(text: str) -> str:
     return hashlib.md5(text.encode()).hexdigest()
@@ -39,10 +85,20 @@ def _run(cli, argv: list[str]) -> tuple[object, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
+        except SystemExit as exc:  # argparse refusing the argv
+            code = f"exit-{exc.code}"
         except Exception as exc:  # a crash is an outcome to compare, not a reason to stop
             code = f"raised-{type(exc).__name__}"
             print(exc, file=sys.stderr)
     return code, out.getvalue(), err.getvalue()
+
+
+def _digest(cli, tmp: str, seed, workload: str, argv: list[str]) -> None:
+    """Run ``argv`` and print its line: seed, workload, argv, exit code, md5 of stdout and of stderr."""
+    code, out, err = _run(cli, argv)
+    shown = shlex.join(argv).replace(tmp, "<tmp>")
+    digests = (_md5(text.replace(tmp, "<tmp>")) for text in (out, err))
+    print(seed, workload, shown, code, *digests, sep="\t")
 
 
 def main(checkout: Path) -> None:
@@ -59,11 +115,14 @@ def main(checkout: Path) -> None:
                     extras = [[], ["--format", "csv"], ["--log-base", "e"]]
                     if inv.kind == "channel" and inv.props["d_in"] * inv.props["d_out"] <= 36:
                         extras.append(["--ree"])
-                    for argv in (inv.argv + extra for extra in extras):
-                        code, out, err = _run(cli, argv)
-                        shown = shlex.join(argv).replace(tmp, "<tmp>")
-                        digests = (_md5(text.replace(tmp, "<tmp>")) for text in (out, err))
-                        print(seed, workload, shown, code, *digests, sep="\t")
+                    for extra in extras:
+                        _digest(cli, tmp, seed, workload, inv.argv + extra)
+        for argv in ZOO:
+            _digest(cli, tmp, "-", "zoo", argv)
+        for name, text in FILES.items():
+            Path(tmp, name).write_text(text)
+        for argv in INVALID:
+            _digest(cli, tmp, "-", "invalid", [arg.replace("<tmp>", tmp) for arg in argv])
 
 
 if __name__ == "__main__":
