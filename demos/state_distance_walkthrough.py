@@ -35,9 +35,7 @@ def analyze(name, rho, cfg):
     print(f"certified E_R lower bound: {ree.value:.6f} bits "
           f"({ree.iterations} iterations)")
     print(f"trace distance to PPT (search estimate): {oracle.value:.6f}")
-    report = assemble_state_report(
-        name, d=d, ic=ic, er_lower=ree.value, mi=mi, oracle=oracle.value
-    )
+    report = assemble_state_report(name, d=d, ic=ic, er_lower=ree.value, mi=mi)
     for entry in report.entries:
         print(f"  {entry.formula.value:>7}: distance >= {entry.value:.6f} "
               f"(raw {entry.raw:+.6f})")

@@ -343,14 +343,10 @@ def assemble_state_report(
     ic: float | None = None,
     er_lower: float | None = None,
     mi: float | None = None,
-    oracle: float | None = None,
     witnesses: dict[str, str] | None = None,
 ) -> BoundReport:
     """State-side report: distance to separable and to product states. Its
     ``seed`` stays None: no state-side search draws a random start point.
     ``witnesses`` maps a certificate's keyword (``ic``, ``er_lower``, ``mi``)
     to the note its entries carry; any other key is a ValueError."""
-    report = _entry(subject, None, _STATE_SOURCES, {"ic": ic, "er_lower": er_lower, "mi": mi}, d, base, witnesses)
-    if oracle is not None:
-        report.notes.append(f"trace distance to the PPT set, search estimate: {oracle!r}")
-    return report
+    return _entry(subject, None, _STATE_SOURCES, {"ic": ic, "er_lower": er_lower, "mi": mi}, d, base, witnesses)

@@ -121,11 +121,10 @@ def _cmd_analyze_state(args) -> int:
     witnesses = {"ic": exact, "mi": exact}
     if args.ree or n <= _REE_AUTO_DIM:
         _search(cfg, base, certs, values, witnesses, "er_lower", "PPT descent candidate", ree_ppt_lower, rho)
-    oracle = None
+    report = assemble_state_report(args.path, d=d, base=base, witnesses=witnesses, **values)
     if n <= _ORACLE_AUTO_DIM:
         certs.append(cert := trace_dist_to_ppt(rho, cfg))
-        oracle = cert.value
-    report = assemble_state_report(args.path, d=d, base=base, oracle=oracle, witnesses=witnesses, **values)
+        report.notes.append(f"trace distance to the PPT set, search estimate: {cert.value!r}")
     if "er_lower" not in values:
         skipped = f"relative entropy certificate skipped (dimension {n} exceeds {_REE_AUTO_DIM})"
         report.notes.append(skipped + "; pass --ree to force it")
