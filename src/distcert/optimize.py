@@ -69,6 +69,7 @@ _SIGMA_FLOOR = 1e-4
 _EIG_PAIR_GUARD = 1e-13
 _DYKSTRA_TOL = 1e-10
 _DYKSTRA_MAX_ITERS = 200
+_TRIAL_SWEEPS = 100  # a REE line-search trial whose projection needs more is rejected
 
 
 @dataclass(frozen=True)
@@ -402,7 +403,7 @@ def _project_density(a: np.ndarray) -> np.ndarray:
     return (u * np.maximum(w - theta, 0.0)) @ u.conj().T
 
 
-def project_ppt(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+def project_ppt(mat: np.ndarray, dims: tuple[int, int], *, sweeps: int | None = None) -> np.ndarray | None:
     """Nearest PPT density matrix in Frobenius norm, via Dykstra alternation.
 
     The input is checked once (its split, finite entries small enough to
@@ -411,8 +412,11 @@ def project_ppt(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     (``_project_density``, once per sweep, so its calls count sweeps), then
     onto the cone with positive partial transpose; Dykstra's
     corrections p, q make the limit the projection onto the intersection. It stops
-    once the two iterates lie within 1e-10 in Frobenius norm, or after 200 sweeps
-    without any flag, and returns the density-side iterate, always a valid state.
+    once the two iterates lie within 1e-10 in Frobenius norm and returns the
+    density-side iterate, always a valid state. By default it stops silently
+    after 200 sweeps and returns that iterate unconverged; with ``sweeps`` given
+    it returns None unless the stop test fires within that many sweeps, and
+    otherwise the default call's bits.
     The written-out norm is ``np.linalg.norm`` bit for bit, with less overhead.
     """
     a = np.asarray(mat, dtype=complex)
@@ -421,7 +425,7 @@ def project_ppt(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     x = hermitize(a)
     p = q = np.zeros_like(x)
     y = x
-    for _ in range(_DYKSTRA_MAX_ITERS):
+    for _ in range(_DYKSTRA_MAX_ITERS if sweeps is None else sweeps):
         s = x + p
         y = _project_density(s)
         p = s - y
@@ -431,8 +435,8 @@ def project_ppt(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
         q = s - x
         d = (y - x).ravel()
         if math.sqrt(d.real.dot(d.real) + d.imag.dot(d.imag)) < _DYKSTRA_TOL:
-            break
-    return hermitize(y)
+            return hermitize(y)
+    return hermitize(y) if sweeps is None else None
 
 
 # ----- relative entropy of entanglement, certified from below -----
@@ -506,10 +510,14 @@ def ree_ppt_lower(
     Runs projected gradient descent of H(rho||sigma) over PPT states sigma
     and keeps the best dual certificate seen at any iterate. ``value`` is
     that certificate (valid regardless of convergence), ``objective`` the
-    best achieved relative entropy (an upper reference for the PPT
-    relaxation), and the witness is the candidate behind ``value``. The
-    input is mixed with weight 1e-9 of the maximally mixed state so
-    logarithms stay finite; this perturbs the target by a comparable amount.
+    relative entropy at the last accepted, converged projection, or at the
+    start projection when no step was accepted (an upper reference for the
+    PPT relaxation), and the witness is the candidate behind ``value``. A
+    line-search trial whose projection has not converged within 100 Dykstra
+    sweeps (``_TRIAL_SWEEPS``) is rejected like one that does not lower the
+    objective, so every accepted trial is a converged projection. The input
+    is mixed with weight 1e-9 of the maximally mixed state so logarithms
+    stay finite; this perturbs the target by a comparable amount.
     One run from the PPT projection of the input: of ``cfg`` only
     ``max_iters`` is read.
     """
@@ -525,7 +533,9 @@ def ree_ppt_lower(
     def step(_):
         nonlocal f, grad, sig, best_cert, best_sigma, eta
         for e in _halvings(eta, 40):
-            trial = project_ppt(sig - e * grad, dims)
+            trial = project_ppt(sig - e * grad, dims, sweeps=_TRIAL_SWEEPS)
+            if trial is None:
+                continue
             scored = _ree_objective(rho_t, tr_log, trial, lb)
             if scored[0] < f - 1e-15:
                 break

@@ -324,9 +324,9 @@ def test_project_ppt_output_is_ppt_density():
 
 
 def _reference_project_ppt(mat, dims):
-    """The plain Dykstra loop: (projection, sweeps). Sorted-spectrum simplex
-    projection and partial transposes around the cone projection, every eigh
-    behind the 1e-8 guard."""
+    """The plain Dykstra loop: (projection, sweeps, whether the stop test
+    fired). Sorted-spectrum simplex projection and partial transposes around
+    the cone projection, every eigh behind the 1e-8 guard."""
 
     def eigh(m):
         assert herm_defect(m) <= 1e-8
@@ -356,8 +356,8 @@ def _reference_project_ppt(mat, dims):
         x = pt_psd(y + q)
         q = y + q - x
         if np.linalg.norm(y - x) < 1e-10:
-            break
-    return hermitize(y), sweeps
+            return hermitize(y), sweeps, True
+    return hermitize(y), sweeps, False
 
 
 def _random_hermitian(rng, n, scale):
@@ -382,7 +382,7 @@ def _ppt_cases():
 
 @pytest.mark.parametrize("mat, dims", list(_ppt_cases()))
 def test_project_ppt_matches_the_reference_loop_bit_for_bit(monkeypatch, request, mat, dims):
-    expected, sweeps = _reference_project_ppt(mat, dims)
+    expected, sweeps, converged = _reference_project_ppt(mat, dims)
     sweep_calls, eigh_calls = [], []
     density, eigh = optimize._project_density, optimize._eigh
     monkeypatch.setattr(optimize, "_project_density", lambda *a: sweep_calls.append(1) or density(*a))
@@ -397,6 +397,17 @@ def test_project_ppt_matches_the_reference_loop_bit_for_bit(monkeypatch, request
         assert sweeps == 1
     if case == "sweep-cap":
         assert sweeps == optimize._DYKSTRA_MAX_ITERS == 200
+        assert not converged
+    # with a sweep budget: the default call's bits when the stop test fires
+    # within it, None after the whole budget otherwise
+    for budget in (sweeps - 1, sweeps, optimize._TRIAL_SWEEPS):
+        sweep_calls.clear()
+        got = project_ppt(mat, dims, sweeps=budget)
+        if converged and budget >= sweeps:
+            assert np.array_equal(got, expected)
+        else:
+            assert got is None
+        assert len(sweep_calls) == min(budget, sweeps)
 
 
 def _earlier_project_ppt(mat, dims):
@@ -586,7 +597,8 @@ def test_ree_lower_never_exceeds_true_relative_entropy():
 def _reference_ree_ppt_lower(rho, max_iters):
     """``ree_ppt_lower`` with every line-search trial scored by the full
     ``_ree_terms``: (value, objective, history, iterations, converged,
-    witness matrix, how it stopped)."""
+    witness matrix, how it stopped). A trial whose projection needs more
+    than ``_TRIAL_SWEEPS`` sweeps is rejected, as in ``ree_ppt_lower``."""
     lb = math.log(2.0)
     rho_t, tr_log, dims = optimize._regularized(rho)
 
@@ -600,7 +612,9 @@ def _reference_ree_ppt_lower(rho, max_iters):
     def step(_):
         nonlocal f, grad, sig, best_cert, best_sigma, eta
         for e in optimize._halvings(eta, 40):
-            trial = project_ppt(sig - e * grad, dims)
+            trial = project_ppt(sig - e * grad, dims, sweeps=optimize._TRIAL_SWEEPS)
+            if trial is None:  # not converged within the trial budget: rejected
+                continue
             terms = full_terms(trial)
             if terms[0] < f - 1e-15:
                 break
@@ -637,6 +651,36 @@ def test_ree_scores_trials_by_the_objective_alone_bit_for_bit(dims, seed, max_it
     cert = ree_ppt_lower(rho, OptimizerConfig(max_iters=max_iters))
     assert [cert.value, cert.objective, cert.history, cert.iterations, cert.converged] == expected
     assert np.array_equal(cert.witness.mat, witness)
+
+
+@pytest.mark.parametrize(
+    "dims, seed, max_iters",
+    [((2, 2), 0, 500), ((2, 2), 17, 500), ((2, 2), 3, 200), ((2, 3), 0, 60), ((3, 2), 5, 60)],
+)
+def test_ree_accepts_only_converged_projections(monkeypatch, dims, seed, max_iters):
+    # (2, 2) seed 0 is the benchmark panel's 2x2 state: without a trial budget
+    # it accepts a trial whose projection ran into the 200-sweep cap unconverged
+    rho = random_density_matrix(dims[0] * dims[1], np.random.default_rng(seed), rank=2, dims=dims)
+    last, scored_inputs = [], []
+    project, terms = optimize.project_ppt, optimize._ree_terms
+
+    def recording_project(mat, dims, **kw):
+        last[:] = [mat]
+        return project(mat, dims, **kw)
+
+    def recording_terms(*args):
+        # the projection scored here is the last one made: the start
+        # projection first, then each accepted trial
+        scored_inputs.append(last[0])
+        return terms(*args)
+
+    monkeypatch.setattr(optimize, "project_ppt", recording_project)
+    monkeypatch.setattr(optimize, "_ree_terms", recording_terms)
+    cert = ree_ppt_lower(rho, OptimizerConfig(max_iters=max_iters))
+    accepted = scored_inputs[1:]
+    assert len(accepted) == len(cert.history) - 1 > 0
+    for mat in accepted:
+        assert _reference_project_ppt(mat, dims)[2]
 
 
 def test_ree_candidate_is_exactly_hermitian_and_decomposes_as_the_gate_would():
