@@ -221,10 +221,17 @@ def maximally_entangled(d: int) -> PureState:
     return PureState(np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d), dims=(d, d))
 
 
+def _log_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(``hermitian_log(m)``, w, v): the log and the eigenpairs it is built from,
+    w floored at 1e-300 as in the log."""
+    w, v = _eigh(hermitize(m))
+    w = np.maximum(w, _LOG_FLOOR)
+    return (v * np.log(w)[..., None, :]) @ v.conj().swapaxes(-1, -2), w, v
+
+
 def hermitian_log(m: np.ndarray) -> np.ndarray:
     """log of a positive matrix (of each, for a stack); eigenvalues floored at 1e-300."""
-    w, v = _eigh(hermitize(m))
-    return (v * np.log(np.maximum(w, _LOG_FLOOR))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return _log_eigen(m)[0]
 
 
 def random_density_matrix(

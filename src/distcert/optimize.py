@@ -8,7 +8,11 @@ out. Each search supplies the step of one round:
 * mirror ascent over density matrices for maximizing or minimizing coherent
   information and its reverse variant, one line-search trial of every seed
   per round through one stacked (S, n, n) mirror step; each seed carries the
-  channel outputs its point was scored with, and its gradient reads them,
+  channel outputs its point was scored with, and its gradient reads them.
+  A trial is accepted if it beats its seed's value by more than
+  ``_MARGIN``; no move improves when 50 step sizes fail, or sooner, at the
+  first step size e after a rejected trial with e * slope < ``_MARGIN``,
+  slope being the value's derivative along the mirror path at e = 0,
 * a see-saw alternation giving certified lower bounds on diamond-norm
   distance between two channels, one alternation per seed and round,
 * projected gradient descent over PPT states for the relative entropy of
@@ -49,6 +53,7 @@ from .linalg import (
     _check_symmetrizable,
     _eigh,
     _eigvalsh,
+    _log_eigen,
     _require_dims,
     hermitian_eigen,
     hermitian_log,
@@ -61,6 +66,7 @@ from .linalg import (
 
 _STALL_LIMIT = 10
 _TOL = 1e-7  # gains below this count towards the stall limit
+_MARGIN = 1e-15  # a mirror trial must beat its seed's value by more than this
 _STEP = 0.1  # initial step size; subgradient scale of the trace-distance oracle
 _BASIS_SEED_CAP = 8
 _BASIS_SEED_MIX = 1e-6
@@ -179,12 +185,29 @@ def _rci_gradient(comp, outputs, log_rho, lb):  # outputs: (comp(rho),)
 def _mirror_step(log_rho: np.ndarray, grad: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Trace-normalized exp(log_rho + eta * grad) per matrix of the stacks (eta per matrix).
 
-    Both stacks are Hermitian as built (``hermitian_log`` output and a hermitized
+    Both stacks are Hermitian as built (a ``_log_eigen`` log and a hermitized
     gradient), so their sum is symmetrized, not checked."""
     w, u = _eigh(hermitize(log_rho + eta[:, None, None] * grad))
-    ew = np.exp(w - w.max(-1, keepdims=True))
+    ew = np.exp(w - w[..., -1:])  # eigh sorts ascending: the last eigenvalue is the largest
     ew /= ew.sum(-1, keepdims=True)
     return (u * ew[..., None, :]) @ u.conj().swapaxes(-1, -2)
+
+
+def _mirror_slope(w: np.ndarray, v: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Derivative at e = 0 of the value along ``_mirror_step(log rho, grad, e)``, per matrix of the stacks.
+
+    rho = v diag(w) v^dag with w floored as in its log, and grad is the gradient of the value. In
+    rho's eigenbasis, with G = v^dag grad v and mu = sum_i w_i G_ii, it is
+    sum_ij |G_ij - mu delta_ij|^2 K_ij, K_ij the logarithmic mean of w_i and w_j (K_ii = w_i, and
+    w_i where the logs tie within 1e-13): every term is >= 0, so rounding cannot make it negative."""
+    g = v.conj().swapaxes(-1, -2) @ grad @ v
+    diag = g.reshape(len(g), -1)[:, :: w.shape[-1] + 1]  # a view of each G_ii
+    diag -= (w * diag.real).sum(-1, keepdims=True)
+    log_w = np.log(w)
+    dlog = log_w[:, :, None] - log_w[:, None, :]
+    k = np.repeat(w[:, :, None], w.shape[-1], -1)  # w_i, kept on the diagonal and where the logs tie
+    np.divide(w[:, :, None] - w[:, None, :], dlog, out=k, where=abs(dlog) > _EIG_PAIR_GUARD)
+    return (abs(g) ** 2 * k).sum((-2, -1))
 
 
 def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int, sign: int = 1) -> list:
@@ -197,8 +220,10 @@ def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int, sign: int = 1) -> li
     complex zero). Each seed carries its rho's outputs and takes a trial's on accepting it, so no
     channel sees one matrix twice. A round sends the next trial of every running seed through one
     stacked mirror step and one stacked ``value_fn`` call, and the seeds starting a step through
-    one ``hermitian_log`` and one ``grad_fn`` call. Seeds never mix, so each follows the path it
-    follows alone.
+    one ``_log_eigen`` and one ``grad_fn`` call. A seed's first rejected trial of a step sets its
+    slope (``_mirror_slope``, from the eigenpairs of its log, one stacked call per round); from then
+    on a step size e with e * slope < ``_MARGIN`` ends the search, as no smaller step's first-order
+    gain clears the margin. Seeds never mix, so each follows the path it follows alone.
     """
     signed = operator.neg if sign < 0 else operator.pos
     rho = np.array(seeds, dtype=complex)
@@ -206,31 +231,42 @@ def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int, sign: int = 1) -> li
     history = [[v] for v in vals.tolist()]
     n = len(rho)
     etas, eta = [None] * n, [_STEP] * n  # etas[s]: seed s's line search, None between steps
-    log_rho, grad = np.empty_like(rho), np.empty_like(rho)
+    slopes = [math.inf] * n  # inf until the seed's line search rejects a trial
+    log_rho, grad, v_rho = np.empty_like(rho), np.empty_like(rho), np.empty_like(rho)
+    w_rho = np.empty(rho.shape[:2])
 
     def step(running):
         if fresh := [s for s in running if etas[s] is None]:
             for s in fresh:
-                etas[s] = _halvings(eta[s], 50)
-            log_rho[fresh] = hermitian_log(rho[fresh])
-            grad[fresh] = signed(grad_fn(tuple(o[fresh] for o in outs), log_rho[fresh]))
+                etas[s], slopes[s] = _halvings(eta[s], 50), math.inf
+            fresh = np.array(fresh)  # an index array indexes faster than a list
+            log_rho[fresh], w_rho[fresh], v_rho[fresh] = eigen = _log_eigen(rho[fresh])
+            grad[fresh] = signed(grad_fn(tuple(o[fresh] for o in outs), eigen[0]))
         gains, idx, steps = {}, [], []
         for s in running:
-            if (e := next(etas[s], None)) is None:
-                gains[s] = None  # no step size improved
+            if (e := next(etas[s], None)) is None or e * slopes[s] < _MARGIN:
+                gains[s] = None  # no step size improved, or no smaller one can
             else:
                 idx.append(s)
                 steps.append(e)
         if idx:
-            trial = _mirror_step(log_rho[idx], grad[idx], np.array(steps))
+            at = np.array(idx)
+            trial = _mirror_step(log_rho[at], grad[at], np.array(steps))
             trial_vals, trial_outs = value_fn(trial)
+            rejected = []
             for i, (s, e, v) in enumerate(zip(idx, steps, trial_vals.tolist())):
-                if signed(v) > (cur := signed(history[s][-1])) + 1e-15:
+                if signed(v) > (cur := signed(history[s][-1])) + _MARGIN:
                     gains[s], rho[s] = signed(v) - cur, trial[i]
                     for o, t in zip(outs, trial_outs):
                         o[s] = t[i]
                     history[s].append(v)
                     eta[s], etas[s] = min(e * 2.0, 4.0), None
+                elif slopes[s] == math.inf:
+                    rejected.append(s)
+            if rejected:
+                at = np.array(rejected)
+                for s, x in zip(rejected, _mirror_slope(w_rho[at], v_rho[at], grad[at]).tolist()):
+                    slopes[s] = x
         return gains
 
     stops = _drive(step, n, max_iters)

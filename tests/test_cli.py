@@ -195,7 +195,7 @@ def test_analyze_channel_pins_a_three_to_one_report(tmp_path, capsys):
     rep = json.loads(out)
     (entry,) = rep["entries"]
     assert entry["formula"] == "Eq13"
-    assert entry["witness"] == "mirror-descent input state (14 iterations, converged=True)"
+    assert entry["witness"] == "mirror-descent input state (13 iterations, converged=True)"
     assert entry["value"] == entry["raw"] == pytest.approx(0.13092975357145803, abs=1e-9)
     assert entry["inputs"]["min_coherent_information"] == pytest.approx(-1.5849625007211579, abs=1e-9)
     assert rep["notes"] == [

@@ -5,7 +5,10 @@
 parsed output (JSON without its ``subject`` path, or CSV rows), recorded with
 ``_observed``: the ``analyze-*`` cases at commit 0631c90, the ``reproduce``
 cases at e240132. When ``analyze-state`` lost ``--seed``, the two state cases
-had their ``"seed"`` value set from 0 to null by hand. The invocations cover the mirror ascents with and without
+had their ``"seed"`` value set from 0 to null by hand. When mirror line searches
+started to end at the slope test, the min-Ic witness text of
+``channel/depolarizing(3,0.2)/nats`` was set from 11 to 12 iterations by hand;
+its floats moved by less than 4e-15. The invocations cover the mirror ascents with and without
 ``--ree``, both log bases, CSV output, ``--max-iters 0``, a ``--strict`` run
 that exits 3, ``analyze-state`` with the automatic REE descent and
 trace-distance oracle on rank-2 2x2 and 2x3 states, and the three

@@ -8,6 +8,7 @@ keeping must beat.
 """
 
 import math
+import operator
 import re
 import warnings
 
@@ -47,14 +48,18 @@ from distcert import channels as channels_module
 from distcert import optimize
 from distcert.channels import adjoint_apply_mat, apply_mat, complement
 from distcert.entropy import _entropy_mat
-from distcert.linalg import _LOG_FLOOR, herm_defect, hermitian_eigen, hermitian_log, hermitize
+from distcert import linalg
+from distcert.linalg import _LOG_FLOOR, _log_eigen, herm_defect, hermitian_eigen, hermitian_log, hermitize
 from distcert.optimize import (
+    _MARGIN,
     _STALL_LIMIT,
     _STEP,
     _TOL,
     _ascent_stack,
     _drive,
+    _halvings,
     _ic_gradient,
+    _mirror_slope,
     _mirror_step,
     _rci_gradient,
     _single_ascent,
@@ -836,13 +841,16 @@ def test_ascent_counts_the_failed_step_only_when_nothing_improves():
 
 
 def test_reverse_ascent_takes_each_log_of_rho_once(monkeypatch):
-    # the mirror step and the gradient share one hermitian_log(rho) per step
-    logged = []
-    log = optimize.hermitian_log
-    monkeypatch.setattr(optimize, "hermitian_log", lambda m: logged.append(m.tobytes()) or log(m))
+    # the mirror step and the gradient share one log of rho per step, taken by
+    # _log_eigen; the gradient logs only the environment outputs (2x2 here, rho is 3x3)
+    logged, output_sides = [], []
+    log_eigen, log = optimize._log_eigen, optimize.hermitian_log
+    monkeypatch.setattr(optimize, "_log_eigen", lambda m: logged.append(m.tobytes()) or log_eigen(m))
+    monkeypatch.setattr(optimize, "hermitian_log", lambda m: output_sides.append(m.shape[-1]) or log(m))
     phi = random_channel(3, 2, 2, np.random.default_rng(5))
     maximize_reverse_coherent_information(phi, OptimizerConfig(restarts=2, max_iters=30))
     assert logged and len(logged) == len(set(logged))
+    assert output_sides and set(output_sides) == {2}
 
 
 @pytest.mark.parametrize(
@@ -1019,6 +1027,163 @@ def test_every_mirror_step_argument_is_hermitian_within_1e_8(monkeypatch, search
     monkeypatch.setattr(optimize, "_mirror_step", checked_step)
     search(random_channel(3, 2, 2, np.random.default_rng(6)), OptimizerConfig(restarts=2, max_iters=30))
     assert defects and max(defects) <= 1e-8
+
+
+# ----- where a mirror line search ends -----
+
+_ASCENTS = {
+    "max_ic": maximize_coherent_information,
+    "min_ic": minimize_coherent_information,
+    "max_rci": maximize_reverse_coherent_information,
+}
+
+
+def _captured_stack(monkeypatch, search, phi, cfg, base=2.0):
+    """The (value_fn, grad_fn, seeds, max_iters, sign) that ``search`` hands ``_ascent_stack``."""
+    stacks = []
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "_ascent_stack", lambda *args: stacks.append(args) or _ascent_stack(*args))
+        search(phi, cfg, base)
+    return stacks[0]
+
+
+@pytest.mark.parametrize("base", [2.0, math.e], ids=["bits", "nats"])
+@pytest.mark.parametrize("search", list(_ASCENTS))
+def test_mirror_slope_is_the_derivative_along_the_mirror_path(monkeypatch, search, base):
+    rng = np.random.default_rng(11)
+    for d_in, d_out, k in [(2, 3, 2), (3, 2, 2), (3, 3, 3)]:
+        phi = random_channel(d_in, d_out, k, rng)
+        value_fn, grad_fn, _, _, sign = _captured_stack(
+            monkeypatch, _ASCENTS[search], phi, OptimizerConfig(restarts=0, max_iters=0), base
+        )
+        rho = np.array([random_density_matrix(d_in, rng).mat for _ in range(4)])
+        log_r, w, v = _log_eigen(rho)
+        grad = sign * grad_fn(value_fn(rho)[1], log_r)
+
+        def signed_value(e):
+            return sign * value_fn(_mirror_step(log_r, grad, np.full(len(rho), e)))[0]
+
+        slope = _mirror_slope(w, v, grad)
+        h = 1e-5
+        assert np.all(slope >= 0.0)
+        assert np.allclose(slope, (signed_value(h) - signed_value(-h)) / (2 * h), rtol=1e-6, atol=1e-9)
+
+
+def test_mirror_slope_is_nonnegative_and_vanishes_on_multiples_of_the_identity():
+    rng = np.random.default_rng(12)
+    for d in (2, 3, 5, 8):
+        # rank 1 and 2 leave eigenvalues at the 1e-300 floor, I/d a fully tied spectrum
+        rho = np.array([*(random_density_matrix(d, rng, rank=r).mat for r in (1, 2, d)), np.eye(d) / d])
+        _, w, v = _log_eigen(rho)
+        for _ in range(5):
+            noise = rng.standard_normal(rho.shape) + 1j * rng.standard_normal(rho.shape)
+            assert np.all(_mirror_slope(w, v, hermitize(noise)) >= 0.0)
+        for c in (1.0, -2.5):
+            flat = _mirror_slope(w, v, c * np.broadcast_to(np.eye(d, dtype=complex), rho.shape).copy())
+            assert np.all(flat >= 0.0) and np.all(flat <= 1e-28 * c * c)  # 0 up to rounding
+
+
+def _reference_ascent_stack(value_fn, grad_fn, seeds, max_iters: int, sign: int = 1) -> list:
+    """``_ascent_stack`` before the slope stop rule: a line search that no step
+    size improves runs all 50 trials, and a trial is accepted if it beats its
+    seed's value by more than 1e-15."""
+    signed = operator.neg if sign < 0 else operator.pos
+    rho = np.array(seeds, dtype=complex)
+    vals, outs = value_fn(rho)
+    history = [[v] for v in vals.tolist()]
+    n = len(rho)
+    etas, eta = [None] * n, [_STEP] * n
+    log_rho, grad = np.empty_like(rho), np.empty_like(rho)
+
+    def step(running):
+        if fresh := [s for s in running if etas[s] is None]:
+            for s in fresh:
+                etas[s] = _halvings(eta[s], 50)
+            log_rho[fresh] = hermitian_log(rho[fresh])
+            grad[fresh] = signed(grad_fn(tuple(o[fresh] for o in outs), log_rho[fresh]))
+        gains, idx, steps = {}, [], []
+        for s in running:
+            if (e := next(etas[s], None)) is None:
+                gains[s] = None
+            else:
+                idx.append(s)
+                steps.append(e)
+        if idx:
+            trial = optimize._mirror_step(log_rho[idx], grad[idx], np.array(steps))
+            trial_vals, trial_outs = value_fn(trial)
+            for i, (s, e, v) in enumerate(zip(idx, steps, trial_vals.tolist())):
+                if signed(v) > (cur := signed(history[s][-1])) + 1e-15:
+                    gains[s], rho[s] = signed(v) - cur, trial[i]
+                    for o, t in zip(outs, trial_outs):
+                        o[s] = t[i]
+                    history[s].append(v)
+                    eta[s], etas[s] = min(e * 2.0, 4.0), None
+        return gains
+
+    stops = _drive(step, n, max_iters)
+    return [(rho[s], history[s][-1], history[s], *stops[s]) for s in range(n)]
+
+
+def _counted_ascent(monkeypatch, loop, value_fn, grad_fn, seeds, max_iters, sign):
+    """Runs of ``loop`` with its trials, its mirror steps and gradient calls, and
+    the ``_eigh`` calls it makes outside ``value_fn`` and ``grad_fn``."""
+    counts = {"trials": 0, "steps": 0, "values": 0, "grads": 0, "eighs": 0}
+    inside = []
+    step, eigh = optimize._mirror_step, linalg._eigh
+
+    def counted_step(log_rho, grad, eta):
+        counts["trials"] += len(eta)
+        counts["steps"] += 1
+        return step(log_rho, grad, eta)
+
+    def counted_eigh(a):
+        counts["eighs"] += not inside
+        return eigh(a)
+
+    def scoring(fn, key):
+        def scored(*args):
+            counts[key] += 1
+            inside.append(1)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return scored
+
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "_mirror_step", counted_step)
+        m.setattr(optimize, "_eigh", counted_eigh)
+        m.setattr(linalg, "_eigh", counted_eigh)
+        runs = loop(scoring(value_fn, "values"), scoring(grad_fn, "grads"), seeds, max_iters, sign)
+    return runs, counts
+
+
+_STOP_PANEL = {
+    "erasure(4,0.2)": lambda: erasure(4, 0.2),
+    "erasure(8,0.3)": lambda: erasure(8, 0.3),
+    "depolarizing(3,0.2)": lambda: depolarizing(3, 0.2),
+    "random(3,2,2)": lambda: random_channel(3, 2, 2, np.random.default_rng(3)),
+}
+
+
+@pytest.mark.parametrize("channel", list(_STOP_PANEL))
+def test_slope_rule_only_cuts_line_searches_short(monkeypatch, channel):
+    # against the loop without the rule: each seed's path is a prefix of the
+    # reference path, bit for bit, with its value within 1e-13; no more trials;
+    # and one _eigh per mirror step and per log of rho, as before
+    phi, cut = _STOP_PANEL[channel](), 0
+    for search in _ASCENTS.values():
+        args = _captured_stack(monkeypatch, search, phi, OptimizerConfig(restarts=2, max_iters=60))
+        new, new_counts = _counted_ascent(monkeypatch, _ascent_stack, *args)
+        ref, ref_counts = _counted_ascent(monkeypatch, _reference_ascent_stack, *args)
+        for (_, val, history, _, its), (_, ref_val, ref_history, _, ref_its) in zip(new, ref):
+            assert [h.hex() for h in history] == [h.hex() for h in ref_history[: len(history)]]
+            assert abs(val - ref_val) <= 1e-13 and its <= ref_its
+        assert new_counts["trials"] <= ref_counts["trials"]
+        for counts in (new_counts, ref_counts):
+            assert counts["eighs"] == counts["steps"] + counts["grads"]
+        cut += ref_counts["trials"] - new_counts["trials"]
+    assert cut > 0  # the rule ended at least one line search early
 
 
 def _bell_like_state():
