@@ -9,10 +9,11 @@ out. Each search supplies the step of one round:
   information and its reverse variant, one line-search trial of every seed
   per round through one stacked (S, n, n) mirror step; each seed carries the
   channel outputs its point was scored with, and its gradient reads them.
-  A trial is accepted if it beats its seed's value by more than
-  ``_MARGIN``; no move improves when 50 step sizes fail, or sooner, at the
-  first step size e after a rejected trial with e * slope < ``_MARGIN``,
-  slope being the value's derivative along the mirror path at e = 0,
+  A step's schedule (``_halvings``) is fixed when it starts: up to 50 step
+  sizes, each half the last, those after the first only while size * slope
+  >= ``_MARGIN``, slope being the value's derivative along the mirror path
+  at size 0. A trial is accepted if it beats its seed's value by more than
+  ``_MARGIN``; no move improves when the schedule runs out,
 * a see-saw alternation giving certified lower bounds on diamond-norm
   distance between two channels, one alternation per seed and round,
 * projected gradient descent over PPT states for the relative entropy of
@@ -66,7 +67,7 @@ from .linalg import (
 
 _STALL_LIMIT = 10
 _TOL = 1e-7  # gains below this count towards the stall limit
-_MARGIN = 1e-15  # a mirror trial must beat its seed's value by more than this
+_MARGIN = 1e-15  # a line-search trial must beat the current value by more than this
 _STEP = 0.1  # initial step size; subgradient scale of the trace-distance oracle
 _BASIS_SEED_CAP = 8
 _BASIS_SEED_MIX = 1e-6
@@ -150,9 +151,12 @@ def _drive(step, n: int, max_iters: int) -> list:
     return stops
 
 
-def _halvings(eta: float, tries: int):
-    """The step sizes a line search tries: eta, eta / 2, ..., ``tries`` of them."""
-    for _ in range(tries):
+def _halvings(eta: float, tries: int, slope: float = math.inf):
+    """The step sizes a line search tries: eta, eta / 2, ..., ``tries`` of them, each after the
+    first only while e * ``slope`` >= ``_MARGIN`` (a mirror step's first-order gain at e)."""
+    for k in range(tries):
+        if k and eta * slope < _MARGIN:
+            return
         yield eta
         eta *= 0.5
 
@@ -220,10 +224,10 @@ def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int, sign: int = 1) -> li
     complex zero). Each seed carries its rho's outputs and takes a trial's on accepting it, so no
     channel sees one matrix twice. A round sends the next trial of every running seed through one
     stacked mirror step and one stacked ``value_fn`` call, and the seeds starting a step through
-    one ``_log_eigen`` and one ``grad_fn`` call. A seed's first rejected trial of a step sets its
-    slope (``_mirror_slope``, from the eigenpairs of its log, one stacked call per round); from then
-    on a step size e with e * slope < ``_MARGIN`` ends the search, as no smaller step's first-order
-    gain clears the margin. Seeds never mix, so each follows the path it follows alone.
+    one ``_log_eigen``, one ``grad_fn`` and one ``_mirror_slope`` call, the slope read from the
+    eigenpairs of the log. The slope fixes the step's schedule: from its second trial on, a step
+    size e with e * slope < ``_MARGIN`` ends the search, as no smaller step's first-order gain
+    clears the margin. Seeds never mix, so each follows the path it follows alone.
     """
     signed = operator.neg if sign < 0 else operator.pos
     rho = np.array(seeds, dtype=complex)
@@ -231,20 +235,18 @@ def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int, sign: int = 1) -> li
     history = [[v] for v in vals.tolist()]
     n = len(rho)
     etas, eta = [None] * n, [_STEP] * n  # etas[s]: seed s's line search, None between steps
-    slopes = [math.inf] * n  # inf until the seed's line search rejects a trial
-    log_rho, grad, v_rho = np.empty_like(rho), np.empty_like(rho), np.empty_like(rho)
-    w_rho = np.empty(rho.shape[:2])
+    log_rho, grad = np.empty_like(rho), np.empty_like(rho)
 
     def step(running):
         if fresh := [s for s in running if etas[s] is None]:
-            for s in fresh:
-                etas[s], slopes[s] = _halvings(eta[s], 50), math.inf
-            fresh = np.array(fresh)  # an index array indexes faster than a list
-            log_rho[fresh], w_rho[fresh], v_rho[fresh] = eigen = _log_eigen(rho[fresh])
-            grad[fresh] = signed(grad_fn(tuple(o[fresh] for o in outs), eigen[0]))
+            at = np.array(fresh)  # an index array indexes faster than a list
+            log_rho[at], w, v = eigen = _log_eigen(rho[at])
+            grad[at] = g = signed(grad_fn(tuple(o[at] for o in outs), eigen[0]))
+            for s, slope in zip(fresh, _mirror_slope(w, v, g).tolist()):
+                etas[s] = _halvings(eta[s], 50, slope)
         gains, idx, steps = {}, [], []
         for s in running:
-            if (e := next(etas[s], None)) is None or e * slopes[s] < _MARGIN:
+            if (e := next(etas[s], None)) is None:
                 gains[s] = None  # no step size improved, or no smaller one can
             else:
                 idx.append(s)
@@ -253,7 +255,6 @@ def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int, sign: int = 1) -> li
             at = np.array(idx)
             trial = _mirror_step(log_rho[at], grad[at], np.array(steps))
             trial_vals, trial_outs = value_fn(trial)
-            rejected = []
             for i, (s, e, v) in enumerate(zip(idx, steps, trial_vals.tolist())):
                 if signed(v) > (cur := signed(history[s][-1])) + _MARGIN:
                     gains[s], rho[s] = signed(v) - cur, trial[i]
@@ -261,12 +262,6 @@ def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int, sign: int = 1) -> li
                         o[s] = t[i]
                     history[s].append(v)
                     eta[s], etas[s] = min(e * 2.0, 4.0), None
-                elif slopes[s] == math.inf:
-                    rejected.append(s)
-            if rejected:
-                at = np.array(rejected)
-                for s, x in zip(rejected, _mirror_slope(w_rho[at], v_rho[at], grad[at]).tolist()):
-                    slopes[s] = x
         return gains
 
     stops = _drive(step, n, max_iters)
@@ -547,14 +542,14 @@ def ree_ppt_lower(
     and keeps the best dual certificate seen at any iterate. ``value`` is
     that certificate (valid regardless of convergence), ``objective`` the
     relative entropy at the last accepted, converged projection, or at the
-    start projection when no step was accepted (an upper reference for the
-    PPT relaxation), and the witness is the candidate behind ``value``. A
-    line-search trial whose projection has not converged within 100 Dykstra
-    sweeps (``_TRIAL_SWEEPS``) is rejected like one that does not lower the
-    objective, so every accepted trial is a converged projection. The input
-    is mixed with weight 1e-9 of the maximally mixed state so logarithms
-    stay finite; this perturbs the target by a comparable amount.
-    One run from the PPT projection of the input: of ``cfg`` only
+    start projection when no step was accepted (the default ``project_ppt``
+    call, which may stop unconverged at 200 sweeps), and the witness is the
+    candidate behind ``value``. A line-search trial whose projection has not
+    converged within 100 Dykstra sweeps (``_TRIAL_SWEEPS``) is rejected like
+    one that does not lower the objective, so every accepted trial is a
+    converged projection. The search and its certificate are for rho_t, the
+    input mixed with weight 1e-9 of the maximally mixed state, not for the
+    input itself. One run from the PPT projection of rho_t: of ``cfg`` only
     ``max_iters`` is read.
     """
     cfg = cfg or OptimizerConfig()
@@ -573,7 +568,7 @@ def ree_ppt_lower(
             if trial is None:
                 continue
             scored = _ree_objective(rho_t, tr_log, trial, lb)
-            if scored[0] < f - 1e-15:
+            if scored[0] < f - _MARGIN:
                 break
         else:
             return {0: None}  # the line search is exhausted: no step size improved

@@ -1186,6 +1186,97 @@ def test_slope_rule_only_cuts_line_searches_short(monkeypatch, channel):
     assert cut > 0  # the rule ended at least one line search early
 
 
+def _lazy_slope_ascent_stack(value_fn, grad_fn, seeds, max_iters: int, sign: int = 1) -> list:
+    """``_ascent_stack`` with the slope taken lazily: a seed's first rejected
+    trial of a step sets its slope, from eigenpairs kept since the step
+    started, in one stacked ``_mirror_slope`` call per round; from then on a
+    step size e with e * slope < ``_MARGIN`` ends the search."""
+    signed = operator.neg if sign < 0 else operator.pos
+    rho = np.array(seeds, dtype=complex)
+    vals, outs = value_fn(rho)
+    history = [[v] for v in vals.tolist()]
+    n = len(rho)
+    etas, eta = [None] * n, [_STEP] * n
+    slopes = [math.inf] * n  # inf until the seed's line search rejects a trial
+    log_rho, grad, v_rho = np.empty_like(rho), np.empty_like(rho), np.empty_like(rho)
+    w_rho = np.empty(rho.shape[:2])
+
+    def step(running):
+        if fresh := [s for s in running if etas[s] is None]:
+            for s in fresh:
+                etas[s], slopes[s] = _halvings(eta[s], 50), math.inf
+            fresh = np.array(fresh)
+            log_rho[fresh], w_rho[fresh], v_rho[fresh] = eigen = _log_eigen(rho[fresh])
+            grad[fresh] = signed(grad_fn(tuple(o[fresh] for o in outs), eigen[0]))
+        gains, idx, steps = {}, [], []
+        for s in running:
+            if (e := next(etas[s], None)) is None or e * slopes[s] < _MARGIN:
+                gains[s] = None
+            else:
+                idx.append(s)
+                steps.append(e)
+        if idx:
+            at = np.array(idx)
+            trial = optimize._mirror_step(log_rho[at], grad[at], np.array(steps))
+            trial_vals, trial_outs = value_fn(trial)
+            rejected = []
+            for i, (s, e, v) in enumerate(zip(idx, steps, trial_vals.tolist())):
+                if signed(v) > (cur := signed(history[s][-1])) + _MARGIN:
+                    gains[s], rho[s] = signed(v) - cur, trial[i]
+                    for o, t in zip(outs, trial_outs):
+                        o[s] = t[i]
+                    history[s].append(v)
+                    eta[s], etas[s] = min(e * 2.0, 4.0), None
+                elif slopes[s] == math.inf:
+                    rejected.append(s)
+            if rejected:
+                at = np.array(rejected)
+                for s, x in zip(rejected, _mirror_slope(w_rho[at], v_rho[at], grad[at]).tolist()):
+                    slopes[s] = x
+        return gains
+
+    stops = _drive(step, n, max_iters)
+    return [(rho[s], history[s][-1], history[s], *stops[s]) for s in range(n)]
+
+
+@pytest.mark.parametrize("channel", list(_STOP_PANEL))
+@pytest.mark.parametrize("search", list(_ASCENTS))
+def test_slope_taken_when_the_step_starts_matches_the_lazy_slope_bit_for_bit(monkeypatch, search, channel):
+    # the slope rule applies only from a step's second trial on, which runs only
+    # after its first was rejected, so taking the slope early changes no decision
+    cfg = OptimizerConfig(restarts=2, max_iters=60)
+    args = _captured_stack(monkeypatch, _ASCENTS[search], _STOP_PANEL[channel](), cfg)
+    new, new_counts = _counted_ascent(monkeypatch, _ascent_stack, *args)
+    lazy, lazy_counts = _counted_ascent(monkeypatch, _lazy_slope_ascent_stack, *args)
+    for (rho, val, history, converged, its), (l_rho, l_val, l_history, l_converged, l_its) in zip(new, lazy):
+        assert rho.tobytes() == l_rho.tobytes()
+        assert [h.hex() for h in (val, *history)] == [h.hex() for h in (l_val, *l_history)]
+        assert (converged, its) == (l_converged, l_its)
+    assert new_counts["trials"] == lazy_counts["trials"]
+
+
+@pytest.mark.parametrize("eta", [_STEP, 4.0, 3e-7])
+def test_halvings_yield_eta_then_the_halvings_the_slope_allows(eta):
+    sizes = [eta * 0.5**k for k in range(50)]
+    assert list(_halvings(eta, 50)) == list(_halvings(eta, 50, math.inf)) == sizes
+    assert list(_halvings(eta, 50, 0.0)) == [eta]
+    for slope in (1e-14, 1e-12, 3.7e-9, 1.0, 1e3):
+        allowed = [e for e in sizes[1:] if e * slope >= _MARGIN]
+        assert allowed == sizes[1 : 1 + len(allowed)]  # the rule ends the schedule, never skips a size
+        assert list(_halvings(eta, 50, slope)) == [eta, *allowed]
+    assert list(_halvings(eta, 0, 1.0)) == []
+
+
+@pytest.mark.parametrize("search", list(_ASCENTS))
+def test_ascent_takes_one_slope_stack_per_log_of_rho(monkeypatch, search):
+    logged, sloped = [], []
+    log_eigen, slope = optimize._log_eigen, optimize._mirror_slope
+    monkeypatch.setattr(optimize, "_log_eigen", lambda m: logged.append(len(m)) or log_eigen(m))
+    monkeypatch.setattr(optimize, "_mirror_slope", lambda w, v, g: sloped.append(len(g)) or slope(w, v, g))
+    _ASCENTS[search](random_channel(3, 2, 2, np.random.default_rng(3)), OptimizerConfig(restarts=2, max_iters=60))
+    assert logged and sloped == logged
+
+
 def _bell_like_state():
     rng = np.random.default_rng(9)
     g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
