@@ -59,7 +59,7 @@ def main():
     print("descent only sharpens it.")
     print()
 
-    print("=== subgradient search for the trace distance to PPT")
+    print("=== log-barrier solve for the trace distance to PPT")
     cert = trace_dist_to_ppt(bell, cfg)
     print(f"Bell state: search estimate {cert.value:.8f} (exact distance: 1)")
     print("This one is an estimate used as a sanity oracle, not a certificate:")

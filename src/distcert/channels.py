@@ -16,7 +16,7 @@ product, so a side of dimension 1 keeps per-operator first products.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -33,12 +33,16 @@ class KrausChannel:
 
     The constructor accepts any sequence of d_out x d_in operators (a 3-D
     array included); ``kraus`` then holds them as one read-only complex
-    array of shape (d_env, d_out, d_in). Entries must be finite.
+    array of shape (d_env, d_out, d_in). Entries must be finite. ``_kraus_dag``
+    holds every K_j^dag, entry j ``kraus[j].conj().T`` in values and layout,
+    read-only: made once for the completeness check, then read by every
+    application.
     """
 
     kraus: np.ndarray
     d_in: int
     d_out: int
+    _kraus_dag: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "d_in", _as_int(self.d_in, "d_in"))
@@ -54,20 +58,18 @@ class KrausChannel:
         kraus = np.array(ops)
         if not np.isfinite(kraus).all():  # NaN would pass the completeness check
             raise ValueError("Kraus operators have a non-finite entry")
-        s = (_dagger(kraus) @ kraus).sum(0)
+        dag = kraus.conj().transpose(0, 2, 1)
+        s = (dag @ kraus).sum(0)
         if np.max(np.abs(s - np.eye(self.d_in))) > COMPLETENESS_TOL:
             raise ValueError("Kraus operators do not satisfy completeness within 1e-9")
         kraus.setflags(write=False)
+        dag.setflags(write=False)
         object.__setattr__(self, "kraus", kraus)
+        object.__setattr__(self, "_kraus_dag", dag)
 
     @property
     def d_env(self) -> int:
         return self.kraus.shape[0]
-
-
-def _dagger(k: np.ndarray) -> np.ndarray:
-    """K_j^dag of every operator of ``k``; entry j is ``k[j].conj().T`` in values and layout."""
-    return k.conj().transpose(0, 2, 1)
 
 
 def _stinespring_products(k: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -89,12 +91,12 @@ def _kraus_sum(w: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def apply_mat(phi: KrausChannel, m: np.ndarray) -> np.ndarray:
     """Channel action on a raw matrix or a stack of them (no state validation)."""
-    return _kraus_sum(_stinespring_products(phi.kraus, m), _dagger(phi.kraus))
+    return _kraus_sum(_stinespring_products(phi.kraus, m), phi._kraus_dag)
 
 
 def adjoint_apply_mat(phi: KrausChannel, m: np.ndarray) -> np.ndarray:
     """Heisenberg-picture action sum_k K^dag M K, on a matrix or a stack."""
-    return _kraus_sum(_stinespring_products(_dagger(phi.kraus), m), phi.kraus)
+    return _kraus_sum(_stinespring_products(phi._kraus_dag, m), phi.kraus)
 
 
 def _check_input(phi: KrausChannel, rho: DensityMatrix) -> None:
@@ -132,7 +134,7 @@ def _coherent_information_mat(phi: KrausChannel, comp: KrausChannel, m: np.ndarr
     products are Phi's grouped by output index, one stack for both bar a one-row side."""
     w = _stinespring_products(phi.kraus, m)
     w_env = w.swapaxes(-3, -2) if min(phi.d_out, phi.d_env) > 1 else _stinespring_products(comp.kraus, m)
-    out, env = _kraus_sum(w, _dagger(phi.kraus)), _kraus_sum(w_env, _dagger(comp.kraus))
+    out, env = _kraus_sum(w, phi._kraus_dag), _kraus_sum(w_env, comp._kraus_dag)
     return _entropy_mat(out, base) - _entropy_mat(env, base), (out, env)
 
 

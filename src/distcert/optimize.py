@@ -19,8 +19,9 @@ out. Each search supplies the step of one round:
 * projected gradient descent over PPT states for the relative entropy of
   entanglement, with a dual minorant making every iterate a certificate.
 
-The trace-norm search for the distance to the PPT set is the one search
-outside the driver: it always runs ``max_iters`` diminishing steps.
+The trace-norm estimate of the distance to the PPT set is the one search
+outside the driver: a log-barrier interior-point solve whose ``max_iters``
+caps its Newton steps.
 
 Everything a Certificate reports as ``value`` is exactly evaluable from its
 witness: each search scores with the code that re-checks it (the evaluators in
@@ -68,7 +69,7 @@ from .linalg import (
 _STALL_LIMIT = 10
 _TOL = 1e-7  # gains below this count towards the stall limit
 _MARGIN = 1e-15  # a line-search trial must beat the current value by more than this
-_STEP = 0.1  # initial step size; subgradient scale of the trace-distance oracle
+_STEP = 0.1  # initial step size of the mirror ascents and of the REE descent
 _BASIS_SEED_CAP = 8
 _BASIS_SEED_MIX = 1e-6
 _RHO_FLOOR = 1e-9
@@ -77,6 +78,8 @@ _EIG_PAIR_GUARD = 1e-13
 _DYKSTRA_TOL = 1e-10
 _DYKSTRA_MAX_ITERS = 200
 _TRIAL_SWEEPS = 100  # a REE line-search trial whose projection needs more is rejected
+_GAP_TOL = 1e-9  # the barrier solve of the trace-distance oracle ends once nu / t is this small
+_CENTER_TOL = 1e-10  # a centering ends once the squared Newton decrement is this small
 
 
 @dataclass(frozen=True)
@@ -434,6 +437,25 @@ def _project_density(a: np.ndarray) -> np.ndarray:
     return (u * np.maximum(w - theta, 0.0)) @ u.conj().T
 
 
+def _dykstra(x: np.ndarray, perm: np.ndarray, sweeps: int) -> tuple[np.ndarray, bool]:
+    """(hermitized density-side iterate, whether the stop test fired) after at most ``sweeps``
+    Dykstra sweeps from the Hermitian ``x``, ``perm`` its ``_pt_index``; see ``project_ppt``."""
+    p = q = np.zeros_like(x)
+    y = x
+    for _ in range(sweeps):
+        s = x + p
+        y = _project_density(s)
+        p = s - y
+        s = y + q
+        w, u = _eigh(hermitize(s.take(perm)))
+        x = ((u * np.maximum(w, 0.0)) @ u.conj().T).take(perm)
+        q = s - x
+        d = (y - x).ravel()
+        if math.sqrt(d.real.dot(d.real) + d.imag.dot(d.imag)) < _DYKSTRA_TOL:
+            return hermitize(y), True
+    return hermitize(y), False
+
+
 def project_ppt(mat: np.ndarray, dims: tuple[int, int], *, sweeps: int | None = None) -> np.ndarray | None:
     """Nearest PPT density matrix in Frobenius norm, via Dykstra alternation.
 
@@ -453,21 +475,8 @@ def project_ppt(mat: np.ndarray, dims: tuple[int, int], *, sweeps: int | None = 
     a = np.asarray(mat, dtype=complex)
     perm = _pt_index(a, dims)
     _check_symmetrizable(a)
-    x = hermitize(a)
-    p = q = np.zeros_like(x)
-    y = x
-    for _ in range(_DYKSTRA_MAX_ITERS if sweeps is None else sweeps):
-        s = x + p
-        y = _project_density(s)
-        p = s - y
-        s = y + q
-        w, u = _eigh(hermitize(s.take(perm)))
-        x = ((u * np.maximum(w, 0.0)) @ u.conj().T).take(perm)
-        q = s - x
-        d = (y - x).ravel()
-        if math.sqrt(d.real.dot(d.real) + d.imag.dot(d.imag)) < _DYKSTRA_TOL:
-            return hermitize(y)
-    return hermitize(y) if sweeps is None else None
+    y, converged = _dykstra(hermitize(a), perm, _DYKSTRA_MAX_ITERS if sweeps is None else sweeps)
+    return y if converged or sweeps is None else None
 
 
 # ----- relative entropy of entanglement, certified from below -----
@@ -542,20 +551,21 @@ def ree_ppt_lower(
     and keeps the best dual certificate seen at any iterate. ``value`` is
     that certificate (valid regardless of convergence), ``objective`` the
     relative entropy at the last accepted, converged projection, or at the
-    start projection when no step was accepted (the default ``project_ppt``
-    call, which may stop unconverged at 200 sweeps), and the witness is the
-    candidate behind ``value``. A line-search trial whose projection has not
-    converged within 100 Dykstra sweeps (``_TRIAL_SWEEPS``) is rejected like
-    one that does not lower the objective, so every accepted trial is a
-    converged projection. The search and its certificate are for rho_t, the
-    input mixed with weight 1e-9 of the maximally mixed state, not for the
-    input itself. One run from the PPT projection of rho_t: of ``cfg`` only
-    ``max_iters`` is read.
+    start projection when no step was accepted. The start is the PPT
+    projection of rho_t capped at 200 Dykstra sweeps; if it has not
+    converged by then and no step is accepted, ``objective`` is None, as the
+    start need not be PPT. The witness is the candidate behind ``value``. A
+    line-search trial whose projection has not converged within 100 Dykstra
+    sweeps (``_TRIAL_SWEEPS``) is rejected like one that does not lower the
+    objective, so every accepted trial is a converged projection. The search
+    and its certificate are for rho_t, the input mixed with weight 1e-9 of
+    the maximally mixed state, not for the input itself. One run from the
+    PPT projection of rho_t: of ``cfg`` only ``max_iters`` is read.
     """
     cfg = cfg or OptimizerConfig()
     lb = math.log(_check_base(base))
     rho_t, tr_log, dims = _regularized(rho)
-    best_sigma = project_ppt(rho_t, dims)
+    best_sigma, start_converged = _dykstra(hermitize(rho_t), _pt_index(rho_t, dims), _DYKSTRA_MAX_ITERS)
     f, grad, cert, sig = _ree_terms(_ree_objective(rho_t, tr_log, best_sigma, lb), dims, lb)
     best_cert = cert
     history = [cert]
@@ -582,45 +592,121 @@ def ree_ppt_lower(
 
     [(converged, it)] = _drive(step, 1, cfg.max_iters)
     witness = DensityMatrix(best_sigma, dims)
+    objective = f if start_converged or len(history) > 1 else None
     return Certificate(
-        "ER_lower", best_cert, witness, converged, it, objective=f, history=tuple(history)
+        "ER_lower", best_cert, witness, converged, it, objective=objective, history=tuple(history)
     )
 
 
 # ----- trace distance to the PPT set (search estimate) -----
 
 
+def _hermitian_basis(n: int) -> np.ndarray:
+    """(n * n, n * n): column j the row-major vec of member j of an orthonormal basis of the
+    Hermitian n x n matrices (inner product Re tr(A^dag B)): the traceless diagonal (Helmert)
+    matrices, then I / sqrt(n) at column n - 1, then the off-diagonal pairs."""
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    for k in range(1, n):
+        basis[k - 1, range(k), range(k)] = 1.0 / math.sqrt(k * (k + 1))
+        basis[k - 1, k, k] = -k / math.sqrt(k * (k + 1))
+    basis[n - 1] = np.eye(n) / math.sqrt(n)
+    a, b = np.triu_indices(n, 1)
+    j = np.arange(n, n + len(a))
+    basis[j, a, b] = basis[j, b, a] = 1.0 / math.sqrt(2.0)
+    basis[j + len(a), a, b] = 1j / math.sqrt(2.0)
+    basis[j + len(a), b, a] = -1j / math.sqrt(2.0)
+    return basis.reshape(n * n, n * n).T
+
+
 def trace_dist_to_ppt(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> Certificate:
     """Search estimate of min over PPT states of ||rho - sigma||_1.
 
-    Projected subgradient descent with diminishing steps, the one search
-    outside ``_drive``: it always runs ``max_iters`` steps, as a stall rule
-    moves its estimate. sigma is Dykstra's density-side iterate, PPT only
-    to the projection's tolerance (eigenvalues of sigma^Gamma near -1e-8),
-    so the value is an upper value for the PPT distance only up to that
-    slack, and never a lower bound. Only for d_A * d_B <= 6, where PPT and
-    separable states coincide, does it estimate the separability distance.
-    One run from the PPT projection of the input: of ``cfg`` only
-    ``max_iters`` is read.
+    A primal log-barrier solve of the SDP: minimise tr P + tr N, N = P - rho
+    + sigma, over sigma, sigma^Gamma, P, N > 0 with tr sigma = 1 (barrier
+    parameter nu = 4n, n = d_A * d_B). The coordinates are real ones of P
+    and of sigma = I/n + a traceless part, so tr sigma is 1 by construction.
+    Each centering takes Newton steps on t (tr P + tr N) minus the blocks'
+    log determinants, the Hessian summing Re tr(Y E_i Y E_j) over the blocks
+    (Y a block's inverse, from ``_eigh``), with a backtracking line search
+    that keeps every block positive definite. A centering ends when the
+    squared Newton decrement is at most 1e-10 or, at the working precision,
+    when 12 halvings cannot lower the barrier objective; then t grows 8x,
+    until nu / t <= 1e-9 (``converged``). The start is rho mixed with I/n
+    just past the PPT boundary.
+
+    Every iterate's sigma and sigma^Gamma have positive eigenvalues, so the
+    witness (the lowest-valued iterate) is PPT and ``value``, its trace
+    distance to rho, is an upper value for the PPT distance, never a lower
+    bound. A Newton step costs O(n^6): the design point is n <= 6, where PPT
+    and separable states coincide and the value estimates the distance to
+    the separable set. Of ``cfg`` only ``max_iters`` is read, as the cap on
+    Newton steps.
     """
     cfg = cfg or OptimizerConfig()
     dims = _require_dims(rho)
-    sigma = project_ppt(rho.mat, dims)
-    val = trace_norm(gap := rho.mat - sigma)
-    best_val, best_sigma = val, sigma
-    history = [val]
-    last_improvement = 0
-    for it in range(1, cfg.max_iters + 1):
-        sigma = project_ppt(sigma + (_STEP / math.sqrt(it)) * _sign_matrix(gap), dims)
-        val = trace_norm(gap := rho.mat - sigma)
-        history.append(val)
-        if val < best_val - _TOL:
-            last_improvement = it
-        if val < best_val:
-            best_val = val
-            best_sigma = sigma
-    converged = (cfg.max_iters - last_improvement) >= _STALL_LIMIT
-    witness = DensityMatrix(best_sigma, dims)
+    n, nn = rho.dim, rho.dim**2
+    perm = _pt_index(rho.mat, dims)
+    basis = _hermitian_basis(n)
+    traceless = np.delete(basis, n - 1, axis=1)
+    m = 2 * nn - 1  # coordinates: sigma's traceless part, then P
+    lift = np.zeros((4, nn, m), dtype=complex)  # d vec(block) / d coordinates
+    lift[0, :, : nn - 1] = traceless
+    lift[1, :, : nn - 1] = traceless[perm.ravel()]
+    lift[2, :, nn - 1 :] = lift[3, :, nn - 1 :] = basis
+    lift[3, :, : nn - 1] = traceless
+    cost = np.zeros(m)
+    cost[nn - 1 + n - 1] = 2.0 * math.sqrt(n)  # tr P + tr N = 2 tr P, as tr sigma = tr rho
+    eye = np.eye(n)
+
+    def blocks(z):
+        sigma = hermitize(eye / n + (traceless @ z[: nn - 1]).reshape(n, n))
+        p = hermitize((basis @ z[nn - 1 :]).reshape(n, n))
+        return np.stack([sigma, sigma.take(perm), p, p - rho.mat + sigma])
+
+    low = min(float(_eigvalsh(rho.mat)[0]), float(_eigvalsh(rho.mat.take(perm))[0]))
+    # (1 - mix) * low + mix / n = 0 at the boundary mix; the start sits just past it
+    mix = 0.0 if low > 0.0 else min(1.0, -n * low / (1.0 - n * low) * (1.0 + 1e-3) + 1e-9)
+    sigma = (1.0 - mix) * rho.mat + mix * eye / n
+    w, u = _eigh(hermitize(rho.mat - sigma))
+    # P and N: the positive and negative parts of rho - sigma, each plus the same multiple of I
+    p = (u * (np.maximum(w, 0.0) + max(float(np.abs(w).sum()) / (2 * n), 1e-12))) @ u.conj().T
+    z = np.concatenate([(traceless.conj().T @ sigma.ravel()).real, (basis.conj().T @ p.ravel()).real])
+    nu = 4.0 * n
+    t = nu / float(cost @ z)
+    x = blocks(z)
+    best = x[0]
+    history = [trace_norm(rho.mat - best)]
+    steps = 0
+    while True:
+        while steps < cfg.max_iters:
+            w, u = _eigh(x)
+            r = (u * w[:, None, :] ** -0.5) @ u.conj().swapaxes(1, 2)  # Y^(1/2) of each block
+            g = (np.einsum("kac,kdb->kabcd", r, r).reshape(4, nn, nn) @ lift).reshape(-1, m)
+            hess = g.real.T @ g.real + g.imag.T @ g.imag
+            grad = t * cost - np.einsum("kij,ki->j", lift.conj(), (r @ r).reshape(4, nn)).real
+            scale = 1.0 / np.sqrt(np.diag(hess))
+            dz = np.linalg.solve(hess * scale[:, None] * scale, -grad * scale) * scale
+            decrement = float(-grad @ dz)
+            if decrement <= _CENTER_TOL:
+                break
+            for e in _halvings(1.0, 12):
+                w_new = _eigvalsh(x_new := blocks(z + e * dz))
+                # the change of the barrier objective, summed from differences
+                if (w_new[:, 0] > 0.0).all() and (
+                    t * e * float(cost @ dz) - float(np.log(w_new / w).sum()) <= -0.25 * e * decrement
+                ):
+                    break
+            else:
+                break  # backtracking cannot lower the barrier objective
+            z, x = z + e * dz, x_new
+            steps += 1
+            if (val := trace_norm(rho.mat - x[0])) < min(history):
+                best = x[0]
+            history.append(val)
+        if nu / t <= _GAP_TOL or steps == cfg.max_iters:
+            break
+        t *= 8.0
+    witness = DensityMatrix(best, dims)
     return Certificate(
-        "Ds_oracle", best_val, witness, converged, cfg.max_iters, history=tuple(history)
+        "Ds_oracle", min(history), witness, nu / t <= _GAP_TOL, steps, history=tuple(history)
     )

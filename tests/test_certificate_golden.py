@@ -19,6 +19,12 @@ started to end at the slope test: the seed that won by a last rounding-noise
 step stops before it, and another seed of value 1.2e-15 higher wins, so its
 iterations (11 -> 12), history, value and witness moved.
 
+``oracle/2x2`` and ``oracle/2x3`` were re-recorded by hand with ``_observed``
+when the trace-distance oracle became a log-barrier solve: its iterations are
+Newton steps, both runs stop unconverged at the 40-step cap, and their
+values fell 0.17958 -> 0.17348 and 0.34938 -> 0.34788, with new histories and
+witnesses.
+
 Counts and flags must match exactly; floats must agree within 1e-9, because
 exact bits differ across LAPACK builds. Do not regenerate the file to make a
 change pass: a search whose output moves is a behaviour change.

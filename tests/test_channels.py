@@ -37,6 +37,7 @@ from distcert import (
     trace_norm,
     von_neumann_entropy,
 )
+from distcert import channels as channels_module
 from distcert.channels import KrausChannel, _coherent_information_mat, adjoint_apply_mat, apply_mat
 from distcert.linalg import hermitian_eigen
 
@@ -375,6 +376,14 @@ def test_kraus_channel_stores_one_read_only_tensor():
     assert not phi.kraus.flags.writeable
     with pytest.raises(ValueError):
         phi.kraus[0, 0, 0] = 1.0
+    # every K_j^dag is made once, read-only, in the values and layout of a fresh conjugate transpose
+    fresh = phi.kraus.conj().transpose(0, 2, 1)
+    assert np.array_equal(phi._kraus_dag, fresh) and phi._kraus_dag.strides == fresh.strides
+    assert not phi._kraus_dag.flags.writeable
+    m = np.arange(4.0).reshape(2, 2) + 1j
+    assert np.array_equal(
+        apply_mat(phi, m), channels_module._kraus_sum(channels_module._stinespring_products(phi.kraus, m), fresh)
+    )
     ragged = [np.eye(2) / math.sqrt(2), np.ones((3, 2)) / 2]
     with pytest.raises(ValueError, match=r"Kraus operator shape \(3, 2\) does not match \(2, 2\)"):
         KrausChannel(ragged, 2, 2)

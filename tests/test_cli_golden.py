@@ -8,7 +8,12 @@ cases at e240132. When ``analyze-state`` lost ``--seed``, the two state cases
 had their ``"seed"`` value set from 0 to null by hand. When mirror line searches
 started to end at the slope test, the min-Ic witness text of
 ``channel/depolarizing(3,0.2)/nats`` was set from 11 to 12 iterations by hand;
-its floats moved by less than 4e-15. The invocations cover the mirror ascents with and without
+its floats moved by less than 4e-15. When the trace-distance oracle became a
+log-barrier solve, the oracle notes of ``state/2x2`` and ``state/2x3`` were set
+by hand from 0.0609955 to 0.0558928 and from 0.4394709 to 0.4388132, and, as
+the oracle now stops unconverged at the 40-step cap, their
+``unconverged searches`` notes from ``ER_lower`` to ``ER_lower, Ds_oracle``.
+The invocations cover the mirror ascents with and without
 ``--ree``, both log bases, CSV output, ``--max-iters 0``, a ``--strict`` run
 that exits 3, ``analyze-state`` with the automatic REE descent and
 trace-distance oracle on rank-2 2x2 and 2x3 states, and the three

@@ -17,7 +17,8 @@ invariant, so the closest member may be taken symmetric:
   the entanglement-breaking distance at most 2(1 - p), and E_{1/2} the
   antidegradable one at most |1 - 2p|.
 
-The closed-form rows feed a report the exact certificates of the maximally
+The trace-distance oracle must meet the state distances from above, as its
+witness is PPT. The closed-form rows feed a report the exact certificates of the maximally
 entangled state, the identity channel or an erasure channel at d up to 2^20,
 where a wrong (a, c) in any formula row shows.
 """
@@ -36,10 +37,13 @@ from distcert import (
     depolarizing,
     erasure,
     maximally_entangled,
+    partial_transpose,
     save_channel,
     save_state,
+    trace_dist_to_ppt,
 )
 from distcert.cli import main
+from distcert.linalg import _eigvalsh
 
 # a report value may exceed the truth by float dust only
 _VALUE_SLACK = 1e-12
@@ -100,6 +104,25 @@ def test_state_report_stays_below_the_true_distance(tmp_path, capsys, rho, dista
     assert _assert_below(rep, {"separable": distance}) >= 1
     [ree] = {e["inputs"]["rel_entropy_entanglement_lower"] for e in rep["entries"] if e["formula"] == "Eq5"}
     assert ree <= e_r + _REE_SLACK
+
+
+@pytest.mark.parametrize(
+    "rho, distance",
+    [
+        pytest.param(*_isotropic_case(2, 0.9)[:2], id="isotropic-d2-F0.9"),
+        pytest.param(*_isotropic_case(3, 0.8)[:2], id="isotropic-d3-F0.8"),
+        pytest.param(*_werner_case(2, 0.95)[:2], id="werner-d2-p0.95"),
+        pytest.param(*_werner_case(3, 0.95)[:2], id="werner-d3-p0.95"),
+    ],
+)
+def test_oracle_meets_the_true_distance_from_above(rho, distance):
+    # a twirl-invariant PPT state of these families is separable, so the known
+    # distance to the separable set is also the distance to the PPT set; the
+    # witness is PPT, so the estimate may not read below it by more than dust
+    cert = trace_dist_to_ppt(rho)
+    assert distance - _VALUE_SLACK <= cert.value <= distance + 1e-6
+    sigma = cert.witness.mat
+    assert _eigvalsh(sigma)[0] >= 0 and _eigvalsh(partial_transpose(sigma, rho.dims))[0] >= 0
 
 
 def _depolarizing_case(d, lam):

@@ -25,6 +25,7 @@ from distcert import (
     depolarizing,
     erasure,
     identity_embedding,
+    max_coherent_information,
     maximally_entangled,
     maximize_coherent_information,
     maximize_reverse_coherent_information,
@@ -37,6 +38,7 @@ from distcert import (
     ree_dual_certificate,
     ree_ppt_lower,
     reverse_coherent_information,
+    separable_distance_lower,
     seesaw_diamond_lower,
     seesaw_objective,
     tensor,
@@ -667,11 +669,12 @@ def test_ree_accepts_only_converged_projections(monkeypatch, dims, seed, max_ite
     # it accepts a trial whose projection ran into the 200-sweep cap unconverged
     rho = random_density_matrix(dims[0] * dims[1], np.random.default_rng(seed), rank=2, dims=dims)
     last, scored_inputs = [], []
-    project, terms = optimize.project_ppt, optimize._ree_terms
+    dykstra, terms = optimize._dykstra, optimize._ree_terms
 
-    def recording_project(mat, dims, **kw):
-        last[:] = [mat]
-        return project(mat, dims, **kw)
+    def recording_dykstra(x, perm, sweeps):
+        # every projection runs here: the start directly, each trial through project_ppt
+        last[:] = [x]
+        return dykstra(x, perm, sweeps)
 
     def recording_terms(*args):
         # the projection scored here is the last one made: the start
@@ -679,7 +682,7 @@ def test_ree_accepts_only_converged_projections(monkeypatch, dims, seed, max_ite
         scored_inputs.append(last[0])
         return terms(*args)
 
-    monkeypatch.setattr(optimize, "project_ppt", recording_project)
+    monkeypatch.setattr(optimize, "_dykstra", recording_dykstra)
     monkeypatch.setattr(optimize, "_ree_terms", recording_terms)
     cert = ree_ppt_lower(rho, OptimizerConfig(max_iters=max_iters))
     accepted = scored_inputs[1:]
@@ -735,6 +738,87 @@ def test_trace_dist_to_ppt_bell_reference():
     # distance to any particular PPT state by more than solver noise.
     sig = DensityMatrix(project_ppt(bell.mat, (2, 2)), dims=(2, 2))
     assert cert.value <= trace_norm(bell.mat - sig.mat) + 1e-9
+
+
+def _is_ppt(sigma, dims) -> bool:
+    return linalg._eigvalsh(sigma)[0] >= 0 and linalg._eigvalsh(partial_transpose(sigma, dims))[0] >= 0
+
+
+# 36 seeded states: dims 2x2, 2x3 and 3x2; ranks 1, 2 and full; 4 states each
+_ORACLE_PANEL = [
+    random_density_matrix(a * b, rng, rank=rank, dims=(a, b))
+    for rng in [np.random.default_rng(5)]
+    for a, b in ((2, 2), (2, 3), (3, 2))
+    for rank in (1, 2, a * b)
+    for _ in range(4)
+]
+
+
+@pytest.mark.parametrize("k", range(len(_ORACLE_PANEL)))
+def test_oracle_converges_to_a_ppt_upper_value(k):
+    rho = _ORACLE_PANEL[k]
+    cert = trace_dist_to_ppt(rho)
+    assert cert.converged and cert.iterations <= 150
+    assert len(cert.history) == cert.iterations + 1 and cert.value == min(cert.history)
+    sigma = cert.witness.mat
+    assert cert.value == trace_norm(rho.mat - sigma)
+    assert _is_ppt(sigma, rho.dims)
+    # Dykstra's Frobenius projection is PPT only to its 1e-10 stop test, so where it is
+    # also closest in trace norm (six of the pure states here) it reads about 2e-10 to
+    # 3e-10 below the true distance; the solve itself stops once its gap bound is 1e-9
+    assert cert.value <= trace_norm(rho.mat - project_ppt(rho.mat, rho.dims)) + optimize._GAP_TOL
+    # the report's Eq5 and Eq6 entries: lower bounds from the REE and coherent-information certificates
+    d = min(rho.dims)
+    gaps = (ree_ppt_lower(rho, OptimizerConfig(max_iters=40)).value, max_coherent_information(rho))
+    assert all(cert.value >= separable_distance_lower(gap, d) for gap in gaps if gap > 0)
+
+
+def test_oracle_start_is_a_ppt_upper_value():
+    # the start, rho mixed with I/n just past the PPT boundary, is the witness of a run
+    # of no Newton step; here also for a state mixed to just short of that boundary
+    rho = _ORACLE_PANEL[6]
+    low = linalg._eigvalsh(partial_transpose(rho.mat, rho.dims))[0]
+    mix = -4 * low / (1 - 4 * low) * (1 - 1e-6)  # (1 - mix) * low + mix / 4 < 0, just
+    edge = DensityMatrix((1 - mix) * rho.mat + mix * np.eye(4) / 4, rho.dims)
+    assert linalg._eigvalsh(partial_transpose(edge.mat, edge.dims))[0] < 0
+    for state in [*_ORACLE_PANEL, edge]:
+        cert = trace_dist_to_ppt(state, OptimizerConfig(max_iters=0))
+        assert (cert.iterations, cert.history) == (0, (cert.value,))
+        assert cert.value == trace_norm(state.mat - cert.witness.mat)
+        assert _is_ppt(cert.witness.mat, state.dims)
+    assert cert.value < 1e-6 and not cert.converged
+
+
+def test_oracle_starts_at_a_strictly_ppt_input():
+    # a state with positive definite partial transpose is its own start, up to the
+    # rounding of its coordinates
+    rng = np.random.default_rng(12)
+    rho = DensityMatrix(tensor(random_density_matrix(2, rng).mat, random_density_matrix(3, rng).mat), (2, 3))
+    cert = trace_dist_to_ppt(rho)
+    assert cert.history[0] < 1e-15 and cert.converged
+    assert np.allclose(cert.witness.mat, rho.mat, rtol=0.0, atol=1e-15)
+
+
+def test_oracle_runs_without_projection_or_sign_matrix(monkeypatch):
+    for name in ("project_ppt", "_dykstra", "_sign_matrix"):
+        monkeypatch.setattr(optimize, name, lambda *a, **k: pytest.fail("called"))
+    cert = trace_dist_to_ppt(_ORACLE_PANEL[4])
+    assert cert.converged
+
+
+def test_ree_reports_no_objective_from_an_unconverged_start():
+    # the benchmark's unrotated rank-2 3x3 and 4x4 states, drawn in that order from the
+    # panel seed 0: the 4x4 start projection stops unconverged at 200 Dykstra sweeps, so
+    # a search that accepts no step reports no objective; the 3x3 start converges
+    panel = np.random.default_rng(0)
+    rho33, rho44 = (random_density_matrix(a * a, panel, rank=2, dims=(a, a)) for a in (3, 4))
+    assert ree_ppt_lower(rho44, OptimizerConfig(max_iters=0)).objective is None
+    assert ree_ppt_lower(rho44, OptimizerConfig(max_iters=1)).objective is not None
+    cert = ree_ppt_lower(rho33, OptimizerConfig(max_iters=0))
+    rho_t, tr_log, dims = optimize._regularized(rho33)
+    start = project_ppt(rho_t, dims, sweeps=200)
+    assert start is not None
+    assert cert.objective == optimize._ree_objective(rho_t, tr_log, start, math.log(2.0))[0]
 
 
 def test_certificate_fields_and_config_defaults():

@@ -11,9 +11,13 @@ exit code, md5 of stdout, md5 of stderr. Each invocation runs once more
 with ``--format csv`` and once more with ``--log-base e``, so both writers
 and both bases are covered, and ``analyze-channel`` on a channel with
 d_in * d_out <= 36 also with ``--ree``. Then come the lines of seed ``-``:
-every ``zoo`` channel at two parameter sets, and a fixed list of invalid
-calls (refused inside the command with exit 2, or by argparse with its
-SystemExit code), whose stderr digests pin the error messages. The temporary
+every ``zoo`` channel at two parameter sets, ``analyze-state`` on inputs
+at the trace-distance oracle's edge cases (a 3x2 state, whose factor order is
+swapped, a pure 2x2 state and a PPT product state, drawn from seed 0), and a
+fixed list of invalid calls (refused inside the command with exit 2, or by
+argparse with its SystemExit code), whose stderr digests pin the error
+messages. Last comes the seed-7 2x3 benchmark state with ``--max-iters 20``,
+where the oracle stops unconverged. The temporary
 directory's path reads ``<tmp>`` in argv and is replaced by it in the output
 before hashing, so two checkouts that print the same bytes give the same
 lines:
@@ -103,7 +107,8 @@ def _digest(cli, tmp: str, seed, workload: str, argv: list[str]) -> None:
 
 def main(checkout: Path) -> None:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
-    from distcert import cli
+    import numpy as np
+    from distcert import DensityMatrix, cli, random_density_matrix, random_pure_state, save_state, tensor
     from workloads import WORKLOADS, make_invocations
 
     if not Path(cli.__file__).resolve().is_relative_to(checkout / "src"):
@@ -119,10 +124,23 @@ def main(checkout: Path) -> None:
                         _digest(cli, tmp, seed, workload, inv.argv + extra)
         for argv in ZOO:
             _digest(cli, tmp, "-", "zoo", argv)
+        rng = np.random.default_rng(0)
+        oracle_states = {
+            "rank2-3x2": random_density_matrix(6, rng, rank=2, dims=(3, 2)),
+            "pure-2x2": random_pure_state(4, rng, dims=(2, 2)).to_density(),
+            "product-2x2": DensityMatrix(
+                tensor(random_density_matrix(2, rng).mat, random_density_matrix(2, rng).mat), (2, 2)
+            ),
+        }
+        for name, rho in oracle_states.items():
+            save_state(rho, path := str(Path(tmp, f"{name}.json")))
+            _digest(cli, tmp, "-", "oracle", ["analyze-state", path])
         for name, text in FILES.items():
             Path(tmp, name).write_text(text)
         for argv in INVALID:
             _digest(cli, tmp, "-", "invalid", [arg.replace("<tmp>", tmp) for arg in argv])
+        [small] = [inv for inv in make_invocations("state-ppt-small", 7, tmp) if inv.props["dims"] == [2, 3]]
+        _digest(cli, tmp, 7, "oracle", [*small.argv, "--max-iters", "20"])
 
 
 if __name__ == "__main__":
