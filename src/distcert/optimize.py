@@ -12,8 +12,13 @@ out. Each search supplies the step of one round:
   A step's schedule (``_halvings``) is fixed when it starts: up to 50 step
   sizes, each half the last, those after the first only while size * slope
   >= ``_MARGIN``, slope being the value's derivative along the mirror path
-  at size 0. A trial is accepted if it beats its seed's value by more than
-  ``_MARGIN``; no move improves when the schedule runs out,
+  at size 0. The first size is ``_STEP`` at a seed's first step; later, a
+  Barzilai-Borwein step <S, S> / -<S, Y> from the changes S of log rho and Y
+  of the gradient since the seed's last step start (inner products of
+  traceless parts), capped at 4, where <S, Y> < 0, and otherwise twice the
+  last accepted size, capped at 4. A trial is accepted if it beats its
+  seed's value by more than ``_MARGIN``; no move improves when the schedule
+  runs out,
 * a see-saw alternation giving certified lower bounds on diamond-norm
   distance between two channels, one alternation per seed and round,
 * projected gradient descent over PPT states for the relative entropy of
@@ -217,6 +222,13 @@ def _mirror_slope(w: np.ndarray, v: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return (abs(g) ** 2 * k).sum((-2, -1))
 
 
+def _traceless_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re tr(A^dag B) - tr A tr B / n per matrix of the Hermitian stacks: the inner product of their
+    traceless parts, blind to the multiple of I that a mirror step's normalization drops."""
+    tr_a, tr_b = (m.trace(axis1=-2, axis2=-1).real for m in (a, b))
+    return (a.conj() * b).real.sum((-2, -1)) - tr_a * tr_b / a.shape[-1]
+
+
 def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int, sign: int = 1) -> list:
     """Mirror ascent of ``sign`` * ``value_fn`` from every matrix of the stack ``seeds`` in lockstep.
 
@@ -230,7 +242,12 @@ def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int, sign: int = 1) -> li
     one ``_log_eigen``, one ``grad_fn`` and one ``_mirror_slope`` call, the slope read from the
     eigenpairs of the log. The slope fixes the step's schedule: from its second trial on, a step
     size e with e * slope < ``_MARGIN`` ends the search, as no smaller step's first-order gain
-    clears the margin. Seeds never mix, so each follows the path it follows alone.
+    clears the margin. The schedule starts at ``_STEP`` on a seed's first step. On a later one it
+    starts at the Barzilai-Borwein step <S, S>_0 / -<S, Y>_0, capped at 4, if <S, Y>_0 < 0, with S
+    and Y the changes of log rho and of the signed gradient since the seed's last step start and
+    <A, B>_0 = Re tr(A^dag B) - tr A tr B / n (a multiple of I does not move a mirror step);
+    otherwise at twice the size the seed last accepted, capped at 4. Seeds never mix, so each
+    follows the path it follows alone.
     """
     signed = operator.neg if sign < 0 else operator.pos
     rho = np.array(seeds, dtype=complex)
@@ -238,14 +255,19 @@ def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int, sign: int = 1) -> li
     history = [[v] for v in vals.tolist()]
     n = len(rho)
     etas, eta = [None] * n, [_STEP] * n  # etas[s]: seed s's line search, None between steps
-    log_rho, grad = np.empty_like(rho), np.empty_like(rho)
+    log_rho, grad = np.zeros_like(rho), np.zeros_like(rho)  # zeros: a first step reads them unused
 
     def step(running):
         if fresh := [s for s in running if etas[s] is None]:
             at = np.array(fresh)  # an index array indexes faster than a list
-            log_rho[at], w, v = eigen = _log_eigen(rho[at])
-            grad[at] = g = signed(grad_fn(tuple(o[at] for o in outs), eigen[0]))
-            for s, slope in zip(fresh, _mirror_slope(w, v, g).tolist()):
+            new_log, w, v = _log_eigen(rho[at])
+            g = signed(grad_fn(tuple(o[at] for o in outs), new_log))
+            moved = new_log - log_rho[at]
+            ss, sy = (_traceless_inner(moved, x).tolist() for x in (moved, g - grad[at]))
+            log_rho[at], grad[at] = new_log, g
+            for s, slope, a, b in zip(fresh, _mirror_slope(w, v, g).tolist(), ss, sy):
+                if len(history[s]) > 1 and b < 0.0:  # a step started before, and the value curved down since
+                    eta[s] = min(a / -b, 4.0)
                 etas[s] = _halvings(eta[s], 50, slope)
         gains, idx, steps = {}, [], []
         for s in running:
@@ -631,8 +653,9 @@ def trace_dist_to_ppt(rho: DensityMatrix, cfg: OptimizerConfig | None = None) ->
     that keeps every block positive definite. A centering ends when the
     squared Newton decrement is at most 1e-10 or, at the working precision,
     when 12 halvings cannot lower the barrier objective; then t grows 8x,
-    until nu / t <= 1e-9 (``converged``). The start is rho mixed with I/n
-    just past the PPT boundary.
+    until nu / t <= 1e-9. ``converged`` says that the solve got there with
+    its last centering ended by one of those tests, not by the step cap.
+    The start is rho mixed with I/n just past the PPT boundary.
 
     Every iterate's sigma and sigma^Gamma have positive eigenvalues, so the
     witness (the lowest-valued iterate) is PPT and ``value``, its trace
@@ -703,10 +726,11 @@ def trace_dist_to_ppt(rho: DensityMatrix, cfg: OptimizerConfig | None = None) ->
             if (val := trace_norm(rho.mat - x[0])) < min(history):
                 best = x[0]
             history.append(val)
-        if nu / t <= _GAP_TOL or steps == cfg.max_iters:
+        else:
+            converged = False  # the step cap cut the last centering short
+            break
+        if converged := nu / t <= _GAP_TOL:
             break
         t *= 8.0
     witness = DensityMatrix(best, dims)
-    return Certificate(
-        "Ds_oracle", min(history), witness, nu / t <= _GAP_TOL, steps, history=tuple(history)
-    )
+    return Certificate("Ds_oracle", min(history), witness, converged, steps, history=tuple(history))

@@ -25,6 +25,12 @@ Newton steps, both runs stop unconverged at the 40-step cap, and their
 values fell 0.17958 -> 0.17348 and 0.34938 -> 0.34788, with new histories and
 witnesses.
 
+When each mirror step started to take a Barzilai-Borwein step length from
+the seed's last two step starts, the iterations, histories and witnesses of
+the 14 ascent entries that moved (all but ``min_ic/erasure(4,0.1)/*`` and
+``min_ic/random(2,3,2)/*``) were re-recorded with ``_observed``; their
+values, moved by at most 5.4e-14, and every other field were kept.
+
 Counts and flags must match exactly; floats must agree within 1e-9, because
 exact bits differ across LAPACK builds. Do not regenerate the file to make a
 change pass: a search whose output moves is a behaviour change.

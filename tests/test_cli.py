@@ -187,7 +187,8 @@ def test_analyze_channel_identity_bound_value(tmp_path, capsys):
 def test_analyze_channel_pins_a_three_to_one_report(tmp_path, capsys):
     # d_out 1: each Phi(m) first product K_k m has one row, which numpy takes
     # through its matrix-vector route; a row of one product with the whole
-    # Stinespring isometry rounds differently and moves the min-Ic search
+    # Stinespring isometry rounds differently and moves the min-Ic search.
+    # The spectral step starts took the search from 13 to 3 iterations.
     path = tmp_path / "three_to_one.json"
     save_channel(random_channel(3, 1, 3, np.random.default_rng(31)), str(path))
     code, out = _run(capsys, ["analyze-channel", str(path), "--ree"])
@@ -195,7 +196,7 @@ def test_analyze_channel_pins_a_three_to_one_report(tmp_path, capsys):
     rep = json.loads(out)
     (entry,) = rep["entries"]
     assert entry["formula"] == "Eq13"
-    assert entry["witness"] == "mirror-descent input state (13 iterations, converged=True)"
+    assert entry["witness"] == "mirror-descent input state (3 iterations, converged=True)"
     assert entry["value"] == entry["raw"] == pytest.approx(0.13092975357145803, abs=1e-9)
     assert entry["inputs"]["min_coherent_information"] == pytest.approx(-1.5849625007211579, abs=1e-9)
     assert rep["notes"] == [
@@ -351,6 +352,19 @@ def test_analyze_channel_strict_flags_unconverged(tmp_path, capsys):
     assert code == 3
     rep = json.loads(out)
     assert any("unconverged searches" in n for n in rep["notes"])
+
+
+def test_analyze_state_strict_flags_an_oracle_cut_by_its_step_cap(tmp_path, capsys):
+    # the 7th draw below: the oracle's last centering runs to the 500-step cap
+    rng = np.random.default_rng(5)
+    for rank in (1, 1, 1, 2, 2, 2, 4):
+        rho = random_density_matrix(4, rng, rank=rank, dims=(2, 2))
+    path = tmp_path / "capped.json"
+    save_state(rho, str(path))
+    code, out = _run(capsys, ["analyze-state", str(path), "--strict"])
+    assert code == 3
+    (note,) = (n for n in json.loads(out)["notes"] if n.startswith("unconverged searches: "))
+    assert "Ds_oracle" in note.removeprefix("unconverged searches: ").split(", ")
 
 
 @pytest.mark.parametrize("verb", ["analyze-channel", "analyze-state"])

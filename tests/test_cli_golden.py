@@ -13,6 +13,11 @@ log-barrier solve, the oracle notes of ``state/2x2`` and ``state/2x3`` were set
 by hand from 0.0609955 to 0.0558928 and from 0.4394709 to 0.4388132, and, as
 the oracle now stops unconverged at the 40-step cap, their
 ``unconverged searches`` notes from ``ER_lower`` to ``ER_lower, Ds_oracle``.
+When each mirror step started to take a Barzilai-Borwein step length from the
+seed's last two step starts, the witness texts (iteration counts) of
+``channel/erasure(3,0.2)/ree``, ``channel/erasure(3,0.2)/ree/strict``,
+``channel/depolarizing(3,0.2)/nats`` and ``channel/random(2,3,2)/csv`` were
+set by hand; their floats moved by at most 3.6e-14 and were kept.
 The invocations cover the mirror ascents with and without
 ``--ree``, both log bases, CSV output, ``--max-iters 0``, a ``--strict`` run
 that exits 3, ``analyze-state`` with the automatic REE descent and

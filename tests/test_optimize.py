@@ -806,6 +806,24 @@ def test_oracle_runs_without_projection_or_sign_matrix(monkeypatch):
     assert cert.converged
 
 
+def _capped_oracle_state():
+    """A full-rank 2x2 state whose oracle solve ends at the 500-step cap mid-centering: at
+    t = 3.45e10 the squared decrement sticks near 2e-10, above its 1e-10 test, while every
+    step is accepted, although nu / t is already below 1e-9 there."""
+    rng = np.random.default_rng(5)
+    for rank in (1, 1, 1, 2, 2, 2, 4):
+        rho = random_density_matrix(4, rng, rank=rank, dims=(2, 2))
+    return rho
+
+
+def test_oracle_is_unconverged_when_the_step_cap_ends_its_last_centering():
+    rho = _capped_oracle_state()
+    cert = trace_dist_to_ppt(rho)
+    assert (cert.iterations, cert.converged) == (OptimizerConfig().max_iters, False)
+    assert cert.value == min(cert.history) == trace_norm(rho.mat - cert.witness.mat)
+    assert _is_ppt(cert.witness.mat, rho.dims)
+
+
 def test_ree_reports_no_objective_from_an_unconverged_start():
     # the benchmark's unrotated rank-2 3x3 and 4x4 states, drawn in that order from the
     # panel seed 0: the 4x4 start projection stops unconverged at 200 Dykstra sweeps, so
@@ -1167,24 +1185,36 @@ def test_mirror_slope_is_nonnegative_and_vanishes_on_multiples_of_the_identity()
             assert np.all(flat >= 0.0) and np.all(flat <= 1e-28 * c * c)  # 0 up to rounding
 
 
+def _spectral_starts(eta, history, fresh, moved, dgrad):
+    """Sets eta[s] of each seed s of ``fresh`` that has taken a step to the Barzilai-Borwein step
+    <S, S>_0 / -<S, Y>_0, capped at 4, where <S, Y>_0 < 0; S (``moved``) is the change of log rho
+    and Y (``dgrad``) that of the signed gradient since the seed's last step start."""
+    ss, sy = (optimize._traceless_inner(moved, x).tolist() for x in (moved, dgrad))
+    for s, a, b in zip(fresh, ss, sy):
+        if len(history[s]) > 1 and b < 0.0:
+            eta[s] = min(a / -b, 4.0)
+
+
 def _reference_ascent_stack(value_fn, grad_fn, seeds, max_iters: int, sign: int = 1) -> list:
     """``_ascent_stack`` before the slope stop rule: a line search that no step
     size improves runs all 50 trials, and a trial is accepted if it beats its
-    seed's value by more than 1e-15."""
+    seed's value by more than 1e-15. Steps start as ``_ascent_stack``'s do."""
     signed = operator.neg if sign < 0 else operator.pos
     rho = np.array(seeds, dtype=complex)
     vals, outs = value_fn(rho)
     history = [[v] for v in vals.tolist()]
     n = len(rho)
     etas, eta = [None] * n, [_STEP] * n
-    log_rho, grad = np.empty_like(rho), np.empty_like(rho)
+    log_rho, grad = np.zeros_like(rho), np.zeros_like(rho)
 
     def step(running):
         if fresh := [s for s in running if etas[s] is None]:
+            new_log = hermitian_log(rho[fresh])
+            g = signed(grad_fn(tuple(o[fresh] for o in outs), new_log))
+            _spectral_starts(eta, history, fresh, new_log - log_rho[fresh], g - grad[fresh])
+            log_rho[fresh], grad[fresh] = new_log, g
             for s in fresh:
                 etas[s] = _halvings(eta[s], 50)
-            log_rho[fresh] = hermitian_log(rho[fresh])
-            grad[fresh] = signed(grad_fn(tuple(o[fresh] for o in outs), log_rho[fresh]))
         gains, idx, steps = {}, [], []
         for s in running:
             if (e := next(etas[s], None)) is None:
@@ -1274,7 +1304,8 @@ def _lazy_slope_ascent_stack(value_fn, grad_fn, seeds, max_iters: int, sign: int
     """``_ascent_stack`` with the slope taken lazily: a seed's first rejected
     trial of a step sets its slope, from eigenpairs kept since the step
     started, in one stacked ``_mirror_slope`` call per round; from then on a
-    step size e with e * slope < ``_MARGIN`` ends the search."""
+    step size e with e * slope < ``_MARGIN`` ends the search. Steps start as
+    ``_ascent_stack``'s do."""
     signed = operator.neg if sign < 0 else operator.pos
     rho = np.array(seeds, dtype=complex)
     vals, outs = value_fn(rho)
@@ -1282,16 +1313,18 @@ def _lazy_slope_ascent_stack(value_fn, grad_fn, seeds, max_iters: int, sign: int
     n = len(rho)
     etas, eta = [None] * n, [_STEP] * n
     slopes = [math.inf] * n  # inf until the seed's line search rejects a trial
-    log_rho, grad, v_rho = np.empty_like(rho), np.empty_like(rho), np.empty_like(rho)
+    log_rho, grad, v_rho = np.zeros_like(rho), np.zeros_like(rho), np.empty_like(rho)
     w_rho = np.empty(rho.shape[:2])
 
     def step(running):
         if fresh := [s for s in running if etas[s] is None]:
+            at = np.array(fresh)
+            new_log, w_rho[at], v_rho[at] = _log_eigen(rho[at])
+            g = signed(grad_fn(tuple(o[at] for o in outs), new_log))
+            _spectral_starts(eta, history, fresh, new_log - log_rho[at], g - grad[at])
+            log_rho[at], grad[at] = new_log, g
             for s in fresh:
                 etas[s], slopes[s] = _halvings(eta[s], 50), math.inf
-            fresh = np.array(fresh)
-            log_rho[fresh], w_rho[fresh], v_rho[fresh] = eigen = _log_eigen(rho[fresh])
-            grad[fresh] = signed(grad_fn(tuple(o[fresh] for o in outs), eigen[0]))
         gains, idx, steps = {}, [], []
         for s in running:
             if (e := next(etas[s], None)) is None or e * slopes[s] < _MARGIN:
@@ -1359,6 +1392,36 @@ def test_ascent_takes_one_slope_stack_per_log_of_rho(monkeypatch, search):
     monkeypatch.setattr(optimize, "_mirror_slope", lambda w, v, g: sloped.append(len(g)) or slope(w, v, g))
     _ASCENTS[search](random_channel(3, 2, 2, np.random.default_rng(3)), OptimizerConfig(restarts=2, max_iters=60))
     assert logged and sloped == logged
+
+
+def test_traceless_inner_is_the_inner_product_of_the_traceless_parts():
+    rng = np.random.default_rng(4)
+    a, b = (np.array([_random_hermitian(rng, 3, 2.0) for _ in range(4)]) for _ in range(2))
+    eye = np.eye(3)
+    for x, y, got in zip(a, b, optimize._traceless_inner(a, b)):
+        x0, y0 = (m - np.trace(m).real / 3 * eye for m in (x, y))
+        assert got == pytest.approx(np.trace(x0.conj().T @ y0).real, abs=1e-12)
+    shifted = optimize._traceless_inner(a + 2.5 * eye, b - 0.7 * eye)
+    assert np.allclose(shifted, optimize._traceless_inner(a, b), rtol=0.0, atol=1e-12)
+
+
+def test_spectral_starts_cut_the_erasure_max_ic_search(monkeypatch):
+    # the I/d seed already holds the optimum; the basis-pointer seeds crossing the
+    # simplex by doublings from _STEP took 231 summed iterations, spectral starts about 50
+    args = _captured_stack(monkeypatch, maximize_coherent_information, erasure(8, 0.25), OptimizerConfig())
+    runs = _ascent_stack(*args)
+    assert sum(run[4] for run in runs) <= 80
+
+
+def test_every_seed_starts_its_first_step_at_the_initial_step(monkeypatch):
+    etas = []
+    step = optimize._mirror_step
+    monkeypatch.setattr(optimize, "_mirror_step", lambda log_r, grad, eta: etas.append(eta) or step(log_r, grad, eta))
+    cfg = OptimizerConfig(restarts=3, max_iters=60)
+    for search in _ASCENTS.values():
+        etas.clear()
+        search(random_channel(3, 2, 2, np.random.default_rng(3)), cfg)
+        assert etas[0].tolist() == [_STEP] * (1 + 3 + cfg.restarts)  # I/d, the 3 basis pointers, the randoms
 
 
 def _bell_like_state():
