@@ -3,7 +3,8 @@
 One driver, ``_drive``, runs the seeds of three searches in lockstep rounds
 and alone applies the stop rule: a seed ends when no move improves,
 ``_STALL_LIMIT`` gains in a row fall below ``_TOL``, or ``max_iters`` runs
-out. Each search supplies the step of one round:
+out, and a mirror-ascent seed also when its step reports it retired. Each
+search supplies the step of one round:
 
 * mirror ascent over density matrices for maximizing or minimizing coherent
   information and its reverse variant, one line-search trial of every seed
@@ -18,7 +19,11 @@ out. Each search supplies the step of one round:
   traceless parts), capped at 4, where <S, Y> < 0, and otherwise twice the
   last accepted size, capped at 4. A trial is accepted if it beats its
   seed's value by more than ``_MARGIN``; no move improves when the schedule
-  runs out,
+  runs out. A seed about to start a step retires, keeping its point and
+  value, if another seed (running or ended) is at least as good and lies
+  within Frobenius distance ``_COINCIDE`` of it; at least as good means a
+  higher signed value, or an equal one at a lower index. Values only rise,
+  so the best-of-seeds winner (earliest on ties) is never a retired seed,
 * a see-saw alternation giving certified lower bounds on diamond-norm
   distance between two channels, one alternation per seed and round,
 * projected gradient descent over PPT states for the relative entropy of
@@ -85,6 +90,8 @@ _DYKSTRA_MAX_ITERS = 200
 _TRIAL_SWEEPS = 100  # a REE line-search trial whose projection needs more is rejected
 _GAP_TOL = 1e-9  # the barrier solve of the trace-distance oracle ends once nu / t is this small
 _CENTER_TOL = 1e-10  # a centering ends once the squared Newton decrement is this small
+_COINCIDE = 1e-2  # a mirror-ascent seed this close (Frobenius) to one at least as good retires
+_RETIRED = object()  # the gain a step reports for a seed that retires
 
 
 @dataclass(frozen=True)
@@ -143,13 +150,18 @@ def _drive(step, n: int, max_iters: int) -> list:
 
     ``step(running)`` advances the running seeds by one round and returns
     {seed: gain} for those that finished a step in it, the gain None when no
-    move improved; a seed left out is mid-step.
+    move improved and ``_RETIRED`` when the seed retires before starting a
+    step; a seed left out is mid-step. A retired seed's converged is None and
+    its iterations count the steps it took.
     """
     stops = [None if max_iters else (False, 0)] * n
     stall, its = [0] * n, [0] * n
     running = [s for s in range(n) if stops[s] is None]
     while running:
         for s, gain in step(running).items():
+            if gain is _RETIRED:
+                stops[s] = (None, its[s])
+                continue
             its[s] += 1
             stall[s] = stall[s] + 1 if gain is not None and gain < _TOL else 0
             converged = gain is None or stall[s] >= _STALL_LIMIT
@@ -246,8 +258,16 @@ def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int, sign: int = 1) -> li
     starts at the Barzilai-Borwein step <S, S>_0 / -<S, Y>_0, capped at 4, if <S, Y>_0 < 0, with S
     and Y the changes of log rho and of the signed gradient since the seed's last step start and
     <A, B>_0 = Re tr(A^dag B) - tr A tr B / n (a multiple of I does not move a mirror step);
-    otherwise at twice the size the seed last accepted, capped at 4. Seeds never mix, so each
-    follows the path it follows alone.
+    otherwise at twice the size the seed last accepted, capped at 4.
+
+    A seed about to start a step retires (converged None, its iterations the steps it took) if
+    another seed, running or ended, is at least as good and within Frobenius distance
+    ``_COINCIDE``: its signed value is higher, or equal at a lower index. A retired seed keeps its
+    point and value and takes no further trial. Seeds interact only through that rule, so a seed
+    that does not retire follows the path it follows alone, and a retired seed's history is a
+    prefix of that path. A seed's value only rises, and a retired one no longer moves, so the
+    seed that ends best (earliest on ties) is never retired: the certificate and its converged
+    flag and iterations come from a seed that stopped by its own rule.
     """
     signed = operator.neg if sign < 0 else operator.pos
     rho = np.array(seeds, dtype=complex)
@@ -258,8 +278,20 @@ def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int, sign: int = 1) -> li
     log_rho, grad = np.zeros_like(rho), np.zeros_like(rho)  # zeros: a first step reads them unused
 
     def step(running):
+        gains = {}
         if fresh := [s for s in running if etas[s] is None]:
             at = np.array(fresh)  # an index array indexes faster than a list
+            held = signed(np.array([h[-1] for h in history]))
+            flat = rho.reshape(n, -1)
+            sq = (flat.conj() * flat).real.sum(1)
+            # squared distances, clamped at 0 against rounding: a _COINCIDE of 0 retires no seed
+            dist2 = np.maximum(sq[at, None] + sq - 2.0 * (flat[at].conj() @ flat.T).real, 0.0)
+            near = dist2 < _COINCIDE**2
+            ahead = (held > held[at, None]) | ((held == held[at, None]) & (np.arange(n) < at[:, None]))
+            retired = (near & ahead).any(1)
+            gains = dict.fromkeys(at[retired].tolist(), _RETIRED)
+            fresh, at = at[~retired].tolist(), at[~retired]
+        if fresh:
             new_log, w, v = _log_eigen(rho[at])
             g = signed(grad_fn(tuple(o[at] for o in outs), new_log))
             moved = new_log - log_rho[at]
@@ -269,8 +301,10 @@ def _ascent_stack(value_fn, grad_fn, seeds, max_iters: int, sign: int = 1) -> li
                 if len(history[s]) > 1 and b < 0.0:  # a step started before, and the value curved down since
                     eta[s] = min(a / -b, 4.0)
                 etas[s] = _halvings(eta[s], 50, slope)
-        gains, idx, steps = {}, [], []
+        idx, steps = [], []
         for s in running:
+            if s in gains:
+                continue
             if (e := next(etas[s], None)) is None:
                 gains[s] = None  # no step size improved, or no smaller one can
             else:

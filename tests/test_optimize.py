@@ -988,8 +988,26 @@ def test_ascent_applies_each_channel_once_per_scored_stack(monkeypatch, search, 
 # ----- lockstep multistart -----
 
 
+_ASCENTS = {
+    "max_ic": maximize_coherent_information,
+    "min_ic": minimize_coherent_information,
+    "max_rci": maximize_reverse_coherent_information,
+}
+
+
+def _captured_stack(monkeypatch, search, phi, cfg, base=2.0):
+    """The (value_fn, grad_fn, seeds, max_iters, sign) that ``search`` hands ``_ascent_stack``."""
+    stacks = []
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "_ascent_stack", lambda *args: stacks.append(args) or _ascent_stack(*args))
+        search(phi, cfg, base)
+    return stacks[0]
+
+
 def _stop_reason(run):
     _, _, history, converged, iterations = run
+    if converged is None:
+        return "retired"
     if not converged:
         return "max_iters"
     return "stall" if iterations == len(history) - 1 else "line search"
@@ -1002,6 +1020,27 @@ _LOCKSTEP_CHANNELS = {
 }
 
 
+def _lockstep_runs(value_fn, grad_fn, seeds, max_iters, sign):
+    """The runs of one ``_ascent_stack``, each checked against its seed's single-seed run: a seed
+    that is not retired follows that run bit for bit; a retired seed's history is a prefix of it, bit
+    for bit, every step of it accepted, and its point is where that run stands after as many steps."""
+    lockstep = _ascent_stack(value_fn, grad_fn, seeds, max_iters, sign)
+    runs = [_single_ascent(lockstep, s) for s in range(len(seeds))]
+    for s, (rho, val, history, converged, iterations) in enumerate(runs):
+        alone = _single_ascent(_ascent_stack(value_fn, grad_fn, seeds[s : s + 1], max_iters, sign), 0)
+        bits = [float(h).hex() for h in (val, *history)]
+        if converged is None:
+            assert bits == [float(h).hex() for h in (history[-1], *alone[2][: len(history)])]
+            assert iterations == len(history) - 1 < alone[4]
+            cut = _single_ascent(_ascent_stack(value_fn, grad_fn, seeds[s : s + 1], iterations, sign), 0)
+            assert np.array_equal(rho, cut[0])
+        else:
+            assert np.array_equal(rho, alone[0])
+            assert bits == [float(h).hex() for h in (alone[1], *alone[2])]
+            assert (converged, iterations) == alone[3:]
+    return runs
+
+
 @pytest.mark.parametrize("max_iters", [0, 3, 120])
 @pytest.mark.parametrize("base", [2.0, math.e], ids=["bits", "nats"])
 @pytest.mark.parametrize("channel", list(_LOCKSTEP_CHANNELS))
@@ -1011,28 +1050,114 @@ _LOCKSTEP_CHANNELS = {
     ids=["max_ic", "min_ic", "max_rci"],
 )
 def test_lockstep_seeds_follow_their_single_seed_paths(monkeypatch, search, channel, base, max_iters):
-    stacks = []
-
-    def spy(*args):
-        stacks.append(args)
-        return _ascent_stack(*args)
-
-    monkeypatch.setattr(optimize, "_ascent_stack", spy)
-    search(_LOCKSTEP_CHANNELS[channel](), OptimizerConfig(restarts=2, max_iters=max_iters), base)
-    value_fn, grad_fn, seeds, limit, sign = stacks[0]
-    lockstep = _ascent_stack(value_fn, grad_fn, seeds, limit, sign)
-    runs = [_single_ascent(lockstep, s) for s in range(len(seeds))]
-    for s, (rho, val, history, converged, iterations) in enumerate(runs):
-        alone = _single_ascent(_ascent_stack(value_fn, grad_fn, seeds[s : s + 1], limit, sign), 0)
-        assert np.array_equal(rho, alone[0])
-        bits = [float(h).hex() for h in (val, *history)]
-        assert bits == [float(h).hex() for h in (alone[1], *alone[2])]
-        assert (converged, iterations) == alone[3:]
+    cfg = OptimizerConfig(restarts=2, max_iters=max_iters)
+    runs = _lockstep_runs(*_captured_stack(monkeypatch, search, _LOCKSTEP_CHANNELS[channel](), cfg, base))
     if max_iters == 0:
         assert all(run[2:] == ([run[1]], False, 0) for run in runs)
-    if (search, channel, base, max_iters) == (maximize_coherent_information, "3->2", 2.0, 120):
-        # one stack where seeds stop for each of the three reasons
-        assert {_stop_reason(run) for run in runs} == {"stall", "line search", "max_iters"}
+
+
+def test_one_stack_stops_seeds_for_each_of_the_four_reasons(monkeypatch):
+    phi = random_channel(3, 2, 3, np.random.default_rng(7))
+    cfg = OptimizerConfig(restarts=4, max_iters=120)
+    runs = _lockstep_runs(*_captured_stack(monkeypatch, maximize_coherent_information, phi, cfg))
+    assert {_stop_reason(run) for run in runs} == {"stall", "line search", "max_iters", "retired"}
+
+
+# ----- retiring seeds that a better seed has reached -----
+
+
+def _winner(runs, sign):
+    """Index of the run ``_best_certificate`` certifies: the best value, the earliest on ties."""
+    return min(range(len(runs)), key=lambda s: (-sign * runs[s][1], s))
+
+
+@pytest.mark.parametrize("search", list(_ASCENTS))
+def test_copies_of_one_seed_retire_and_certify_its_single_seed_run(monkeypatch, search):
+    phi = random_channel(3, 2, 2, np.random.default_rng(8))
+    seed = random_density_matrix(3, np.random.default_rng(9)).mat
+    cfg = OptimizerConfig(max_iters=120)
+    monkeypatch.setattr(optimize, "_ascent_seeds", lambda d, c: [seed])
+    alone = _ASCENTS[search](phi, cfg)
+    monkeypatch.setattr(optimize, "_ascent_seeds", lambda d, c: [seed] * 4)
+    value_fn, grad_fn, seeds, limit, sign = _captured_stack(monkeypatch, _ASCENTS[search], phi, cfg)
+    runs = _ascent_stack(value_fn, grad_fn, seeds, limit, sign)
+    assert alone.iterations > 0
+    assert [run[3:] for run in runs[1:]] == [(None, 0)] * 3  # retired at their first step start
+    assert all(run[2] == [alone.history[0]] and np.array_equal(run[0], seed) for run in runs[1:])
+    copies = _ASCENTS[search](phi, cfg)
+    assert copies.value.hex() == alone.value.hex()
+    assert copies.witness.mat.tobytes() == alone.witness.mat.tobytes()
+    assert [h.hex() for h in copies.history] == [h.hex() for h in alone.history]
+    assert (copies.iterations, copies.converged) == (alone.iterations, alone.converged)
+
+
+# channels on which each of the three searches retires some seed
+_RETIREMENT_CHANNELS = {
+    "2->3": lambda: random_channel(2, 3, 2, np.random.default_rng(18)),
+    "3->2": lambda: random_channel(3, 2, 3, np.random.default_rng(10)),
+    "4->4": lambda: random_channel(4, 4, 3, np.random.default_rng(15)),
+}
+
+
+@pytest.mark.parametrize("channel", list(_RETIREMENT_CHANNELS))
+@pytest.mark.parametrize("search", list(_ASCENTS))
+def test_the_winner_is_never_retired_and_certifies_the_best_single_seed_run(monkeypatch, search, channel):
+    phi, cfg = _RETIREMENT_CHANNELS[channel](), OptimizerConfig(restarts=4, max_iters=120)
+    value_fn, grad_fn, seeds, limit, sign = _captured_stack(monkeypatch, _ASCENTS[search], phi, cfg)
+    runs = _ascent_stack(value_fn, grad_fn, seeds, limit, sign)
+    cert = _ASCENTS[search](phi, cfg)
+    winner = runs[_winner(runs, sign)]
+    assert winner[3] is not None and any(run[3] is None for run in runs)
+    assert cert.value.hex() == float(winner[1]).hex()
+    assert cert.witness.mat.tobytes() == DensityMatrix(winner[0]).mat.tobytes()
+    alone = [
+        _single_ascent(_ascent_stack(value_fn, grad_fn, seeds[s : s + 1], limit, sign), 0)[1]
+        for s, run in enumerate(runs)
+        if run[3] is not None
+    ]
+    assert cert.value == (max if sign > 0 else min)(alone)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_tie_in_value_retires_the_higher_index(sign):
+    rng = np.random.default_rng(15)
+    a = random_density_matrix(3, rng).mat
+    near = 0.999 * a + 0.001 * np.eye(3) / 3
+    far = random_density_matrix(3, rng).mat
+    assert np.linalg.norm(a - near) < optimize._COINCIDE
+    assert min(np.linalg.norm(far - a), np.linalg.norm(far - near)) > optimize._COINCIDE
+
+    def flat_value(r):
+        return np.zeros(len(r)), (r,)
+
+    def no_gradient(outputs, log_r):
+        return np.zeros_like(log_r)
+
+    for seeds in ([a, near, far], [near, a, far]):
+        runs = _ascent_stack(flat_value, no_gradient, np.array(seeds), 10, sign)
+        assert [run[3:] for run in runs] == [(True, 1), (None, 0), (True, 1)]
+
+    def tilted(r):  # the seed built from ``near`` scores higher (sign 1) or lower (sign -1)
+        return sign * np.array([float(np.array_equal(m, near)) for m in r]), (r,)
+
+    runs = _ascent_stack(tilted, no_gradient, np.array([a, near, far]), 10, sign)
+    assert [run[3:] for run in runs] == [(None, 0), (True, 1), (True, 1)]
+
+
+@pytest.mark.parametrize("search", list(_ASCENTS))
+def test_one_dimensional_inputs_certify_seed_zero(monkeypatch, search):
+    # every 1x1 input is the state 1: the seeds tie, so seed 0 runs and the rest retire
+    phi = _LOCKSTEP_CHANNELS["1->3"]()
+    cfg = OptimizerConfig(restarts=3, max_iters=120)
+    value_fn, grad_fn, seeds, limit, sign = _captured_stack(monkeypatch, _ASCENTS[search], phi, cfg)
+    runs = _ascent_stack(value_fn, grad_fn, seeds, limit, sign)
+    assert [run[3] for run in runs] == [True] + [None] * (len(seeds) - 1)
+    cert = _ASCENTS[search](phi, cfg)
+    alone = _single_ascent(_ascent_stack(value_fn, grad_fn, seeds[:1], limit, sign), 0)
+    for run in (runs[0], alone):
+        assert cert.value.hex() == float(run[1]).hex()
+        assert cert.witness.mat.tobytes() == DensityMatrix(run[0]).mat.tobytes()
+        assert (list(cert.history), cert.converged, cert.iterations) == (run[2], *run[3:])
 
 
 _SEESAW_PAIRS = {
@@ -1132,22 +1257,6 @@ def test_every_mirror_step_argument_is_hermitian_within_1e_8(monkeypatch, search
 
 
 # ----- where a mirror line search ends -----
-
-_ASCENTS = {
-    "max_ic": maximize_coherent_information,
-    "min_ic": minimize_coherent_information,
-    "max_rci": maximize_reverse_coherent_information,
-}
-
-
-def _captured_stack(monkeypatch, search, phi, cfg, base=2.0):
-    """The (value_fn, grad_fn, seeds, max_iters, sign) that ``search`` hands ``_ascent_stack``."""
-    stacks = []
-    with monkeypatch.context() as m:
-        m.setattr(optimize, "_ascent_stack", lambda *args: stacks.append(args) or _ascent_stack(*args))
-        search(phi, cfg, base)
-    return stacks[0]
-
 
 @pytest.mark.parametrize("base", [2.0, math.e], ids=["bits", "nats"])
 @pytest.mark.parametrize("search", list(_ASCENTS))
@@ -1284,7 +1393,10 @@ _STOP_PANEL = {
 def test_slope_rule_only_cuts_line_searches_short(monkeypatch, channel):
     # against the loop without the rule: each seed's path is a prefix of the
     # reference path, bit for bit, with its value within 1e-13; no more trials;
-    # and one _eigh per mirror step and per log of rho, as before
+    # and one _eigh per mirror step and per log of rho, as before. Seeds do not
+    # retire here: the slope rule shifts the rounds in which steps start, so the
+    # two loops would compare their seeds against other seeds at other points
+    monkeypatch.setattr(optimize, "_COINCIDE", 0.0)
     phi, cut = _STOP_PANEL[channel](), 0
     for search in _ASCENTS.values():
         args = _captured_stack(monkeypatch, search, phi, OptimizerConfig(restarts=2, max_iters=60))
@@ -1360,7 +1472,9 @@ def _lazy_slope_ascent_stack(value_fn, grad_fn, seeds, max_iters: int, sign: int
 @pytest.mark.parametrize("search", list(_ASCENTS))
 def test_slope_taken_when_the_step_starts_matches_the_lazy_slope_bit_for_bit(monkeypatch, search, channel):
     # the slope rule applies only from a step's second trial on, which runs only
-    # after its first was rejected, so taking the slope early changes no decision
+    # after its first was rejected, so taking the slope early changes no decision;
+    # seeds do not retire here, as the lazy loop knows no retirement
+    monkeypatch.setattr(optimize, "_COINCIDE", 0.0)
     cfg = OptimizerConfig(restarts=2, max_iters=60)
     args = _captured_stack(monkeypatch, _ASCENTS[search], _STOP_PANEL[channel](), cfg)
     new, new_counts = _counted_ascent(monkeypatch, _ascent_stack, *args)

@@ -7,7 +7,10 @@ Imports ``CHECKOUT/src`` (the package) and ``CHECKOUT/bench/workloads.py``
 and 31 and every benchmark workload it writes the workload's input files to
 a temporary directory, runs each invocation through ``distcert.cli.main``
 in this process, and prints one tab-separated line: seed, workload, argv,
-exit code, md5 of stdout, md5 of stderr. Each invocation runs once more
+exit code, md5 of stdout, md5 of stderr. An ``analyze-*`` line is followed by
+a line of the certificate values its searches returned (``kind=repr(value)``,
+in search order), so a diff shows how far a value moved, not only that the
+output changed. Each invocation runs once more
 with ``--format csv`` and once more with ``--log-base e``, so both writers
 and both bases are covered, and ``analyze-channel`` on a channel with
 d_in * d_out <= 36 also with ``--ree``. Then come the lines of seed ``-``:
@@ -35,6 +38,16 @@ import tempfile
 from pathlib import Path
 
 SEEDS = (1, 7, 31)
+
+# the searches behind the analyze-* reports, as ``distcert.cli`` names them
+SEARCHES = (
+    "maximize_coherent_information",
+    "minimize_coherent_information",
+    "maximize_reverse_coherent_information",
+    "ree_ppt_lower",
+    "trace_dist_to_ppt",
+)
+CERTS = []  # the Certificates of the call being digested
 
 # every zoo channel at two parameter sets
 ZOO = [
@@ -97,12 +110,23 @@ def _run(cli, argv: list[str]) -> tuple[object, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _record_certificates(cli) -> None:
+    """Wraps the searches ``cli`` calls so that each appends its Certificate to ``CERTS``."""
+    for name in SEARCHES:
+        search = getattr(cli, name)
+        setattr(cli, name, lambda *a, _search=search, **k: CERTS.append(cert := _search(*a, **k)) or cert)
+
+
 def _digest(cli, tmp: str, seed, workload: str, argv: list[str]) -> None:
-    """Run ``argv`` and print its line: seed, workload, argv, exit code, md5 of stdout and of stderr."""
+    """Run ``argv`` and print its line: seed, workload, argv, exit code, md5 of stdout and of stderr;
+    after an ``analyze-*`` call, also its certificates' values."""
+    CERTS.clear()
     code, out, err = _run(cli, argv)
     shown = shlex.join(argv).replace(tmp, "<tmp>")
     digests = (_md5(text.replace(tmp, "<tmp>")) for text in (out, err))
     print(seed, workload, shown, code, *digests, sep="\t")
+    if argv[0].startswith("analyze-"):
+        print(seed, workload, "certificates", *(f"{c.kind}={c.value!r}" for c in CERTS), sep="\t")
 
 
 def main(checkout: Path) -> None:
@@ -113,6 +137,7 @@ def main(checkout: Path) -> None:
 
     if not Path(cli.__file__).resolve().is_relative_to(checkout / "src"):
         raise SystemExit(f"error: imported {cli.__file__}, not the checkout's src/")
+    _record_certificates(cli)
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
             for workload in WORKLOADS:
