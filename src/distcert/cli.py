@@ -29,6 +29,7 @@ from .channels import (
 from .entropy import _log, binary_entropy, max_coherent_information, mutual_information
 from .linalg import MAX_DIM
 from .optimize import (
+    _BARRIER_DIMS,
     OptimizerConfig,
     maximize_coherent_information,
     maximize_reverse_coherent_information,
@@ -66,6 +67,11 @@ def _base_of(args) -> float:
     return 2.0 if args.log_base == "2" else math.e
 
 
+def _ree_note(n: int) -> str:
+    """The REE witness note: which of ``ree_ppt_lower``'s engines runs at dimension ``n``."""
+    return f"PPT {'barrier' if n in _BARRIER_DIMS else 'descent'} candidate"
+
+
 def _search(cfg, base, certs: list, values: dict, witnesses: dict, key: str, what: str, search, subject) -> None:
     """One search with the command's config and log base; keeps its Certificate, and its snapped value
     and witness note under ``key``, the report builder's keyword for it."""
@@ -97,7 +103,8 @@ def _cmd_analyze_channel(args) -> int:
     run("min_ic", "mirror-descent input state", minimize_coherent_information, phi)
     run("rci", "mirror-ascent input state", maximize_reverse_coherent_information, phi)
     if args.ree:
-        run("er_lower", "PPT descent candidate", ree_ppt_lower, choi(phi))
+        state = choi(phi)
+        run("er_lower", _ree_note(state.dim), ree_ppt_lower, state)
     report = assemble_report(args.path, d=phi.d_in, base=base, witnesses=witnesses, seed=args.seed, **values)
     report.notes.append(f"channel: d_in={phi.d_in}, d_out={phi.d_out}, kraus={phi.d_env}")
     if not args.ree:
@@ -120,7 +127,7 @@ def _cmd_analyze_state(args) -> int:
     exact = "the state itself (exact evaluation)"
     witnesses = {"ic": exact, "mi": exact}
     if args.ree or n <= _REE_AUTO_DIM:
-        _search(cfg, base, certs, values, witnesses, "er_lower", "PPT descent candidate", ree_ppt_lower, rho)
+        _search(cfg, base, certs, values, witnesses, "er_lower", _ree_note(n), ree_ppt_lower, rho)
     report = assemble_state_report(args.path, d=d, base=base, witnesses=witnesses, **values)
     if n <= _ORACLE_AUTO_DIM:
         certs.append(cert := trace_dist_to_ppt(rho, cfg))

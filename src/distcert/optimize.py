@@ -27,11 +27,13 @@ search supplies the step of one round:
 * a see-saw alternation giving certified lower bounds on diamond-norm
   distance between two channels, one alternation per seed and round,
 * projected gradient descent over PPT states for the relative entropy of
-  entanglement, with a dual minorant making every iterate a certificate.
+  entanglement at d_A * d_B <= 6 and >= 10, with a dual minorant making
+  every iterate a certificate.
 
-The trace-norm estimate of the distance to the PPT set is the one search
-outside the driver: a log-barrier interior-point solve whose ``max_iters``
-caps its Newton steps.
+Two searches run outside the driver, on one Newton log-barrier engine,
+``_newton_barrier``, whose ``max_iters`` caps their Newton steps: the
+relative entropy of entanglement at d_A * d_B from 7 to 9, certified at its
+last iterate, and the trace-norm estimate of the distance to the PPT set.
 
 Everything a Certificate reports as ``value`` is exactly evaluable from its
 witness: each search scores with the code that re-checks it (the evaluators in
@@ -88,8 +90,10 @@ _EIG_PAIR_GUARD = 1e-13
 _DYKSTRA_TOL = 1e-10
 _DYKSTRA_MAX_ITERS = 200
 _TRIAL_SWEEPS = 100  # a REE line-search trial whose projection needs more is rejected
-_GAP_TOL = 1e-9  # the barrier solve of the trace-distance oracle ends once nu / t is this small
+_GAP_TOL = 1e-9  # a barrier solve ends once nu / t is this small
 _CENTER_TOL = 1e-10  # a centering ends once the squared Newton decrement is this small
+_BARRIER_DIMS = range(7, 10)  # d_A * d_B at which ree_ppt_lower runs on the barrier engine
+_SPLIT_HALVINGS = 50  # bisection steps of the interior split's search over s
 _COINCIDE = 1e-2  # a mirror-ascent seed this close (Frobenius) to one at least as good retires
 _RETIRED = object()  # the gain a step reports for a seed that retires
 
@@ -127,10 +131,11 @@ class Certificate:
     ``witness`` the state or vector achieving it, and ``objective`` an
     optional secondary achieved value. ``history`` depends on the search:
     the mirror ascents and the see-saw record the objective at the start
-    and after each accepted step of the winning run; ``ree_ppt_lower`` the
-    dual certificate at the start and at each accepted step (not the
-    running best); ``trace_dist_to_ppt`` the trace distance at every
-    iterate, the start included.
+    and after each accepted step of the winning run; ``ree_ppt_lower``'s
+    descent the dual certificate at the start and at each accepted step
+    (not the running best), and its barrier the relative entropy at the
+    start and after each Newton step; ``trace_dist_to_ppt`` the trace
+    distance at every iterate, the start included.
     """
 
     kind: str
@@ -535,6 +540,92 @@ def project_ppt(mat: np.ndarray, dims: tuple[int, int], *, sweeps: int | None = 
     return y if converged or sweeps is None else None
 
 
+# ----- the log-barrier engine -----
+
+
+def _hermitian_basis(n: int) -> np.ndarray:
+    """(n * n, n * n): column j the row-major vec of member j of an orthonormal basis of the
+    Hermitian n x n matrices (inner product Re tr(A^dag B)): the traceless diagonal (Helmert)
+    matrices, then I / sqrt(n) at column n - 1, then the off-diagonal pairs."""
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    for k in range(1, n):
+        basis[k - 1, range(k), range(k)] = 1.0 / math.sqrt(k * (k + 1))
+        basis[k - 1, k, k] = -k / math.sqrt(k * (k + 1))
+    basis[n - 1] = np.eye(n) / math.sqrt(n)
+    a, b = np.triu_indices(n, 1)
+    j = np.arange(n, n + len(a))
+    basis[j, a, b] = basis[j, b, a] = 1.0 / math.sqrt(2.0)
+    basis[j + len(a), a, b] = 1j / math.sqrt(2.0)
+    basis[j + len(a), b, a] = -1j / math.sqrt(2.0)
+    return basis.reshape(n * n, n * n).T
+
+
+def _newton_barrier(lift, nu, objective, blocks, z, t, max_iters, visit):
+    """(z, Newton steps, converged) of a primal log-barrier solve from the strictly feasible ``z``.
+
+    It minimises f over real coordinates z. ``objective(x)`` returns f's value at the blocks
+    ``x = blocks(z)``, a (k, n, n) stack that must stay positive definite, and a callable giving
+    its gradient and Hessian there, called for the points the solve moves to; ``lift``
+    (k, n * n, m) holds d vec(block) / dz. A Hessian of None marks a linear f: its value goes
+    unread, and a step's change of f is e * (gradient . dz). Each centering takes Newton steps
+    on t f - sum of the blocks' log determinants; the barrier's Hessian sums Re tr(Y E_i Y E_j)
+    over the blocks (Y a block's inverse, from ``_eigh``). The system is solved Jacobi-scaled, and
+    a backtracking line search of up to 12 halvings keeps every block positive definite and asks
+    for a quarter of the first-order decrease. A centering ends when the squared Newton decrement
+    is at most ``_CENTER_TOL``, when it has stopped falling (no new low of the centering for
+    ``_STALL_LIMIT`` steps in a row), or, at the working precision, when 12 halvings cannot lower
+    the objective; then t grows 8x, until ``nu`` / t <= ``_GAP_TOL``. ``converged`` says that the
+    solve got there with its last centering ended by one of those tests, not by the ``max_iters``
+    cap on Newton steps. ``visit(x, f)`` sees the blocks and f's value (None if linear) after every
+    accepted step.
+    """
+    k, nn, m = lift.shape
+    x = blocks(z)
+    f, derivatives = objective(x)
+    f_grad, f_hess = derivatives()
+    steps = 0
+    while True:
+        low, stuck = math.inf, 0  # the centering's lowest squared decrement, and the steps since
+        while steps < max_iters:
+            w, u = _eigh(x)
+            r = (u * w[:, None, :] ** -0.5) @ u.conj().swapaxes(1, 2)  # Y^(1/2) of each block
+            g = (np.einsum("kac,kdb->kabcd", r, r).reshape(k, nn, nn) @ lift).reshape(-1, m)
+            hess = g.real.T @ g.real + g.imag.T @ g.imag
+            if f_hess is not None:
+                hess += t * f_hess
+            grad = t * f_grad - np.einsum("kij,ki->j", lift.conj(), (r @ r).reshape(k, nn)).real
+            scale = 1.0 / np.sqrt(np.diag(hess))
+            dz = np.linalg.solve(hess * scale[:, None] * scale, -grad * scale) * scale
+            decrement = float(-grad @ dz)
+            low, stuck = (decrement, 0) if decrement < low else (low, stuck + 1)
+            if decrement <= _CENTER_TOL or stuck == _STALL_LIMIT:
+                break
+            for e in _halvings(1.0, 12):
+                w_new = _eigvalsh(x_new := blocks(z + e * dz))
+                if not (w_new[:, 0] > 0.0).all():
+                    continue
+                if f_hess is None:
+                    change = t * e * float(f_grad @ dz)
+                else:
+                    f_new, derivatives = objective(x_new)
+                    change = t * (f_new - f)
+                # the change of the barrier objective, summed from differences
+                if change - float(np.log(w_new / w).sum()) <= -0.25 * e * decrement:
+                    break
+            else:
+                break  # backtracking cannot lower the barrier objective
+            z, x = z + e * dz, x_new
+            if f_hess is not None:
+                f, (f_grad, f_hess) = f_new, derivatives()
+            steps += 1
+            visit(x, f)
+        else:
+            return z, steps, False  # the step cap cut the last centering short
+        if nu / t <= _GAP_TOL:
+            return z, steps, True
+        t *= 8.0
+
+
 # ----- relative entropy of entanglement, certified from below -----
 
 
@@ -590,37 +681,147 @@ def _regularized(rho: DensityMatrix) -> tuple[np.ndarray, float, tuple[int, int]
     return rho_t, -_entropy_mat(rho_t, math.e), dims
 
 
+def _log_first(w: np.ndarray) -> np.ndarray:
+    """log[w_i, w_j], the first divided differences of log at the positive spectrum w, accurate
+    near ties: log1p((hi - lo) / lo) / (hi - lo) of the pair's values, and 1 / w_i at a tie."""
+    lo, hi = np.minimum.outer(w, w), np.maximum.outer(w, w)
+    gap = hi - lo
+    return np.divide(np.log1p(gap / lo), gap, out=1.0 / lo, where=gap > 0.0)
+
+
+def _log_second(w: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """log[w_i, w_k, w_j] at (i, k, j) for the ascending positive spectrum w and its ``_log_first``:
+    (log[hi, mid] - log[mid, lo]) / (hi - lo) over the triple's sorted values, and -1 / (2 hi lo)
+    where hi - lo <= 1e-8 hi."""
+    a, b, c = np.sort(np.indices((len(w),) * 3), axis=0)  # index order is value order
+    spread = w[c] - w[a]
+    wide = spread > 1e-8 * w[c]
+    return np.where(wide, (first[c, b] - first[b, a]) / np.where(wide, spread, 1.0), -0.5 / (w[a] * w[c]))
+
+
+def _ree_point(rho_t, tr_log, w, u, lb):
+    """D(rho_t || sigma) in units of log(base) at the positive definite sigma = u diag(w) u^dag,
+    and the (w, u, rho_e) it reads, rho_e = u^dag rho_t u."""
+    rho_e = u.conj().T @ rho_t @ u
+    return (tr_log - float(np.log(w) @ np.diag(rho_e).real)) / lb, (w, u, rho_e)
+
+
+def _ree_gradient(point, lb) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient matrix G of D(rho_t || .) at a ``_ree_point``'s sigma, and the ``_log_first`` it reads."""
+    w, u, rho_e = point
+    first = _log_first(w)
+    return hermitize(u @ (-first * rho_e) @ u.conj().T) / lb, first
+
+
+def _interior_split(rho_t, tr_log, sigma, dims, lb) -> float:
+    """The tangent-plane bound at sigma split into the interior: -inf unless sigma and sigma^Gamma
+    are positive definite, else f - tr(G sigma) + the largest lambda_min(G - s C) found over s >= 0,
+    f = D(rho_t || sigma), G its gradient and C = sigma^-1 + ((sigma^Gamma)^-1)^Gamma.
+
+    lambda_min(G - s C) is concave in s and, as tr(C sigma) = 2n, below lambda_min(G) past
+    s_hi = (tr(G sigma) - lambda_min(G)) / 2n. The search takes s = 0 and ``_SPLIT_HALVINGS``
+    bisection points of log2(s / s_hi) over [-64, 0], each step going the way the
+    supergradient -v^dag C v (v a lowest eigenvector) points."""
+    perm = _pt_index(sigma, dims)
+    (w, wp), (u, up) = _eigh(np.stack([sigma, sigma.take(perm)]))
+    if not (w[0] > 0.0 and wp[0] > 0.0):
+        return -math.inf
+    f, point = _ree_point(rho_t, tr_log, w, u, lb)
+    grad, _ = _ree_gradient(point, lb)
+    c = hermitize((u / w) @ u.conj().T + ((up / wp) @ up.conj().T).take(perm))
+    slope = float(np.real(np.trace(grad @ sigma)))
+    best = float(_eigvalsh(grad)[0])
+    s_hi = (slope - best) / (2 * len(sigma))
+    lo, hi = -64.0, 0.0
+    for _ in range(_SPLIT_HALVINGS if s_hi > 0.0 else 0):
+        mid = 0.5 * (lo + hi)
+        ws, vs = _eigh(grad - s_hi * 2.0**mid * c)
+        best = max(best, float(ws[0]))
+        v = vs[:, 0]
+        lo, hi = (mid, hi) if float(np.real(v.conj() @ c @ v)) < 0.0 else (lo, mid)
+    return f - slope + best
+
+
+def _ree_certificate(rho_t, tr_log, sigma, dims, lb) -> float:
+    """The larger of the corner split at the floored sigma (``_ree_terms``) and the interior split."""
+    corner = _ree_terms(_ree_objective(rho_t, tr_log, sigma, lb), dims, lb)[2]
+    return max(corner, _interior_split(rho_t, tr_log, sigma, dims, lb))
+
+
 def ree_dual_certificate(rho: DensityMatrix, sigma: DensityMatrix, base: float = 2.0) -> float:
-    """Re-evaluate the certified lower bound at a stored witness."""
-    lb = math.log(_check_base(base))
-    rho_t, tr_log, dims = _regularized(rho)
-    _, _, cert, _ = _ree_terms(_ree_objective(rho_t, tr_log, sigma.mat, lb), dims, lb)
-    return cert
+    """Re-evaluate the certified lower bound at a stored witness sigma.
 
+    sigma -> D(rho_t || sigma) is convex, rho_t being rho mixed with weight
+    1e-9 of I/n, so its tangent plane at a positive definite point minorizes
+    it: every PPT tau has D(rho_t || tau) >= f - tr(G s0) + tr(G tau), f and
+    G the value and gradient at the point s0. The value is the larger of two
+    lower bounds on min tr(G tau) over PPT density matrices tau:
 
-def ree_ppt_lower(
-    rho: DensityMatrix, cfg: OptimizerConfig | None = None, base: float = 2.0
-) -> Certificate:
-    """Certified lower bound on the relative entropy of entanglement.
+    * the corner split at s0 = sigma mixed with weight 1e-4 of I/n
+      (``_ree_terms``): tr(G tau) >= max(lambda_min G, lambda_min G^Gamma);
+    * the interior split at s0 = sigma itself, when sigma and sigma^Gamma
+      are positive definite (``_interior_split``): tr(G tau) >=
+      lambda_min(G - s C) with C = sigma^-1 + ((sigma^Gamma)^-1)^Gamma, for
+      every s >= 0, since tr(sigma^-1 tau) >= 0 and
+      tr(((sigma^Gamma)^-1)^Gamma tau) = tr((sigma^Gamma)^-1 tau^Gamma) >= 0;
+      s comes from a deterministic bisection of fixed length. At a central
+      point of ``ree_ppt_lower``'s barrier, s = 1 / t leaves a gap of 2n / t.
 
-    Runs projected gradient descent of H(rho||sigma) over PPT states sigma
-    and keeps the best dual certificate seen at any iterate. ``value`` is
-    that certificate (valid regardless of convergence), ``objective`` the
-    relative entropy at the last accepted, converged projection, or at the
-    start projection when no step was accepted. The start is the PPT
-    projection of rho_t capped at 200 Dykstra sweeps; if it has not
-    converged by then and no step is accepted, ``objective`` is None, as the
-    start need not be PPT. The witness is the candidate behind ``value``. A
-    line-search trial whose projection has not converged within 100 Dykstra
-    sweeps (``_TRIAL_SWEEPS``) is rejected like one that does not lower the
-    objective, so every accepted trial is a converged projection. The search
-    and its certificate are for rho_t, the input mixed with weight 1e-9 of
-    the maximally mixed state, not for the input itself. One run from the
-    PPT projection of rho_t: of ``cfg`` only ``max_iters`` is read.
+    A Dykstra projection is PPT only to its stop test, so the interior split
+    does not apply at the descent's witnesses.
     """
-    cfg = cfg or OptimizerConfig()
     lb = math.log(_check_base(base))
     rho_t, tr_log, dims = _regularized(rho)
+    return _ree_certificate(rho_t, tr_log, sigma.mat, dims, lb)
+
+
+def _ree_barrier(rho_t, tr_log, dims, lb, max_iters: int) -> Certificate:
+    """``ree_ppt_lower`` on ``_newton_barrier``: minimise t D(rho_t || sigma) - log det sigma -
+    log det sigma^Gamma over trace-one sigma = I/n + the traceless basis times z, from z = 0 and
+    t = 2n / max(D(rho_t || I/n), 1)."""
+    n = len(rho_t)
+    perm = _pt_index(rho_t, dims)
+    traceless = np.delete(_hermitian_basis(n), n - 1, axis=1)
+    lift = np.stack([traceless, traceless[perm.ravel()]])
+    members = traceless.T.reshape(-1, n, n)  # the basis matrices E_c
+    eye = np.eye(n)
+
+    def blocks(z):
+        sigma = hermitize(eye / n + (traceless @ z).reshape(n, n))
+        return np.stack([sigma, sigma.take(perm)])
+
+    def objective(x):
+        f, point = _ree_point(rho_t, tr_log, *_eigh(x[0]), lb)
+
+        def derivatives():
+            # in sigma's eigenbasis, e[k, i, c] = (u^dag E_c u)_ki and
+            # a[k, i, j] = log[w_i, w_k, w_j] (rho_e)_ji; the Hessian entry (c, d) is
+            # -tr rho_t D^2 log(sigma)[E_c, E_d] = -2 Re sum_k (e[k]^dag a[k] e[k])_cd
+            grad, first = _ree_gradient(point, lb)
+            w, u, rho_e = point
+            e = (u.conj().T @ members @ u).transpose(1, 2, 0)
+            a = _log_second(w, first).transpose(1, 0, 2) * rho_e.T
+            hess = (-2.0 / lb) * (e.reshape(n * n, -1).conj().T @ (a @ e).reshape(n * n, -1)).real
+            return (traceless.conj().T @ grad.ravel()).real, hess
+
+        return f, derivatives
+
+    z = np.zeros(n * n - 1)
+    history = [objective(blocks(z))[0]]
+    nu = 2.0 * n
+    t = nu / max(history[0], 1.0)
+    z, steps, converged = _newton_barrier(
+        lift, nu, objective, blocks, z, t, max_iters, lambda x, f: history.append(f)
+    )
+    witness = DensityMatrix(blocks(z)[0], dims)
+    value = _ree_certificate(rho_t, tr_log, witness.mat, dims, lb)
+    return Certificate(
+        "ER_lower", value, witness, converged, steps, objective=history[-1], history=tuple(history)
+    )
+
+
+def _ree_descent(rho_t, tr_log, dims, lb, max_iters: int) -> Certificate:
+    """``ree_ppt_lower`` by projected gradient descent from the PPT projection of rho_t."""
     best_sigma, start_converged = _dykstra(hermitize(rho_t), _pt_index(rho_t, dims), _DYKSTRA_MAX_ITERS)
     f, grad, cert, sig = _ree_terms(_ree_objective(rho_t, tr_log, best_sigma, lb), dims, lb)
     best_cert = cert
@@ -646,32 +847,57 @@ def ree_ppt_lower(
         eta = min(e * 2.0, 10.0 * _STEP)
         return {0: gain}
 
-    [(converged, it)] = _drive(step, 1, cfg.max_iters)
+    [(converged, it)] = _drive(step, 1, max_iters)
     witness = DensityMatrix(best_sigma, dims)
+    # best_cert is the corner split at the witness: with the interior split, its ree_dual_certificate
+    value = max(best_cert, _interior_split(rho_t, tr_log, witness.mat, dims, lb))
     objective = f if start_converged or len(history) > 1 else None
-    return Certificate(
-        "ER_lower", best_cert, witness, converged, it, objective=objective, history=tuple(history)
-    )
+    return Certificate("ER_lower", value, witness, converged, it, objective=objective, history=tuple(history))
+
+
+def ree_ppt_lower(
+    rho: DensityMatrix, cfg: OptimizerConfig | None = None, base: float = 2.0
+) -> Certificate:
+    """Certified lower bound on the relative entropy of entanglement.
+
+    Minimises H(rho_t||sigma) over PPT states sigma, rho_t being the input
+    mixed with weight 1e-9 of the maximally mixed state: the search and its
+    certificate are for rho_t, not for the input itself. ``value`` is
+    ``ree_dual_certificate`` at the witness, valid regardless of convergence.
+    Of ``cfg`` only ``max_iters`` is read; each engine makes one run from one
+    deterministic start.
+
+    At d_A * d_B from 7 to 9 it runs on the log-barrier engine: Newton steps
+    on t H(rho_t||sigma) - log det sigma - log det sigma^Gamma over trace-one
+    sigma from I/n, t growing 8x per centering until 2n / t <= 1e-9, the
+    Hessian of -tr rho_t log sigma read from the second divided differences
+    of log in sigma's eigenbasis. ``max_iters`` caps the Newton steps, the
+    witness is the last iterate (sigma and sigma^Gamma positive definite, so
+    the interior split applies), ``objective`` the relative entropy there
+    and ``history`` the relative entropy at the start and after each step.
+    A dense Newton step costs O(n^6), so above n = 9 the descent is faster.
+
+    At every other size it runs projected gradient descent and keeps the
+    candidate with the best corner split (``_ree_terms``) seen at any
+    iterate as the witness. ``objective`` is the relative entropy at the
+    last accepted, converged projection, or at the start projection when no
+    step was accepted. The start is the PPT projection of rho_t capped at
+    200 Dykstra sweeps; if it has not converged by then and no step is
+    accepted, ``objective`` is None, as the start need not be PPT. A
+    line-search trial whose projection has not converged within 100 Dykstra
+    sweeps (``_TRIAL_SWEEPS``) is rejected like one that does not lower the
+    objective, so every accepted trial is a converged projection.
+    ``history`` holds the corner split at the start and at each accepted
+    step (not the running best).
+    """
+    cfg = cfg or OptimizerConfig()
+    lb = math.log(_check_base(base))
+    rho_t, tr_log, dims = _regularized(rho)
+    search = _ree_barrier if rho.dim in _BARRIER_DIMS else _ree_descent
+    return search(rho_t, tr_log, dims, lb, cfg.max_iters)
 
 
 # ----- trace distance to the PPT set (search estimate) -----
-
-
-def _hermitian_basis(n: int) -> np.ndarray:
-    """(n * n, n * n): column j the row-major vec of member j of an orthonormal basis of the
-    Hermitian n x n matrices (inner product Re tr(A^dag B)): the traceless diagonal (Helmert)
-    matrices, then I / sqrt(n) at column n - 1, then the off-diagonal pairs."""
-    basis = np.zeros((n * n, n, n), dtype=complex)
-    for k in range(1, n):
-        basis[k - 1, range(k), range(k)] = 1.0 / math.sqrt(k * (k + 1))
-        basis[k - 1, k, k] = -k / math.sqrt(k * (k + 1))
-    basis[n - 1] = np.eye(n) / math.sqrt(n)
-    a, b = np.triu_indices(n, 1)
-    j = np.arange(n, n + len(a))
-    basis[j, a, b] = basis[j, b, a] = 1.0 / math.sqrt(2.0)
-    basis[j + len(a), a, b] = 1j / math.sqrt(2.0)
-    basis[j + len(a), b, a] = -1j / math.sqrt(2.0)
-    return basis.reshape(n * n, n * n).T
 
 
 def trace_dist_to_ppt(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> Certificate:
@@ -681,15 +907,9 @@ def trace_dist_to_ppt(rho: DensityMatrix, cfg: OptimizerConfig | None = None) ->
     + sigma, over sigma, sigma^Gamma, P, N > 0 with tr sigma = 1 (barrier
     parameter nu = 4n, n = d_A * d_B). The coordinates are real ones of P
     and of sigma = I/n + a traceless part, so tr sigma is 1 by construction.
-    Each centering takes Newton steps on t (tr P + tr N) minus the blocks'
-    log determinants, the Hessian summing Re tr(Y E_i Y E_j) over the blocks
-    (Y a block's inverse, from ``_eigh``), with a backtracking line search
-    that keeps every block positive definite. A centering ends when the
-    squared Newton decrement is at most 1e-10 or, at the working precision,
-    when 12 halvings cannot lower the barrier objective; then t grows 8x,
-    until nu / t <= 1e-9. ``converged`` says that the solve got there with
-    its last centering ended by one of those tests, not by the step cap.
-    The start is rho mixed with I/n just past the PPT boundary.
+    ``_newton_barrier`` runs the solve on the linear objective tr P + tr N
+    from t = nu / (tr P + tr N) at the start, which is rho mixed with I/n
+    just past the PPT boundary.
 
     Every iterate's sigma and sigma^Gamma have positive eigenvalues, so the
     witness (the lowest-valued iterate) is PPT and ``value``, its trace
@@ -728,43 +948,20 @@ def trace_dist_to_ppt(rho: DensityMatrix, cfg: OptimizerConfig | None = None) ->
     # P and N: the positive and negative parts of rho - sigma, each plus the same multiple of I
     p = (u * (np.maximum(w, 0.0) + max(float(np.abs(w).sum()) / (2 * n), 1e-12))) @ u.conj().T
     z = np.concatenate([(traceless.conj().T @ sigma.ravel()).real, (basis.conj().T @ p.ravel()).real])
-    nu = 4.0 * n
-    t = nu / float(cost @ z)
     x = blocks(z)
     best = x[0]
     history = [trace_norm(rho.mat - best)]
-    steps = 0
-    while True:
-        while steps < cfg.max_iters:
-            w, u = _eigh(x)
-            r = (u * w[:, None, :] ** -0.5) @ u.conj().swapaxes(1, 2)  # Y^(1/2) of each block
-            g = (np.einsum("kac,kdb->kabcd", r, r).reshape(4, nn, nn) @ lift).reshape(-1, m)
-            hess = g.real.T @ g.real + g.imag.T @ g.imag
-            grad = t * cost - np.einsum("kij,ki->j", lift.conj(), (r @ r).reshape(4, nn)).real
-            scale = 1.0 / np.sqrt(np.diag(hess))
-            dz = np.linalg.solve(hess * scale[:, None] * scale, -grad * scale) * scale
-            decrement = float(-grad @ dz)
-            if decrement <= _CENTER_TOL:
-                break
-            for e in _halvings(1.0, 12):
-                w_new = _eigvalsh(x_new := blocks(z + e * dz))
-                # the change of the barrier objective, summed from differences
-                if (w_new[:, 0] > 0.0).all() and (
-                    t * e * float(cost @ dz) - float(np.log(w_new / w).sum()) <= -0.25 * e * decrement
-                ):
-                    break
-            else:
-                break  # backtracking cannot lower the barrier objective
-            z, x = z + e * dz, x_new
-            steps += 1
-            if (val := trace_norm(rho.mat - x[0])) < min(history):
-                best = x[0]
-            history.append(val)
-        else:
-            converged = False  # the step cap cut the last centering short
-            break
-        if converged := nu / t <= _GAP_TOL:
-            break
-        t *= 8.0
+
+    def visit(x, _):
+        nonlocal best
+        if (val := trace_norm(rho.mat - x[0])) < min(history):
+            best = x[0]
+        history.append(val)
+
+    def linear(_):  # tr P + tr N: its gradient is cost, its Hessian zero
+        return None, lambda: (cost, None)
+
+    nu = 4.0 * n
+    _, steps, converged = _newton_barrier(lift, nu, linear, blocks, z, nu / float(cost @ z), cfg.max_iters, visit)
     witness = DensityMatrix(best, dims)
     return Certificate("Ds_oracle", min(history), witness, converged, steps, history=tuple(history))

@@ -12,7 +12,9 @@ The ``ree/panel-*`` entries pin only the value, iteration count and
 convergence flag of the REE descent, under the CLI's default
 ``OptimizerConfig()``, on the unrotated rank-2 3x3, 4x4 and 4x6 states of the
 benchmark's ``state-ppt-large`` panel (drawn in that order from one generator
-seeded with the panel seed 0), recorded at commit 018321b.
+seeded with the panel seed 0), recorded at commit 018321b. ``ree_ppt_lower``
+runs 3x3 states on its log-barrier engine, so ``ree/panel-3x3`` calls the
+descent directly.
 
 ``min_ic/depolarizing(3,0.2)/nats`` was re-recorded when mirror line searches
 started to end at the slope test: the seed that won by a last rounding-noise
@@ -67,6 +69,7 @@ from distcert import (
     seesaw_diamond_lower,
     trace_dist_to_ppt,
 )
+from distcert import optimize
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_certificates.json").read_text())
 CFG = OptimizerConfig(restarts=1, max_iters=40, seed=3)
@@ -143,7 +146,11 @@ def test_search_output_matches_golden(name):
 
 @pytest.mark.parametrize("name", list(PANEL))
 def test_panel_ree_matches_golden(name):
-    cert, want = ree_ppt_lower(PANEL[name], OptimizerConfig()), GOLDEN[name]
+    rho, want = PANEL[name], GOLDEN[name]
+    if rho.dim in optimize._BARRIER_DIMS:
+        cert = optimize._ree_descent(*optimize._regularized(rho), math.log(2.0), OptimizerConfig().max_iters)
+    else:
+        cert = ree_ppt_lower(rho, OptimizerConfig())
     assert (cert.iterations, cert.converged) == (want["iterations"], want["converged"])
     assert abs(cert.value - want["value"]) <= TOL
 

@@ -355,13 +355,14 @@ def test_analyze_channel_strict_flags_unconverged(tmp_path, capsys):
 
 
 def test_analyze_state_strict_flags_an_oracle_cut_by_its_step_cap(tmp_path, capsys):
-    # the 7th draw below: the oracle's last centering runs to the 500-step cap
+    # the 7th draw below: the oracle converges in 55 Newton steps, so a cap of 40 cuts it
     rng = np.random.default_rng(5)
     for rank in (1, 1, 1, 2, 2, 2, 4):
         rho = random_density_matrix(4, rng, rank=rank, dims=(2, 2))
     path = tmp_path / "capped.json"
     save_state(rho, str(path))
-    code, out = _run(capsys, ["analyze-state", str(path), "--strict"])
+    assert _run(capsys, ["analyze-state", str(path), "--strict"])[0] == 0
+    code, out = _run(capsys, ["analyze-state", str(path), "--strict", "--max-iters", "40"])
     assert code == 3
     (note,) = (n for n in json.loads(out)["notes"] if n.startswith("unconverged searches: "))
     assert "Ds_oracle" in note.removeprefix("unconverged searches: ").split(", ")

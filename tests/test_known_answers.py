@@ -38,6 +38,7 @@ from distcert import (
     erasure,
     maximally_entangled,
     partial_transpose,
+    ree_ppt_lower,
     save_channel,
     save_state,
     trace_dist_to_ppt,
@@ -104,6 +105,22 @@ def test_state_report_stays_below_the_true_distance(tmp_path, capsys, rho, dista
     assert _assert_below(rep, {"separable": distance}) >= 1
     [ree] = {e["inputs"]["rel_entropy_entanglement_lower"] for e in rep["entries"] if e["formula"] == "Eq5"}
     assert ree <= e_r + _REE_SLACK
+
+
+@pytest.mark.parametrize(
+    "rho, e_r",
+    [
+        pytest.param(*_isotropic_case(3, 0.8)[::2], id="isotropic-d3-F0.8"),
+        pytest.param(*_isotropic_case(3, 0.95)[::2], id="isotropic-d3-F0.95"),
+        pytest.param(*_werner_case(3, 0.95)[::2], id="werner-d3-p0.95"),
+    ],
+)
+def test_barrier_ree_meets_the_true_relative_entropy_from_below(rho, e_r):
+    # 3x3 states run on the barrier engine, whose certificate reaches E_R (the PPT and the
+    # separable E_R coincide on these families) to within its centering accuracy
+    cert = ree_ppt_lower(rho)
+    assert cert.converged
+    assert e_r - 1e-6 <= cert.value <= e_r + _REE_SLACK
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ cross-checked against brute random sampling, which any optimizer worth
 keeping must beat.
 """
 
+import functools
 import math
 import operator
 import re
@@ -806,9 +807,9 @@ def test_oracle_runs_without_projection_or_sign_matrix(monkeypatch):
     assert cert.converged
 
 
-def _capped_oracle_state():
-    """A full-rank 2x2 state whose oracle solve ends at the 500-step cap mid-centering: at
-    t = 3.45e10 the squared decrement sticks near 2e-10, above its 1e-10 test, while every
+def _stuck_oracle_state():
+    """A full-rank 2x2 state whose oracle solve once ran into the 500-step cap mid-centering: at
+    t = 3.45e10 the squared decrement sticks near 2.1e-10, above its 1e-10 test, while every
     step is accepted, although nu / t is already below 1e-9 there."""
     rng = np.random.default_rng(5)
     for rank in (1, 1, 1, 2, 2, 2, 4):
@@ -816,27 +817,216 @@ def _capped_oracle_state():
     return rho
 
 
-def test_oracle_is_unconverged_when_the_step_cap_ends_its_last_centering():
-    rho = _capped_oracle_state()
+def test_oracle_ends_a_centering_whose_decrement_stops_falling(monkeypatch):
+    rho = _stuck_oracle_state()
+    decrements = []
+    solve = np.linalg.solve
+
+    def recording_solve(a, b):  # -grad . dz is the squared decrement; b is -grad, scaled
+        dz = solve(a, b)
+        decrements.append(float(b @ dz))
+        return dz
+
+    monkeypatch.setattr(optimize.np.linalg, "solve", recording_solve)
     cert = trace_dist_to_ppt(rho)
-    assert (cert.iterations, cert.converged) == (OptimizerConfig().max_iters, False)
+    assert cert.converged and cert.iterations <= 150
     assert cert.value == min(cert.history) == trace_norm(rho.mat - cert.witness.mat)
     assert _is_ppt(cert.witness.mat, rho.dims)
+    # the last centering ends with _STALL_LIMIT + 1 decrements stuck near 2.1e-10, none a new low
+    tail = decrements[-optimize._STALL_LIMIT - 1 :]
+    assert all(optimize._CENTER_TOL < d < 3e-10 for d in tail)
+    assert min(tail[1:]) >= tail[0]
+
+
+def test_oracle_is_unconverged_when_the_step_cap_ends_its_last_centering():
+    rho = _stuck_oracle_state()
+    steps = trace_dist_to_ppt(rho).iterations
+    for cap in (steps - 1, steps - optimize._STALL_LIMIT):
+        cert = trace_dist_to_ppt(rho, OptimizerConfig(max_iters=cap))
+        assert (cert.iterations, cert.converged) == (cap, False)
+        assert cert.value == min(cert.history) == trace_norm(rho.mat - cert.witness.mat)
+        assert _is_ppt(cert.witness.mat, rho.dims)
 
 
 def test_ree_reports_no_objective_from_an_unconverged_start():
     # the benchmark's unrotated rank-2 3x3 and 4x4 states, drawn in that order from the
     # panel seed 0: the 4x4 start projection stops unconverged at 200 Dykstra sweeps, so
-    # a search that accepts no step reports no objective; the 3x3 start converges
+    # a search that accepts no step reports no objective; the 3x3 start converges (3x3
+    # states run on the barrier engine, so the descent is called directly there)
     panel = np.random.default_rng(0)
     rho33, rho44 = (random_density_matrix(a * a, panel, rank=2, dims=(a, a)) for a in (3, 4))
     assert ree_ppt_lower(rho44, OptimizerConfig(max_iters=0)).objective is None
     assert ree_ppt_lower(rho44, OptimizerConfig(max_iters=1)).objective is not None
-    cert = ree_ppt_lower(rho33, OptimizerConfig(max_iters=0))
     rho_t, tr_log, dims = optimize._regularized(rho33)
+    cert = optimize._ree_descent(rho_t, tr_log, dims, math.log(2.0), 0)
     start = project_ppt(rho_t, dims, sweeps=200)
     assert start is not None
     assert cert.objective == optimize._ree_objective(rho_t, tr_log, start, math.log(2.0))[0]
+
+
+# ----- the REE on the barrier engine -----
+
+
+# random states at the barrier's sizes: 3x3, 2x4 and 4x2, ranks 1, 2 and full
+_BARRIER_PANEL = [
+    random_density_matrix(a * b, rng, rank=rank, dims=(a, b))
+    for rng in [np.random.default_rng(11)]
+    for a, b in ((3, 3), (2, 4), (4, 2))
+    for rank in (1, 2, a * b)
+]
+
+
+@functools.cache
+def _barrier_certificate(k):
+    return ree_ppt_lower(_BARRIER_PANEL[k])
+
+
+def _rel_entropy_bits(rho_t, tau):
+    """D(rho_t || tau) in bits for a positive definite rho_t (inf if tau is singular on it)."""
+    w, u = np.linalg.eigh(rho_t)
+    wt, ut = np.linalg.eigh(tau)
+    log_tau = (ut * np.log(np.maximum(wt, 1e-300))) @ ut.conj().T
+    return float(np.real(w @ np.log(w) - np.trace(rho_t @ log_tau))) / math.log(2.0)
+
+
+def _separable_mixture(rng, dims, terms):
+    weights = rng.dirichlet(np.ones(terms))
+    products = (tensor(*(random_density_matrix(d, rng).mat for d in dims)) for _ in range(terms))
+    return sum(p * m for p, m in zip(weights, products))
+
+
+@pytest.mark.parametrize("k", range(len(_BARRIER_PANEL)))
+def test_barrier_certificate_is_below_every_ppt_candidate(k):
+    rho = _BARRIER_PANEL[k]
+    cert = _barrier_certificate(k)
+    assert cert.converged and cert.iterations <= 150
+    assert ree_dual_certificate(rho, cert.witness) == cert.value
+    sigma = cert.witness.mat
+    assert linalg._eigvalsh(sigma)[0] > 0 and linalg._eigvalsh(partial_transpose(sigma, rho.dims))[0] > 0
+    rho_t, _, dims = optimize._regularized(rho)
+    assert math.isclose(cert.objective, _rel_entropy_bits(rho_t, sigma), rel_tol=0.0, abs_tol=1e-9)
+    rng = np.random.default_rng(k)
+    n = rho.dim
+    candidates = [project_ppt(rho.mat, dims), project_ppt(rho_t, dims)]
+    for _ in range(10):
+        mixture = _separable_mixture(rng, dims, 2 * n)
+        candidates += [mixture, 0.5 * (sigma + mixture), 0.99 * sigma + 0.01 * mixture]
+        candidates.append(project_ppt(random_density_matrix(n, rng, rank=2).mat, dims))
+    for tau in candidates:
+        # a projection is PPT to its 1e-10 stop test: its relative entropy may read that much low
+        assert _rel_entropy_bits(rho_t, tau) >= cert.value - 1e-9
+    # the witness itself is a PPT candidate, and the split leaves little between the two
+    assert cert.objective - 1e-4 <= cert.value <= cert.objective
+
+
+@pytest.mark.parametrize("k", range(len(_BARRIER_PANEL)))
+def test_barrier_certificate_is_at_least_the_descents(k):
+    rho = _BARRIER_PANEL[k]
+    descent = optimize._ree_descent(*optimize._regularized(rho), math.log(2.0), OptimizerConfig().max_iters)
+    assert _barrier_certificate(k).value >= descent.value
+
+
+def _bench_states(sizes, seed):
+    """The benchmark's rank-2 states at ``sizes`` for ``seed``: drawn in that order from the panel
+    seed 0 and each turned by a local unitary U_A (x) U_B drawn from ``seed`` (QR of a complex
+    Gaussian with its phases fixed), as the benchmark's workloads draw them."""
+    panel, rng = np.random.default_rng(0), np.random.default_rng(seed)
+
+    def unitary(d):
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        q, r = np.linalg.qr(g)
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    states = []
+    for a, b in sizes:
+        rho = random_density_matrix(a * b, panel, rank=2, dims=(a, b))
+        u = np.kron(unitary(a), unitary(b))
+        m = u @ rho.mat @ u.conj().T
+        states.append(DensityMatrix(0.5 * (m + m.conj().T), (a, b)))
+    return states
+
+
+def test_descent_witnesses_keep_their_corner_certificate():
+    # the seed-7 benchmark states the descent still runs on, and the certificates (bits) their
+    # reports printed before the interior split: a Dykstra witness is PPT only to its stop test,
+    # so the split never applies and ree_dual_certificate returns the corner split's bits
+    small = _bench_states([(2, 2), (2, 3)], 7)
+    large = _bench_states([(3, 3), (4, 4), (4, 6)], 7)[1:]
+    printed = [0.0, 0.3887643514011574, 0.6119469777511176, 0.9985907424033]
+    lb = math.log(2.0)
+    for rho, value in zip(small + large, printed):
+        cert = ree_ppt_lower(rho)
+        rho_t, tr_log, dims = optimize._regularized(rho)
+        sigma = cert.witness.mat
+        corner = optimize._ree_terms(optimize._ree_objective(rho_t, tr_log, sigma, lb), dims, lb)[2]
+        assert optimize._interior_split(rho_t, tr_log, sigma, dims, lb) == -math.inf
+        assert ree_dual_certificate(rho, cert.witness) == cert.value == corner
+        assert abs(cert.value - value) <= 1e-9
+
+
+def test_interior_split_holds_for_every_s_and_beats_the_corner_at_the_barrier_witness():
+    rho = _BARRIER_PANEL[1]
+    cert = _barrier_certificate(1)
+    rho_t, tr_log, dims = optimize._regularized(rho)
+    lb = math.log(2.0)
+    sigma = cert.witness.mat
+    split = optimize._interior_split(rho_t, tr_log, sigma, dims, lb)
+    corner = optimize._ree_terms(optimize._ree_objective(rho_t, tr_log, sigma, lb), dims, lb)[2]
+    assert cert.value == split > corner
+    # the bisection's value is lambda_min(G - s C) at one s >= 0: no s on a grid does better by
+    # more than rounding, and every s gives a bound no PPT candidate beats
+    f, point = optimize._ree_point(rho_t, tr_log, *np.linalg.eigh(sigma), lb)
+    grad, _ = optimize._ree_gradient(point, lb)
+    inv = np.linalg.inv(sigma) + partial_transpose(np.linalg.inv(partial_transpose(sigma, dims)), dims)
+    base = f - float(np.real(np.trace(grad @ sigma)))
+    grid = [base + np.linalg.eigvalsh(grad - s * inv)[0] for s in np.geomspace(1e-14, 1.0, 400)]
+    assert max(grid) <= split + 1e-9
+    assert min(grid) < split
+    assert split <= cert.objective
+
+
+def test_barrier_ree_honours_the_step_cap():
+    rho = _BARRIER_PANEL[1]
+    for cap in (0, 1, 10):
+        cert = ree_ppt_lower(rho, OptimizerConfig(max_iters=cap))
+        assert (cert.iterations, cert.converged) == (cap, False)
+        assert len(cert.history) == cap + 1 and cert.objective == cert.history[-1]
+        assert ree_dual_certificate(rho, cert.witness) == cert.value >= 0.0
+    assert np.array_equal(ree_ppt_lower(rho, OptimizerConfig(max_iters=0)).witness.mat, np.eye(9) / 9)
+
+
+def test_barrier_ree_runs_from_7_to_9_without_projection(monkeypatch):
+    assert list(optimize._BARRIER_DIMS) == [7, 8, 9]
+    for name in ("project_ppt", "_dykstra", "_ree_descent"):
+        monkeypatch.setattr(optimize, name, lambda *a, **k: pytest.fail("called"))
+    assert ree_ppt_lower(_BARRIER_PANEL[4], OptimizerConfig(max_iters=5)).iterations == 5
+
+
+def test_log_divided_differences_match_their_definitions():
+    rng = np.random.default_rng(4)
+    w = np.sort(np.concatenate([rng.random(5), [1e-11, 1e-11 * (1 + 1e-12), 0.3, 0.3 + 1e-15]]))
+    first = optimize._log_first(w)
+    second = optimize._log_second(w, first)
+    for i, a in enumerate(w):
+        for j, b in enumerate(w):
+            # 1 / log[a, b] is the logarithmic mean, between the geometric and the arithmetic mean
+            assert 2.0 / (a + b) * (1 - 1e-15) <= first[i, j] <= 1.0 / math.sqrt(a * b) * (1 + 1e-15)
+            if abs(a - b) > 1e-3 * max(a, b):  # well separated: the plain quotient is accurate
+                assert math.isclose(first[i, j], (math.log(a) - math.log(b)) / (a - b), rel_tol=1e-13)
+            for k, c in enumerate(w):
+                hi, lo = max(a, b, c), min(a, b, c)
+                got = second[i, k, j]
+                # symmetric, and minus the integral over s >= 0 of 1 / ((a + s)(b + s)(c + s))
+                assert got == second[j, i, k] == second[k, j, i] < 0
+                assert -0.5 / lo**2 <= got <= -0.5 / hi**2
+                if hi - lo > 1e-3 * hi:
+                    mid = a + b + c - hi - lo
+                    plain = (math.log(hi) - math.log(mid)) / (hi - mid) if hi - mid > 1e-3 * hi else 1 / mid
+                    plain -= (math.log(mid) - math.log(lo)) / (mid - lo) if mid - lo > 1e-3 * mid else 1 / mid
+                    assert math.isclose(got, plain / (hi - lo), rel_tol=1e-3)
+    assert math.isclose(second[0, 1, 0], -0.5e22, rel_tol=1e-9)
+    at = int(np.flatnonzero(w == 0.3)[0])
+    assert math.isclose(second[at, at + 1, at], -0.5 / 0.09, rel_tol=1e-9)
 
 
 def test_certificate_fields_and_config_defaults():

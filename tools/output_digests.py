@@ -16,10 +16,12 @@ and both bases are covered, and ``analyze-channel`` on a channel with
 d_in * d_out <= 36 also with ``--ree``. Then come the lines of seed ``-``:
 every ``zoo`` channel at two parameter sets, ``analyze-state`` on inputs
 at the trace-distance oracle's edge cases (a 3x2 state, whose factor order is
-swapped, a pure 2x2 state and a PPT product state, drawn from seed 0), and a
-fixed list of invalid calls (refused inside the command with exit 2, or by
-argparse with its SystemExit code), whose stderr digests pin the error
-messages. Last comes the seed-7 2x3 benchmark state with ``--max-iters 20``,
+swapped, a pure 2x2 state and a PPT product state, drawn from seed 0),
+``analyze-state`` on two states the REE's barrier engine runs on besides the
+benchmark's 3x3 one (a rank-2 2x4 state drawn from seed 0 and the 3x3
+isotropic state of fidelity 0.8), and a fixed list of invalid calls
+(refused inside the command with exit 2, or by argparse with its SystemExit
+code), whose stderr digests pin the error messages. Last comes the seed-7 2x3 benchmark state with ``--max-iters 20``,
 where the oracle stops unconverged. The temporary
 directory's path reads ``<tmp>`` in argv and is replaced by it in the output
 before hashing, so two checkouts that print the same bytes give the same
@@ -132,7 +134,15 @@ def _digest(cli, tmp: str, seed, workload: str, argv: list[str]) -> None:
 def main(checkout: Path) -> None:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
     import numpy as np
-    from distcert import DensityMatrix, cli, random_density_matrix, random_pure_state, save_state, tensor
+    from distcert import (
+        DensityMatrix,
+        cli,
+        maximally_entangled,
+        random_density_matrix,
+        random_pure_state,
+        save_state,
+        tensor,
+    )
     from workloads import WORKLOADS, make_invocations
 
     if not Path(cli.__file__).resolve().is_relative_to(checkout / "src"):
@@ -160,6 +170,14 @@ def main(checkout: Path) -> None:
         for name, rho in oracle_states.items():
             save_state(rho, path := str(Path(tmp, f"{name}.json")))
             _digest(cli, tmp, "-", "oracle", ["analyze-state", path])
+        phi = maximally_entangled(3).to_density().mat
+        barrier_states = {
+            "rank2-2x4": random_density_matrix(8, np.random.default_rng(0), rank=2, dims=(2, 4)),
+            "isotropic-3x3-F0.8": DensityMatrix(0.8 * phi + 0.2 * (np.eye(9) - phi) / 8, (3, 3)),
+        }
+        for name, rho in barrier_states.items():
+            save_state(rho, path := str(Path(tmp, f"{name}.json")))
+            _digest(cli, tmp, "-", "barrier", ["analyze-state", path])
         for name, text in FILES.items():
             Path(tmp, name).write_text(text)
         for argv in INVALID:
