@@ -498,11 +498,28 @@ def _project_density(a: np.ndarray) -> np.ndarray:
     return (u * np.maximum(w - theta, 0.0)) @ u.conj().T
 
 
-def _dykstra(x: np.ndarray, perm: np.ndarray, sweeps: int) -> tuple[np.ndarray, bool]:
-    """(hermitized density-side iterate, whether the stop test fired) after at most ``sweeps``
-    Dykstra sweeps from the Hermitian ``x``, ``perm`` its ``_pt_index``; see ``project_ppt``."""
+def project_ppt(
+    mat: np.ndarray, dims: tuple[int, int], sweeps: int = _DYKSTRA_MAX_ITERS
+) -> tuple[np.ndarray, bool]:
+    """(nearest PPT density matrix in Frobenius norm, converged), via Dykstra alternation.
+
+    The input is checked once (its split, finite entries small enough to
+    symmetrize) and hermitized. A sweep, two bare eigendecompositions of
+    hermitized iterates, projects exactly onto the density matrices
+    (``_project_density``, once per sweep, so its calls count sweeps), then
+    onto the cone with positive partial transpose; Dykstra's
+    corrections p, q make the limit the projection onto the intersection. It stops
+    once the two iterates lie within 1e-10 in Frobenius norm, or after ``sweeps``
+    sweeps (200 by default), and returns the hermitized density-side iterate,
+    always a valid state, with whether the stop test fired. Only then is the
+    iterate the projection, the same bits under any larger budget.
+    The written-out norm is ``np.linalg.norm`` bit for bit, with less overhead.
+    """
+    a = np.asarray(mat, dtype=complex)
+    perm = _pt_index(a, dims)
+    _check_symmetrizable(a)
+    x = y = hermitize(a)
     p = q = np.zeros_like(x)
-    y = x
     for _ in range(sweeps):
         s = x + p
         y = _project_density(s)
@@ -515,29 +532,6 @@ def _dykstra(x: np.ndarray, perm: np.ndarray, sweeps: int) -> tuple[np.ndarray, 
         if math.sqrt(d.real.dot(d.real) + d.imag.dot(d.imag)) < _DYKSTRA_TOL:
             return hermitize(y), True
     return hermitize(y), False
-
-
-def project_ppt(mat: np.ndarray, dims: tuple[int, int], *, sweeps: int | None = None) -> np.ndarray | None:
-    """Nearest PPT density matrix in Frobenius norm, via Dykstra alternation.
-
-    The input is checked once (its split, finite entries small enough to
-    symmetrize) and hermitized. A sweep, two bare eigendecompositions of
-    hermitized iterates, projects exactly onto the density matrices
-    (``_project_density``, once per sweep, so its calls count sweeps), then
-    onto the cone with positive partial transpose; Dykstra's
-    corrections p, q make the limit the projection onto the intersection. It stops
-    once the two iterates lie within 1e-10 in Frobenius norm and returns the
-    density-side iterate, always a valid state. By default it stops silently
-    after 200 sweeps and returns that iterate unconverged; with ``sweeps`` given
-    it returns None unless the stop test fires within that many sweeps, and
-    otherwise the default call's bits.
-    The written-out norm is ``np.linalg.norm`` bit for bit, with less overhead.
-    """
-    a = np.asarray(mat, dtype=complex)
-    perm = _pt_index(a, dims)
-    _check_symmetrizable(a)
-    y, converged = _dykstra(hermitize(a), perm, _DYKSTRA_MAX_ITERS if sweeps is None else sweeps)
-    return y if converged or sweeps is None else None
 
 
 # ----- the log-barrier engine -----
@@ -630,13 +624,13 @@ def _newton_barrier(lift, nu, objective, blocks, z, t, max_iters, visit):
 
 
 def _ree_objective(rho_t: np.ndarray, tr_rho_log_rho: float, sigma: np.ndarray, lb):
-    """The objective f at the floored sig (see ``_ree_terms``) and the (sig, ws, us, rho_e) it reads."""
+    """The objective f, ``_ree_point`` at the floored sig (see ``_ree_terms``) with its spectrum
+    floored at ``_LOG_FLOOR``, and the (sig, ws, us, rho_e) it reads."""
     n = sigma.shape[0]
     sig = (1.0 - _SIGMA_FLOOR) * hermitize(sigma) + _SIGMA_FLOOR * np.eye(n) / n
     ws, us = _eigh(sig)  # bare: hermitize(.) times a real scalar plus a real diagonal is exactly Hermitian
-    ws = np.maximum(ws, _LOG_FLOOR)
-    rho_e = us.conj().T @ rho_t @ us
-    return (tr_rho_log_rho - float(np.real(np.log(ws) @ np.diag(rho_e).real))) / lb, (sig, ws, us, rho_e)
+    f, point = _ree_point(rho_t, tr_rho_log_rho, np.maximum(ws, _LOG_FLOOR), us, lb)
+    return f, (sig, *point)
 
 
 def _ree_terms(scored, dims, lb):
@@ -768,7 +762,8 @@ def ree_dual_certificate(rho: DensityMatrix, sigma: DensityMatrix, base: float =
       point of ``ree_ppt_lower``'s barrier, s = 1 / t leaves a gap of 2n / t.
 
     A Dykstra projection is PPT only to its stop test, so the interior split
-    does not apply at the descent's witnesses.
+    does not apply at the descent's witnesses. Both engines of
+    ``ree_ppt_lower`` report this value at their witness, from the same code.
     """
     lb = math.log(_check_base(base))
     rho_t, tr_log, dims = _regularized(rho)
@@ -822,7 +817,7 @@ def _ree_barrier(rho_t, tr_log, dims, lb, max_iters: int) -> Certificate:
 
 def _ree_descent(rho_t, tr_log, dims, lb, max_iters: int) -> Certificate:
     """``ree_ppt_lower`` by projected gradient descent from the PPT projection of rho_t."""
-    best_sigma, start_converged = _dykstra(hermitize(rho_t), _pt_index(rho_t, dims), _DYKSTRA_MAX_ITERS)
+    best_sigma, start_converged = project_ppt(rho_t, dims)
     f, grad, cert, sig = _ree_terms(_ree_objective(rho_t, tr_log, best_sigma, lb), dims, lb)
     best_cert = cert
     history = [cert]
@@ -831,8 +826,8 @@ def _ree_descent(rho_t, tr_log, dims, lb, max_iters: int) -> Certificate:
     def step(_):
         nonlocal f, grad, sig, best_cert, best_sigma, eta
         for e in _halvings(eta, 40):
-            trial = project_ppt(sig - e * grad, dims, sweeps=_TRIAL_SWEEPS)
-            if trial is None:
+            trial, ok = project_ppt(sig - e * grad, dims, _TRIAL_SWEEPS)
+            if not ok:
                 continue
             scored = _ree_objective(rho_t, tr_log, trial, lb)
             if scored[0] < f - _MARGIN:
@@ -849,8 +844,7 @@ def _ree_descent(rho_t, tr_log, dims, lb, max_iters: int) -> Certificate:
 
     [(converged, it)] = _drive(step, 1, max_iters)
     witness = DensityMatrix(best_sigma, dims)
-    # best_cert is the corner split at the witness: with the interior split, its ree_dual_certificate
-    value = max(best_cert, _interior_split(rho_t, tr_log, witness.mat, dims, lb))
+    value = _ree_certificate(rho_t, tr_log, witness.mat, dims, lb)
     objective = f if start_converged or len(history) > 1 else None
     return Certificate("ER_lower", value, witness, converged, it, objective=objective, history=tuple(history))
 

@@ -307,7 +307,7 @@ def test_partial_transpose_is_the_reshape_transpose(dims, kind):
 def test_ppt_dims_are_read_as_integers():
     mat = np.eye(6) / 6
     assert np.array_equal(partial_transpose(mat, (2.0, 3)), partial_transpose(mat, (2, 3)))
-    assert np.array_equal(project_ppt(mat, (2.0, 3)), project_ppt(mat, (2, 3)))
+    assert np.array_equal(project_ppt(mat, (2.0, 3))[0], project_ppt(mat, (2, 3))[0])
     for dims in ((2.5, 2), (True, 4), ("2", "2")):
         for call in (partial_transpose, project_ppt):
             with pytest.raises(ValueError, match="dims entry must be an integer"):
@@ -319,22 +319,25 @@ def test_project_ppt_fixes_ppt_states():
     ra = random_density_matrix(2, rng)
     rb = random_density_matrix(2, rng)
     sep = tensor(ra.mat, rb.mat)
-    proj = project_ppt(sep, (2, 2))
+    proj, converged = project_ppt(sep, (2, 2))
+    assert converged
     assert np.allclose(proj, sep, atol=1e-8)
 
 
 def test_project_ppt_output_is_ppt_density():
     bell = maximally_entangled(2).to_density()
-    proj = project_ppt(bell.mat, (2, 2))
+    proj, converged = project_ppt(bell.mat, (2, 2))
+    assert converged
     assert np.isclose(np.trace(proj).real, 1.0, atol=1e-8)
     assert np.linalg.eigvalsh(proj).min() >= -1e-8
     assert np.linalg.eigvalsh(partial_transpose(proj, (2, 2))).min() >= -1e-8
 
 
-def _reference_project_ppt(mat, dims):
-    """The plain Dykstra loop: (projection, sweeps, whether the stop test
-    fired). Sorted-spectrum simplex projection and partial transposes around
-    the cone projection, every eigh behind the 1e-8 guard."""
+def _reference_project_ppt(mat, dims, budget=200):
+    """The plain Dykstra loop of at most ``budget`` sweeps: (density-side
+    iterate, sweeps, whether the stop test fired). Sorted-spectrum simplex
+    projection and partial transposes around the cone projection, every eigh
+    behind the 1e-8 guard."""
 
     def eigh(m):
         assert herm_defect(m) <= 1e-8
@@ -355,10 +358,11 @@ def _reference_project_ppt(mat, dims):
         w, u = eigh(partial_transpose(m, dims))
         return partial_transpose((u * np.maximum(w, 0.0)) @ u.conj().T, dims)
 
-    x = hermitize(np.asarray(mat, dtype=complex))
+    x = y = hermitize(np.asarray(mat, dtype=complex))
     p = np.zeros_like(x)
     q = np.zeros_like(x)
-    for sweeps in range(1, 201):
+    sweeps = 0
+    for sweeps in range(1, budget + 1):
         y = density(x + p)
         p = x + p - y
         x = pt_psd(y + q)
@@ -386,6 +390,8 @@ def _ppt_cases():
     for scale in (1e6, 1e9):
         yield pytest.param(_random_hermitian(rng, 6, scale), (2, 3), id=f"2x3-hermitian-{scale:.0e}")
     yield pytest.param(100.0 * maximally_entangled(2).to_density().mat, (2, 2), id="sweep-cap")
+    # a random g + g^dag at 2x3 runs into the 200-sweep cap
+    yield pytest.param(_random_hermitian(rng, 6, 1.0), (2, 3), id="2x3-hermitian-sweep-cap")
 
 
 @pytest.mark.parametrize("mat, dims", list(_ppt_cases()))
@@ -395,7 +401,9 @@ def test_project_ppt_matches_the_reference_loop_bit_for_bit(monkeypatch, request
     density, eigh = optimize._project_density, optimize._eigh
     monkeypatch.setattr(optimize, "_project_density", lambda *a: sweep_calls.append(1) or density(*a))
     monkeypatch.setattr(optimize, "_eigh", lambda a: eigh_calls.append(1) or eigh(a))
-    assert np.array_equal(project_ppt(mat, dims), expected)
+    got, flag = project_ppt(mat, dims)
+    assert np.array_equal(got, expected)
+    assert flag is converged
     assert len(sweep_calls) == sweeps
     # a sweep is two bare eigendecompositions; the reference loop checks each
     # iterate it decomposes for Hermiticity within 1e-8
@@ -403,18 +411,19 @@ def test_project_ppt_matches_the_reference_loop_bit_for_bit(monkeypatch, request
     case = request.node.callspec.id
     if case == "already-ppt":
         assert sweeps == 1
-    if case == "sweep-cap":
+    if case in ("sweep-cap", "2x3-hermitian-sweep-cap"):
         assert sweeps == optimize._DYKSTRA_MAX_ITERS == 200
         assert not converged
-    # with a sweep budget: the default call's bits when the stop test fires
-    # within it, None after the whole budget otherwise
+    # with a sweep budget: the default call's bits and True when the stop test
+    # fires within it, the iterate after the whole budget and False otherwise
     for budget in (sweeps - 1, sweeps, optimize._TRIAL_SWEEPS):
         sweep_calls.clear()
-        got = project_ppt(mat, dims, sweeps=budget)
-        if converged and budget >= sweeps:
+        got, flag = project_ppt(mat, dims, budget)
+        assert flag is (converged and budget >= sweeps)
+        if flag:
             assert np.array_equal(got, expected)
         else:
-            assert got is None
+            assert np.array_equal(got, _reference_project_ppt(mat, dims, budget)[0])
         assert len(sweep_calls) == min(budget, sweeps)
 
 
@@ -455,7 +464,7 @@ def test_project_ppt_matches_the_earlier_sweep_bit_for_bit(dims):
     for scale in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0):
         mat = _random_hermitian(rng, n, scale)
         expected, used = _earlier_project_ppt(mat, dims)
-        assert np.array_equal(project_ppt(mat, dims), expected)
+        assert np.array_equal(project_ppt(mat, dims)[0], expected)
         sweeps.append(used)
     # inputs that stop on the 1e-10 test and inputs that run into the 200-sweep cap
     assert min(sweeps) < optimize._DYKSTRA_MAX_ITERS == max(sweeps) == 200
@@ -470,7 +479,7 @@ def test_project_ppt_rejects_a_spectrum_beyond_double_precision():
     # at 1e16 no eigenvalue passes the simplex test; 1e15 still projects to I/4
     with pytest.raises(ValueError, match="too large to project onto density matrices"):
         project_ppt(1e16 * np.eye(4), (2, 2))
-    assert np.allclose(project_ppt(1e15 * np.eye(4), (2, 2)), np.eye(4) / 4, atol=1e-12)
+    assert np.allclose(project_ppt(1e15 * np.eye(4), (2, 2))[0], np.eye(4) / 4, atol=1e-12)
     # at 5e307 the running sum passes the largest float: the caller gets the
     # ValueError alone, no overflow warning before it
     with warnings.catch_warnings(record=True) as caught:
@@ -613,15 +622,15 @@ def _reference_ree_ppt_lower(rho, max_iters):
     def full_terms(sigma):
         return optimize._ree_terms(optimize._ree_objective(rho_t, tr_log, sigma, lb), dims, lb)
 
-    best_sigma = project_ppt(rho_t, dims)
+    best_sigma, _ = project_ppt(rho_t, dims)
     f, grad, cert, sig = full_terms(best_sigma)
     best_cert, history, eta, gains = cert, [cert], _STEP, []
 
     def step(_):
         nonlocal f, grad, sig, best_cert, best_sigma, eta
         for e in optimize._halvings(eta, 40):
-            trial = project_ppt(sig - e * grad, dims, sweeps=optimize._TRIAL_SWEEPS)
-            if trial is None:  # not converged within the trial budget: rejected
+            trial, converged = project_ppt(sig - e * grad, dims, optimize._TRIAL_SWEEPS)
+            if not converged:  # not converged within the trial budget: rejected
                 continue
             terms = full_terms(trial)
             if terms[0] < f - 1e-15:
@@ -669,26 +678,31 @@ def test_ree_accepts_only_converged_projections(monkeypatch, dims, seed, max_ite
     # (2, 2) seed 0 is the benchmark panel's 2x2 state: without a trial budget
     # it accepts a trial whose projection ran into the 200-sweep cap unconverged
     rho = random_density_matrix(dims[0] * dims[1], np.random.default_rng(seed), rank=2, dims=dims)
-    last, scored_inputs = [], []
-    dykstra, terms = optimize._dykstra, optimize._ree_terms
+    calls, scored = [], []
+    project, terms = optimize.project_ppt, optimize._ree_terms
 
-    def recording_dykstra(x, perm, sweeps):
-        # every projection runs here: the start directly, each trial through project_ppt
-        last[:] = [x]
-        return dykstra(x, perm, sweeps)
+    def recording_project(mat, dims, sweeps=optimize._DYKSTRA_MAX_ITERS):
+        # every projection runs here: the start first, then each trial
+        out = project(mat, dims, sweeps)
+        calls.append((mat, sweeps, out[1]))
+        return out
 
     def recording_terms(*args):
         # the projection scored here is the last one made: the start
-        # projection first, then each accepted trial
-        scored_inputs.append(last[0])
+        # projection first, then each accepted trial; last comes the
+        # certificate at the witness, which makes no projection
+        scored.append(calls[-1])
         return terms(*args)
 
-    monkeypatch.setattr(optimize, "_dykstra", recording_dykstra)
+    monkeypatch.setattr(optimize, "project_ppt", recording_project)
     monkeypatch.setattr(optimize, "_ree_terms", recording_terms)
     cert = ree_ppt_lower(rho, OptimizerConfig(max_iters=max_iters))
-    accepted = scored_inputs[1:]
+    assert scored[0] is calls[0] and calls[0][1] == optimize._DYKSTRA_MAX_ITERS
+    assert [sweeps for _, sweeps, _ in calls[1:]] == [optimize._TRIAL_SWEEPS] * (len(calls) - 1)
+    accepted = scored[1:-1]
     assert len(accepted) == len(cert.history) - 1 > 0
-    for mat in accepted:
+    for mat, _, flag in accepted:
+        assert flag
         assert _reference_project_ppt(mat, dims)[2]
 
 
@@ -707,7 +721,7 @@ def test_ree_candidate_is_exactly_hermitian_and_decomposes_as_the_gate_would():
         candidates = [signed_zeros]
         for _ in range(20):
             g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            candidates += [project_ppt(g, dims), hermitize(g), g]
+            candidates += [project_ppt(g, dims)[0], hermitize(g), g]
         for sigma in candidates:
             _, (sig, ws, us, _) = optimize._ree_objective(rho_t, tr_log, sigma, lb)
             assert np.array_equal(sig, sig.conj().T)
@@ -737,7 +751,7 @@ def test_trace_dist_to_ppt_bell_reference():
     assert abs(cert.value - 1.0) <= 1e-3
     # The estimate is an upper bound style oracle: it cannot undercut the
     # distance to any particular PPT state by more than solver noise.
-    sig = DensityMatrix(project_ppt(bell.mat, (2, 2)), dims=(2, 2))
+    sig = DensityMatrix(project_ppt(bell.mat, (2, 2))[0], dims=(2, 2))
     assert cert.value <= trace_norm(bell.mat - sig.mat) + 1e-9
 
 
@@ -767,7 +781,7 @@ def test_oracle_converges_to_a_ppt_upper_value(k):
     # Dykstra's Frobenius projection is PPT only to its 1e-10 stop test, so where it is
     # also closest in trace norm (six of the pure states here) it reads about 2e-10 to
     # 3e-10 below the true distance; the solve itself stops once its gap bound is 1e-9
-    assert cert.value <= trace_norm(rho.mat - project_ppt(rho.mat, rho.dims)) + optimize._GAP_TOL
+    assert cert.value <= trace_norm(rho.mat - project_ppt(rho.mat, rho.dims)[0]) + optimize._GAP_TOL
     # the report's Eq5 and Eq6 entries: lower bounds from the REE and coherent-information certificates
     d = min(rho.dims)
     gaps = (ree_ppt_lower(rho, OptimizerConfig(max_iters=40)).value, max_coherent_information(rho))
@@ -801,7 +815,7 @@ def test_oracle_starts_at_a_strictly_ppt_input():
 
 
 def test_oracle_runs_without_projection_or_sign_matrix(monkeypatch):
-    for name in ("project_ppt", "_dykstra", "_sign_matrix"):
+    for name in ("project_ppt", "_sign_matrix"):
         monkeypatch.setattr(optimize, name, lambda *a, **k: pytest.fail("called"))
     cert = trace_dist_to_ppt(_ORACLE_PANEL[4])
     assert cert.converged
@@ -859,8 +873,8 @@ def test_ree_reports_no_objective_from_an_unconverged_start():
     assert ree_ppt_lower(rho44, OptimizerConfig(max_iters=1)).objective is not None
     rho_t, tr_log, dims = optimize._regularized(rho33)
     cert = optimize._ree_descent(rho_t, tr_log, dims, math.log(2.0), 0)
-    start = project_ppt(rho_t, dims, sweeps=200)
-    assert start is not None
+    start, converged = project_ppt(rho_t, dims, 200)
+    assert converged
     assert cert.objective == optimize._ree_objective(rho_t, tr_log, start, math.log(2.0))[0]
 
 
@@ -907,11 +921,11 @@ def test_barrier_certificate_is_below_every_ppt_candidate(k):
     assert math.isclose(cert.objective, _rel_entropy_bits(rho_t, sigma), rel_tol=0.0, abs_tol=1e-9)
     rng = np.random.default_rng(k)
     n = rho.dim
-    candidates = [project_ppt(rho.mat, dims), project_ppt(rho_t, dims)]
+    candidates = [project_ppt(rho.mat, dims)[0], project_ppt(rho_t, dims)[0]]
     for _ in range(10):
         mixture = _separable_mixture(rng, dims, 2 * n)
         candidates += [mixture, 0.5 * (sigma + mixture), 0.99 * sigma + 0.01 * mixture]
-        candidates.append(project_ppt(random_density_matrix(n, rng, rank=2).mat, dims))
+        candidates.append(project_ppt(random_density_matrix(n, rng, rank=2).mat, dims)[0])
     for tau in candidates:
         # a projection is PPT to its 1e-10 stop test: its relative entropy may read that much low
         assert _rel_entropy_bits(rho_t, tau) >= cert.value - 1e-9
@@ -997,7 +1011,7 @@ def test_barrier_ree_honours_the_step_cap():
 
 def test_barrier_ree_runs_from_7_to_9_without_projection(monkeypatch):
     assert list(optimize._BARRIER_DIMS) == [7, 8, 9]
-    for name in ("project_ppt", "_dykstra", "_ree_descent"):
+    for name in ("project_ppt", "_ree_descent"):
         monkeypatch.setattr(optimize, name, lambda *a, **k: pytest.fail("called"))
     assert ree_ppt_lower(_BARRIER_PANEL[4], OptimizerConfig(max_iters=5)).iterations == 5
 

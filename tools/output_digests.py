@@ -25,7 +25,9 @@ code), whose stderr digests pin the error messages. Last comes the seed-7 2x3 be
 where the oracle stops unconverged. The temporary
 directory's path reads ``<tmp>`` in argv and is replaced by it in the output
 before hashing, so two checkouts that print the same bytes give the same
-lines:
+lines. BLAS and OpenMP are pinned to one thread before numpy loads, as in
+the benchmark, since the barrier's Newton step count can move with the
+thread count:
 
     diff <(python3 tools/output_digests.py OLD) <(python3 tools/output_digests.py NEW)
 """
@@ -34,12 +36,14 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import shlex
 import sys
 import tempfile
 from pathlib import Path
 
 SEEDS = (1, 7, 31)
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # the searches behind the analyze-* reports, as ``distcert.cli`` names them
 SEARCHES = (
@@ -133,6 +137,7 @@ def _digest(cli, tmp: str, seed, workload: str, argv: list[str]) -> None:
 
 def main(checkout: Path) -> None:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
+    os.environ.update(dict.fromkeys(THREAD_VARS, "1"))  # before numpy loads
     import numpy as np
     from distcert import (
         DensityMatrix,
