@@ -86,7 +86,6 @@ _BASIS_SEED_CAP = 8
 _BASIS_SEED_MIX = 1e-6
 _RHO_FLOOR = 1e-9
 _SIGMA_FLOOR = 1e-4
-_EIG_PAIR_GUARD = 1e-13
 _DYKSTRA_TOL = 1e-10
 _DYKSTRA_MAX_ITERS = 200
 _TRIAL_SWEEPS = 100  # a REE line-search trial whose projection needs more is rejected
@@ -227,16 +226,12 @@ def _mirror_slope(w: np.ndarray, v: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
     rho = v diag(w) v^dag with w floored as in its log, and grad is the gradient of the value. In
     rho's eigenbasis, with G = v^dag grad v and mu = sum_i w_i G_ii, it is
-    sum_ij |G_ij - mu delta_ij|^2 K_ij, K_ij the logarithmic mean of w_i and w_j (K_ii = w_i, and
-    w_i where the logs tie within 1e-13): every term is >= 0, so rounding cannot make it negative."""
+    sum_ij |G_ij - mu delta_ij|^2 K_ij, K = 1 / ``_log_first`` the logarithmic means of w's pairs
+    (K_ii = w_i): every term is >= 0, so rounding cannot make it negative."""
     g = v.conj().swapaxes(-1, -2) @ grad @ v
     diag = g.reshape(len(g), -1)[:, :: w.shape[-1] + 1]  # a view of each G_ii
     diag -= (w * diag.real).sum(-1, keepdims=True)
-    log_w = np.log(w)
-    dlog = log_w[:, :, None] - log_w[:, None, :]
-    k = np.repeat(w[:, :, None], w.shape[-1], -1)  # w_i, kept on the diagonal and where the logs tie
-    np.divide(w[:, :, None] - w[:, None, :], dlog, out=k, where=abs(dlog) > _EIG_PAIR_GUARD)
-    return (abs(g) ** 2 * k).sum((-2, -1))
+    return (abs(g) ** 2 / _log_first(w)).sum((-2, -1))
 
 
 def _traceless_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -554,8 +549,8 @@ def _hermitian_basis(n: int) -> np.ndarray:
     return basis.reshape(n * n, n * n).T
 
 
-def _newton_barrier(lift, nu, objective, blocks, z, t, max_iters, visit):
-    """(z, Newton steps, converged) of a primal log-barrier solve from the strictly feasible ``z``.
+def _newton_barrier(lift, objective, blocks, z, start, max_iters, visit):
+    """(x, Newton steps, converged) of a primal log-barrier solve from the strictly feasible ``z``.
 
     It minimises f over real coordinates z. ``objective(x)`` returns f's value at the blocks
     ``x = blocks(z)``, a (k, n, n) stack that must stay positive definite, and a callable giving
@@ -568,13 +563,16 @@ def _newton_barrier(lift, nu, objective, blocks, z, t, max_iters, visit):
     for a quarter of the first-order decrease. A centering ends when the squared Newton decrement
     is at most ``_CENTER_TOL``, when it has stopped falling (no new low of the centering for
     ``_STALL_LIMIT`` steps in a row), or, at the working precision, when 12 halvings cannot lower
-    the objective; then t grows 8x, until ``nu`` / t <= ``_GAP_TOL``. ``converged`` says that the
-    solve got there with its last centering ended by one of those tests, not by the ``max_iters``
-    cap on Newton steps. ``visit(x, f)`` sees the blocks and f's value (None if linear) after every
-    accepted step.
+    the objective; then t grows 8x, from nu / ``start`` (a positive scale of f at the start)
+    until nu / t <= ``_GAP_TOL``, nu = k * n being the barrier parameter of k blocks of side n.
+    ``converged`` says that the solve got there with its last centering ended by one of those
+    tests, not by the ``max_iters`` cap on Newton steps. ``visit(x, f)`` sees the blocks and f's
+    value (None if linear) after every accepted step; x is the blocks at the last iterate.
     """
     k, nn, m = lift.shape
     x = blocks(z)
+    nu = k * x.shape[-1]
+    t = nu / start
     f, derivatives = objective(x)
     f_grad, f_hess = derivatives()
     steps = 0
@@ -614,9 +612,9 @@ def _newton_barrier(lift, nu, objective, blocks, z, t, max_iters, visit):
             steps += 1
             visit(x, f)
         else:
-            return z, steps, False  # the step cap cut the last centering short
+            return x, steps, False  # the step cap cut the last centering short
         if nu / t <= _GAP_TOL:
-            return z, steps, True
+            return x, steps, True
         t *= 8.0
 
 
@@ -653,14 +651,10 @@ def _ree_terms(scored, dims, lb):
     -rho_mass/sigma_mass and the minorant becomes vacuous; with it, the
     spurious part is bounded by the 1e-9/1e-4 mass ratio while the objective
     moves by at most 1e-4 * log(dim). The tangent-plane inequality holds at
-    the mixed candidate exactly, so validity is unaffected.
+    the mixed candidate exactly, so validity is unaffected. G is ``_ree_gradient``'s.
     """
-    f, (sig, ws, us, rho_e) = scored
-    wa, wb = ws[:, None], ws[None, :]
-    diff = wa - wb
-    near = np.abs(diff) <= _EIG_PAIR_GUARD
-    kernel = np.where(near, 2.0 / (wa + wb), (np.log(wa) - np.log(wb)) / np.where(near, 1.0, diff))
-    grad = hermitize(us @ (-kernel * rho_e) @ us.conj().T) / lb
+    f, (sig, *point) = scored
+    grad, _ = _ree_gradient(point, lb)
     lam = float(_eigvalsh(grad)[0])
     lam_pt = float(_eigvalsh(partial_transpose(grad, dims))[0])
     slope = float(np.real(np.trace(grad @ sig)))
@@ -676,9 +670,11 @@ def _regularized(rho: DensityMatrix) -> tuple[np.ndarray, float, tuple[int, int]
 
 
 def _log_first(w: np.ndarray) -> np.ndarray:
-    """log[w_i, w_j], the first divided differences of log at the positive spectrum w, accurate
-    near ties: log1p((hi - lo) / lo) / (hi - lo) of the pair's values, and 1 / w_i at a tie."""
-    lo, hi = np.minimum.outer(w, w), np.maximum.outer(w, w)
+    """log[w_i, w_j], the first divided differences of log at the positive spectrum w (or at each
+    of a stack), accurate near ties: log1p((hi - lo) / lo) / (hi - lo) of the pair's values, and
+    1 / w_i at a tie. The REE gradient reads it, and the mirror slope its reciprocal."""
+    a, b = w[..., :, None], w[..., None, :]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     gap = hi - lo
     return np.divide(np.log1p(gap / lo), gap, out=1.0 / lo, where=gap > 0.0)
 
@@ -803,12 +799,10 @@ def _ree_barrier(rho_t, tr_log, dims, lb, max_iters: int) -> Certificate:
 
     z = np.zeros(n * n - 1)
     history = [objective(blocks(z))[0]]
-    nu = 2.0 * n
-    t = nu / max(history[0], 1.0)
-    z, steps, converged = _newton_barrier(
-        lift, nu, objective, blocks, z, t, max_iters, lambda x, f: history.append(f)
+    x, steps, converged = _newton_barrier(
+        lift, objective, blocks, z, max(history[0], 1.0), max_iters, lambda _, f: history.append(f)
     )
-    witness = DensityMatrix(blocks(z)[0], dims)
+    witness = DensityMatrix(x[0], dims)
     value = _ree_certificate(rho_t, tr_log, witness.mat, dims, lb)
     return Certificate(
         "ER_lower", value, witness, converged, steps, objective=history[-1], history=tuple(history)
@@ -955,7 +949,6 @@ def trace_dist_to_ppt(rho: DensityMatrix, cfg: OptimizerConfig | None = None) ->
     def linear(_):  # tr P + tr N: its gradient is cost, its Hessian zero
         return None, lambda: (cost, None)
 
-    nu = 4.0 * n
-    _, steps, converged = _newton_barrier(lift, nu, linear, blocks, z, nu / float(cost @ z), cfg.max_iters, visit)
+    _, steps, converged = _newton_barrier(lift, linear, blocks, z, float(cost @ z), cfg.max_iters, visit)
     witness = DensityMatrix(best, dims)
     return Certificate("Ds_oracle", min(history), witness, converged, steps, history=tuple(history))

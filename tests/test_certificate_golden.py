@@ -43,6 +43,13 @@ bits) and 9 -> 8 (max_rci, both bases), and the max_ic nats witness moved by
 5.8e-9. Against the previous commit's output the values moved by at most
 1.0e-15.
 
+When the corner split's gradient and the mirror slope started to read the
+one log1p divided difference of log (``optimize._log_first``), accurate near
+eigenvalue ties, the REE descent's path drifted: ``ree/2x3/bits`` was
+re-recorded whole with ``_observed`` (value -6.4e-10, history up to 2.5e-9,
+same iterations), and the ``ree/panel-*`` values moved -6.1e-9 (3x3), +6.9e-6
+(4x4, the largest) and -2.7e-7 (4x6), with their iterations and flags kept.
+
 Counts and flags must match exactly; floats must agree within 1e-9, because
 exact bits differ across LAPACK builds. Do not regenerate the file to make a
 change pass: a search whose output moves is a behaviour change.

@@ -12,6 +12,7 @@ import math
 import operator
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -962,11 +963,11 @@ def _bench_states(sizes, seed):
 
 def test_descent_witnesses_keep_their_corner_certificate():
     # the seed-7 benchmark states the descent still runs on, and the certificates (bits) their
-    # reports printed before the interior split: a Dykstra witness is PPT only to its stop test,
-    # so the split never applies and ree_dual_certificate returns the corner split's bits
+    # reports print: a Dykstra witness is PPT only to its stop test, so the interior split never
+    # applies and ree_dual_certificate returns the corner split's bits
     small = _bench_states([(2, 2), (2, 3)], 7)
     large = _bench_states([(3, 3), (4, 4), (4, 6)], 7)[1:]
-    printed = [0.0, 0.3887643514011574, 0.6119469777511176, 0.9985907424033]
+    printed = [0.0, 0.38876435140131793, 0.6119568707938801, 0.9985907700976338]
     lb = math.log(2.0)
     for rho, value in zip(small + large, printed):
         cert = ree_ppt_lower(rho)
@@ -1041,6 +1042,51 @@ def test_log_divided_differences_match_their_definitions():
     assert math.isclose(second[0, 1, 0], -0.5e22, rel_tol=1e-9)
     at = int(np.flatnonzero(w == 0.3)[0])
     assert math.isclose(second[at, at + 1, at], -0.5 / 0.09, rel_tol=1e-9)
+    # a stack of spectra gives each row's own divided differences, bit for bit
+    stack = np.stack([w, rng.random(len(w)) + 1e-3, np.full(len(w), 0.25)])
+    assert all(np.array_equal(optimize._log_first(stack)[r], optimize._log_first(stack[r])) for r in range(3))
+    for a, b in _NEAR_TIES:
+        got = optimize._log_first(np.array([a, b]))
+        assert math.isclose(got[0, 1], _log_first_series(a, b), rel_tol=1e-13)
+        assert got[0, 1] == got[1, 0]
+
+
+# near-tie eigenvalue pairs, where a quotient of two rounded logs loses about half its digits
+_NEAR_TIES = [(0.3, 0.3 * (1 + 1e-11)), (1e-5, 1e-5 * (1 + 1e-9))]
+
+
+def _log_first_series(a: float, b: float) -> float:
+    """A reference for log[a, b] that does not use log1p: at a tie or near one (relative gap
+    delta = (hi - lo) / lo below 1e-8), the series (1 / lo) sum_k (-delta)^k / (k + 1) summed
+    exactly in rationals; for a pair at least 10% apart, the plain quotient of logs."""
+    lo, hi = Fraction(min(a, b)), Fraction(max(a, b))
+    delta = (hi - lo) / lo
+    if delta >= Fraction(1, 10):
+        return (math.log(b) - math.log(a)) / (b - a)
+    assert delta < Fraction(1, 10**8)  # eight terms leave a remainder below delta^8
+    return float(sum((-delta) ** k / (k + 1) for k in range(8)) / lo)
+
+
+def test_mirror_slope_and_corner_gradient_are_accurate_near_ties():
+    # on spectra with a near-tie pair, the mirror slope and the corner split's gradient are the
+    # formulas of their docstrings with the exact log[w_i, w_j], to working precision
+    rng = np.random.default_rng(5)
+    w = np.array([[0.1, 0.2, *_NEAR_TIES[0]], [*_NEAR_TIES[1], 0.3, 0.5]])
+    series = np.array([[[_log_first_series(a, b) for b in row] for a in row] for row in w])
+    v = np.linalg.qr(rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4)))[0]
+    grad = hermitize(rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4)))
+    g = v.conj().swapaxes(-1, -2) @ grad @ v
+    g -= np.einsum("si,sii->s", w, g).real[:, None, None] * np.eye(4)
+    want = (abs(g) ** 2 / series).sum((-2, -1))
+    assert np.allclose(_mirror_slope(w, v, grad), want, rtol=1e-13, atol=0.0)
+    lb = math.log(2.0)
+    for ws, us, kernel in zip(w, v, series):
+        rho_t = random_density_matrix(4, rng).mat
+        rho_e = us.conj().T @ rho_t @ us
+        sig = (us * ws) @ us.conj().T
+        corner_grad = optimize._ree_terms((0.0, (sig, ws, us, rho_e)), (2, 2), lb)[1]
+        exact = hermitize(us @ (-kernel * rho_e) @ us.conj().T) / lb
+        assert np.max(abs(corner_grad - exact)) <= 1e-13 * np.max(abs(exact))
 
 
 def test_certificate_fields_and_config_defaults():

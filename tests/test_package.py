@@ -230,3 +230,12 @@ def test_one_inversion_engine():
     assert _readers("_inversion_kernel") == {"bounds:Formula.kernel"}
     outside_entropy = {r for r in _readers("g_correction") if not r.startswith("entropy:")}
     assert outside_entropy == {"bounds:_inversion_kernel"}
+
+
+def test_one_log_divided_difference():
+    # the REE gradient (corner split, interior split, barrier) and the mirror slope's
+    # logarithmic mean read one first divided difference of log, the accurate log1p form,
+    # so a quotient of two rounded logs or a near-tie guard beside it fails here
+    assert _readers("log1p") == {"optimize:_log_first"}
+    assert _readers("_log_first") == {"optimize:_mirror_slope", "optimize:_ree_gradient"}
+    assert _readers("_EIG_PAIR_GUARD") == set()
